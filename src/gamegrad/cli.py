@@ -113,7 +113,8 @@ def main():
 @click.option("--set", "-s", "overrides", multiple=True, metavar="PATH=VALUE",
               help="Override a config entry by dotted path (value parsed as JSON).")
 @click.option("--out", "out_dir", default=".", show_default=True, help="Output directory.")
-@click.option("--workers", default=1, show_default=True, help="Concurrent trial workers.")
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1),
+              help="Concurrent trial workers, each running one contiguous block of trials.")
 @click.option("--seed", default=None, type=int, help="Override the master seed.")
 def cmd_run(config_path, overrides, out_dir, workers, seed):
     """Run one experiment; write report.json and curves.csv; gate on checks."""
@@ -157,7 +158,8 @@ def cmd_run(config_path, overrides, out_dir, workers, seed):
 @click.option("--set", "-s", "overrides", multiple=True, metavar="PATH=VALUE",
               help="Override a template entry by dotted path before sweeping.")
 @click.option("--out", "out_dir", default=".", show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1),
+              help="Concurrent trial workers per grid point.")
 @click.option("--seed", default=None, type=int, help="Override the template master seed.")
 def cmd_sweep(config_path, overrides, out_dir, workers, seed):
     """Run a parameter grid; one report per grid point."""

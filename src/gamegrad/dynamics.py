@@ -3,8 +3,16 @@
 The runner iterates x_{t+1} = x_t + eta_{t+1} (v(x_t) + xi_{t+1}) and records
 per-step diagnostics. Step order per iteration: obtain eta, evaluate the
 field, sample noise, step, then feed the schedule the post-step observations.
-Hot loops come in three bodies (scalar, unrolled 2-d affine, generic numpy)
-that execute the identical recursion; tests pin them against each other.
+Hot loops come in three bodies that execute the identical recursion, and
+tests pin them against each other:
+
+- scalar: one-dimensional games, on Python floats;
+- unrolled 2-d: affine two-dimensional games, on Python floats;
+- lock-step: every other game, stepping a block of trials together as
+  (trials, n) arrays, each trial with its own noise stream.
+
+The unrolled bodies run one trial at a time; measured on a one-dimensional
+quadratic, a lock-step block only overtakes them from about 32 trials up.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_int
 from .games import Game, JointAction
 
 Array = np.ndarray
@@ -45,7 +53,17 @@ def _validate_feedback(fb: StepFeedback) -> None:
         raise ValueError("feedback step size must be positive")
 
 
-class ConstantSchedule:
+class _SharedStep:
+    """Schedules whose step size is the same for every trial: nothing per trial."""
+
+    def next_steps(self, t, eta, g_prev, g_next, step_sq):
+        return self.next_step_fast(t, eta, g_prev, g_next, step_sq)
+
+    def keep(self, live) -> None:
+        pass
+
+
+class ConstantSchedule(_SharedStep):
     """Fixed step size eta."""
 
     kind = "constant"
@@ -57,7 +75,7 @@ class ConstantSchedule:
             raise ConfigError("constant step size must be positive")
         self.eta = float(eta)
 
-    def fresh(self) -> "ConstantSchedule":
+    def fresh(self, trials: Optional[int] = None) -> "ConstantSchedule":
         return ConstantSchedule(self.eta)
 
     def first_step(self) -> float:
@@ -74,7 +92,7 @@ class ConstantSchedule:
         return {"kind": self.kind, "eta": self.eta}
 
 
-class PowerSchedule:
+class PowerSchedule(_SharedStep):
     """Polynomial decay eta_t = c / t^p for the t-th step (1-indexed), eta_1 = c."""
 
     kind = "power"
@@ -89,7 +107,7 @@ class PowerSchedule:
         self.c = float(c)
         self.p = float(p)
 
-    def fresh(self) -> "PowerSchedule":
+    def fresh(self, trials: Optional[int] = None) -> "PowerSchedule":
         return PowerSchedule(self.c, self.p)
 
     def first_step(self) -> float:
@@ -129,12 +147,15 @@ class GradNormSchedule:
         self.r = float(r)
         self.reset()
 
-    def reset(self) -> None:
-        self.beta = self.beta1
-        self.grad_sq_sum = 0.0
+    def reset(self, trials: Optional[int] = None) -> None:
+        """Scalar state, or one entry per trial for a lock-step block."""
+        self.beta = self.beta1 if trials is None else np.full(trials, self.beta1)
+        self.grad_sq_sum = 0.0 if trials is None else np.zeros(trials)
 
-    def fresh(self) -> "GradNormSchedule":
-        return GradNormSchedule(self.beta1, self.r)
+    def fresh(self, trials: Optional[int] = None) -> "GradNormSchedule":
+        sched = GradNormSchedule(self.beta1, self.r)
+        sched.reset(trials)
+        return sched
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta1)
@@ -144,6 +165,17 @@ class GradNormSchedule:
             self.beta *= self.r
         self.grad_sq_sum += g_prev
         return 1.0 / math.sqrt(self.beta + self.grad_sq_sum)
+
+    def next_steps(self, t, eta, g_prev, g_next, step_sq):
+        """next_step_fast over the trials of a lock-step block (state from fresh(trials))."""
+        self.beta = np.where(g_next > g_prev, self.beta * self.r, self.beta)
+        self.grad_sq_sum = self.grad_sq_sum + g_prev
+        return 1.0 / np.sqrt(self.beta + self.grad_sq_sum)
+
+    def keep(self, live) -> None:
+        """Drop the state of the trials that left a lock-step block."""
+        self.beta = self.beta[live]
+        self.grad_sq_sum = self.grad_sq_sum[live]
 
     def next_step(self, fb: StepFeedback) -> float:
         _validate_feedback(fb)
@@ -171,11 +203,14 @@ class StepNormSchedule:
         self.beta = float(beta)
         self.reset()
 
-    def reset(self) -> None:
-        self.delta = 0.0
+    def reset(self, trials: Optional[int] = None) -> None:
+        """Scalar state, or one entry per trial for a lock-step block."""
+        self.delta = 0.0 if trials is None else np.zeros(trials)
 
-    def fresh(self) -> "StepNormSchedule":
-        return StepNormSchedule(self.beta)
+    def fresh(self, trials: Optional[int] = None) -> "StepNormSchedule":
+        sched = StepNormSchedule(self.beta)
+        sched.reset(trials)
+        return sched
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta)
@@ -183,6 +218,15 @@ class StepNormSchedule:
     def next_step_fast(self, t, eta, g_prev, g_next, step_sq) -> float:
         self.delta += step_sq / (eta * eta)
         return 1.0 / math.sqrt(self.beta + math.log(t + 2.0) + self.delta)
+
+    def next_steps(self, t, eta, g_prev, g_next, step_sq):
+        """next_step_fast over the trials of a lock-step block (state from fresh(trials))."""
+        self.delta = self.delta + step_sq / (eta * eta)
+        return 1.0 / np.sqrt(self.beta + math.log(t + 2.0) + self.delta)
+
+    def keep(self, live) -> None:
+        """Drop the state of the trials that left a lock-step block."""
+        self.delta = self.delta[live]
 
     def next_step(self, fb: StepFeedback) -> float:
         _validate_feedback(fb)
@@ -325,34 +369,60 @@ def noise_from_dict(doc: dict) -> NoiseModel:
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
+class _NoiseDraws:
+    """Chunked unit draws for a block of trials, one generator per trial.
+
+    Each trial's normals go straight into its rows of one block buffer. A trial
+    gets about _CHUNK // m rows per chunk, so the buffer holds about _CHUNK x n
+    doubles at any block size m. Consecutive draws from a generator
+    concatenate bit-exactly, so neither the chunk length nor the block a
+    trial shares changes its noise: every step consumes exactly n normals.
+    """
+
+    def __init__(self, model: NoiseModel, n: int, rngs: list, horizon: int):
+        self.relative = isinstance(model, RelativeNoise)
+        self.sphere = model.shape == "sphere"
+        self.var = model.tau if self.relative else model.sigma_sq
+        self.n = n
+        self.rngs = list(rngs)
+        self.rows = min(horizon, max(1, _CHUNK // len(self.rngs)))
+        self.buf = np.empty((len(self.rngs), self.rows, n))
+
+    def chunk(self, t0: int, count: int):
+        """Unit draws, shape (m, count, n), and the trial-independent sqrt-variance
+        amplitudes, shape (count,), for steps t0..t0+count-1 (count <= rows)."""
+        z = self.buf[:len(self.rngs), :count]
+        for rng, out in zip(self.rngs, z):
+            rng.standard_normal(out=out)
+        if self.sphere:
+            nrm = np.sqrt(np.einsum("ijk,ijk->ij", z, z))
+            nrm[nrm == 0.0] = 1.0
+            z /= nrm[:, :, None]
+            return z, np.sqrt(self.var.values(t0, count))
+        return z, np.sqrt(self.var.values(t0, count) / self.n)
+
+    def keep(self, live) -> None:
+        """Drop the generators of the trials that left a lock-step block."""
+        self.rngs = [rng for rng, k in zip(self.rngs, live) if k]
+
+
 def sample_noise(model: NoiseModel, t: int, v, rng: np.random.Generator):
     """Draw one noise vector for step t given the current gradient v.
 
     Returns the same container type it was given (JointAction in, JointAction
     out). Sphere shape has exactly the specified squared norm per draw;
-    gaussian shape matches it in expectation. The generator is advanced by
-    exactly n normal draws for both shapes, so chunked pre-draws in the
-    runner consume the stream identically.
+    gaussian shape matches it in expectation. This is a one-row call into the
+    runner's chunked draws, so it advances the generator by exactly n normals.
     """
     joint = isinstance(v, JointAction)
     vec = v.flat if joint else np.asarray(v, dtype=float).reshape(-1)
-    n = vec.size
     if isinstance(model, NoNoise):
-        out = np.zeros(n)
-        return JointAction.from_flat(out, v.dims) if joint else out
-    g = rng.standard_normal(n)
-    if isinstance(model, RelativeNoise):
-        target_sq = model.tau.value(t) * float(vec @ vec)
-        shape = model.shape
+        out = np.zeros(vec.size)
     else:
-        target_sq = model.sigma_sq.value(t)
-        shape = model.shape
-    if shape == "sphere":
-        nrm = float(np.sqrt(g @ g))
-        unit = g / nrm if nrm > 0 else g
-        out = math.sqrt(target_sq) * unit
-    else:
-        out = math.sqrt(target_sq / n) * g
+        draws = _NoiseDraws(model, vec.size, [rng], horizon=1)
+        z, amp = draws.chunk(t, 1)
+        scale = amp[0] * math.sqrt(float(vec @ vec)) if draws.relative else amp[0]
+        out = scale * z[0, 0]
     return JointAction.from_flat(out, v.dims) if joint else out
 
 
@@ -423,11 +493,11 @@ class DynamicsConfig:
         try:
             return DynamicsConfig(
                 schedule=schedule_from_dict(doc["schedule"]),
-                horizon=int(doc["horizon"]),
+                horizon=config_int(doc["horizon"], "dynamics.horizon"),
                 x0=tuple(doc["x0"]),
                 noise=noise_from_dict(doc.get("noise", {"kind": "none"})),
                 blow_up_radius=doc.get("blow_up_radius"),
-                thinning=int(doc.get("thinning", 0)),
+                thinning=config_int(doc.get("thinning", 0), "dynamics.thinning"),
             )
         except KeyError as exc:
             raise ConfigError(f"dynamics config is missing field {exc}") from None
@@ -463,31 +533,6 @@ class TrajectoryRecord:
 # Runner
 # ---------------------------------------------------------------------------
 
-class _NoisePlan:
-    """Chunked pre-draws matching sample_noise's stream consumption exactly."""
-
-    def __init__(self, model: NoiseModel, n: int, rng: np.random.Generator):
-        self.relative = isinstance(model, RelativeNoise)
-        self.shape = model.shape
-        self.n = n
-        self.rng = rng
-        var = model.tau if self.relative else model.sigma_sq
-        self.var = var
-
-    def chunk(self, t0: int, count: int):
-        """Unit draws and sqrt-variance amplitudes for steps t0..t0+count-1."""
-        g = self.rng.standard_normal((count, self.n))
-        if self.shape == "sphere":
-            nrm = np.sqrt(np.einsum("ij,ij->i", g, g))
-            nrm[nrm == 0.0] = 1.0
-            z = g / nrm[:, None]
-            amp = np.sqrt(self.var.values(t0, count))
-        else:
-            z = g
-            amp = np.sqrt(self.var.values(t0, count) / self.n)
-        return z, amp
-
-
 def _log_steps(horizon: int, thinning: int) -> Array:
     steps = {0, horizon}
     p = 1
@@ -499,6 +544,75 @@ def _log_steps(horizon: int, thinning: int) -> Array:
     return np.array(sorted(steps), dtype=np.int64)
 
 
+def runner_body(game: Game) -> str:
+    """The body run_trajectory steps a game with: 'scalar', 'affine2' or 'lockstep'."""
+    if game.n == 1 and game.scalar_field is not None:
+        return "scalar"
+    if game.n == 2 and game.affine is not None:
+        return "affine2"
+    return "lockstep"
+
+
+class _Log:
+    """Record arrays for m trials, row i belonging to the block's i-th trial."""
+
+    def __init__(self, m: int, n: int, config: DynamicsConfig, track_beta: bool):
+        T = config.horizon
+        self.gap = np.empty((m, T + 1))
+        self.eta = np.empty((m, T))
+        self.step = np.empty((m, T))
+        self.beta = np.empty((m, T + 1)) if track_beta else None
+        self.steps = _log_steps(T, config.thinning)
+        self.states = np.empty((m, len(self.steps), n))
+        self.stop = [T] * m
+        self.diverged = [False] * m
+
+    def record(self, i: int, game: Game, config: DynamicsConfig, seed) -> TrajectoryRecord:
+        t_stop = self.stop[i]
+        logged = int(np.searchsorted(self.steps, t_stop, side="right"))
+        return TrajectoryRecord(
+            game_name=game.name,
+            config=config.to_dict(),
+            gap=self.gap[i, :t_stop + 1],
+            eta=self.eta[i, :t_stop],
+            step_norm_sq=self.step[i, :t_stop],
+            beta=None if self.beta is None else self.beta[i, :t_stop + 1],
+            state_steps=self.steps[:logged],
+            states=self.states[i, :logged],
+            seed=seed,
+            horizon=config.horizon,
+            diverged=self.diverged[i],
+            divergence_step=t_stop if self.diverged[i] else None,
+        )
+
+
+def record_bytes(config: DynamicsConfig, n: int) -> int:
+    """Bytes of one trial's record arrays (gap, eta, step norms, beta, states)."""
+    series = 4 if config.schedule.tracks_beta else 3
+    return 8 * (series * (config.horizon + 1) + len(_log_steps(config.horizon, config.thinning)) * n)
+
+
+def _generator(rng: int | np.random.Generator | None):
+    seed = rng if isinstance(rng, int) else None
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return rng, seed
+
+
+def _start(game: Game, config: DynamicsConfig, rngs: list):
+    """Checks and set-up shared by both entry points: generators, seeds, radius."""
+    if len(config.x0) != game.n:
+        raise ConfigError(f"x0 has length {len(config.x0)}, game dimension is {game.n}")
+    gens, seeds = zip(*(_generator(rng) for rng in rngs))
+    radius = config.blow_up_radius
+    if radius is None:
+        radius = 1e8 * (1.0 + math.sqrt(sum(v * v for v in config.x0)))
+    draws = None
+    if not isinstance(config.noise, NoNoise):
+        draws = _NoiseDraws(config.noise, game.n, list(gens), config.horizon)
+    return seeds, radius, draws
+
+
 def run_trajectory(game: Game, config: DynamicsConfig,
                    rng: int | np.random.Generator | None = None) -> TrajectoryRecord:
     """Run one trial of the dynamics on a game and record its trajectory.
@@ -507,110 +621,158 @@ def run_trajectory(game: Game, config: DynamicsConfig,
     and truncates the record instead of raising, so sweeps can aggregate
     failures.
     """
-    n = game.n
-    if len(config.x0) != n:
-        raise ConfigError(f"x0 has length {len(config.x0)}, game dimension is {n}")
-    seed = rng if isinstance(rng, int) else None
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    T = config.horizon
+    body = runner_body(game)
+    if body == "lockstep":
+        return run_lockstep(game, config, [rng])[0]
+    (seed,), radius, draws = _start(game, config, [rng])
     schedule = config.schedule.fresh()
-    radius = config.blow_up_radius
-    if radius is None:
-        radius = 1e8 * (1.0 + math.sqrt(sum(v * v for v in config.x0)))
-
-    gap = np.empty(T + 1)
-    eta_arr = np.empty(T)
-    step_arr = np.empty(T)
-    beta_arr = np.empty(T + 1) if schedule.tracks_beta else None
-    log_steps = _log_steps(T, config.thinning)
-    states = np.empty((len(log_steps), n))
-
-    plan = None if isinstance(config.noise, NoNoise) else _NoisePlan(config.noise, n, rng)
-
-    x0 = np.array(config.x0, dtype=float)
-    if n == 1 and game.scalar_field is not None:
-        t_stop, diverged = _run_scalar(game.scalar_field, float(x0[0]), T, schedule, plan,
-                                       radius, gap, eta_arr, step_arr, beta_arr, log_steps, states)
-    elif n == 2 and game.affine is not None:
-        A, b = game.affine
-        t_stop, diverged = _run_affine2(A, b, x0, T, schedule, plan, radius,
-                                        gap, eta_arr, step_arr, beta_arr, log_steps, states)
+    log = _Log(1, game.n, config, schedule.tracks_beta)
+    beta = None if log.beta is None else log.beta[0]
+    if body == "scalar":
+        t_stop, diverged = _run_scalar(game.scalar_field, config.x0[0], config.horizon, schedule,
+                                       draws, radius, log.gap[0], log.eta[0], log.step[0], beta,
+                                       log.steps, log.states[0])
     else:
-        t_stop, diverged = _run_generic(game.field, x0, T, schedule, plan, radius,
-                                        gap, eta_arr, step_arr, beta_arr, log_steps, states)
-
-    logged = int(np.searchsorted(log_steps, t_stop, side="right"))
-    return TrajectoryRecord(
-        game_name=game.name,
-        config=config.to_dict(),
-        gap=gap[:t_stop + 1],
-        eta=eta_arr[:t_stop],
-        step_norm_sq=step_arr[:t_stop],
-        beta=None if beta_arr is None else beta_arr[:t_stop + 1],
-        state_steps=log_steps[:logged],
-        states=states[:logged],
-        seed=seed,
-        horizon=T,
-        diverged=diverged,
-        divergence_step=t_stop if diverged else None,
-    )
+        A, b = game.affine
+        t_stop, diverged = _run_affine2(A, b, config.x0, config.horizon, schedule, draws, radius,
+                                        log.gap[0], log.eta[0], log.step[0], beta,
+                                        log.steps, log.states[0])
+    log.stop[0], log.diverged[0] = t_stop, diverged
+    return log.record(0, game, config, seed)
 
 
-def _run_generic(field_fn, x, T, schedule, plan, radius, gap, eta_arr, step_arr,
-                 beta_arr, log_steps, states):
+def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> list[TrajectoryRecord]:
+    """Run one trial per generator in ``rngs``, all stepping together.
+
+    This is the body for every game without an unrolled one. Trial i draws
+    its noise from rngs[i] alone, and every per-row operation (the row-form
+    matvec, np.vecdot, elementwise arithmetic) gives the same bits whatever
+    the number of rows, so a trial's record does not depend on which block
+    it ran in. A single trial runs on 1-D arrays through the same code,
+    which was checked bit-equal to its row of a block.
+    """
+    m = len(rngs)
+    seeds, radius, draws = _start(game, config, rngs)
+    flat = m == 1
+    schedule = config.schedule.fresh(None if flat else m)
+    log = _Log(m, game.n, config, schedule.tracks_beta)
+    x0 = np.array(config.x0, dtype=float)
+    if game.affine is not None:
+        A, b = game.affine
+        AT = A.T
+
+        def field(x):  # one matvec per row: X @ A.T would sum in a row-count-dependent order
+            return b - (x[..., None, :] @ AT)[..., 0, :]
+    elif flat:
+        def field(x):
+            return np.asarray(game.field(x), dtype=float)
+    else:
+        def field(x):
+            return np.stack([np.asarray(game.field(row), dtype=float) for row in x])
+    if not flat:
+        x0 = np.tile(x0, (m, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_lockstep(field, x0, config.horizon, schedule, draws, radius, log)
+    return [log.record(i, game, config, seeds[i]) for i in range(m)]
+
+
+def _dot(a, b) -> float:
+    return float(a @ b)
+
+
+def _column(v):
+    return v[:, None]
+
+
+def _same(v):
+    return v
+
+
+def _run_lockstep(field, X, T, schedule, draws, radius, log):
+    """Step a block of trials together: X is (m, n), or (n,) for one trial.
+
+    Per-trial values (gap, step norm, adaptive step size, noise amplitude)
+    are (m,) vectors, or floats for one trial, so each line below is the
+    same recursion as the unrolled bodies applied row by row. A trial that
+    diverges leaves the block: its log row stops there and its row is
+    dropped from every live array.
+    """
+    flat = X.ndim == 1
+    dot, col, sqrt = (_dot, _same, math.sqrt) if flat else (np.vecdot, _column, np.sqrt)
+    live = np.arange(1 if flat else X.shape[0])
+    rows = 0 if flat else slice(None)  # the log rows of the live trials
+    gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states
+    log_list = log.steps.tolist()
     r2 = radius * radius
-    v = np.asarray(field_fn(x), dtype=float)
-    g = float(v @ v)
-    gap[0] = g
-    if beta_arr is not None:
-        beta_arr[0] = schedule.beta
-    states[0] = x
+    inf = math.inf
+
+    V = field(X)
+    G = dot(V, V)
+    gap[rows, 0] = G
+    if beta_log is not None:
+        beta_log[rows, 0] = schedule.beta
+    states[rows, 0] = X
     log_ptr = 1
-    next_log = log_steps[log_ptr] if log_ptr < len(log_steps) else T + 1
+    next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
     eta_next = schedule.first_step()
     is_constant = isinstance(schedule, ConstantSchedule)
-    next_fast = schedule.next_step_fast
+    update = schedule.next_step_fast if flat else schedule.next_steps
+    relative = draws is not None and draws.relative
     t = 0
     while t < T:
-        count = min(_CHUNK, T - t) if plan is not None else T - t
-        if plan is not None:
-            z_chunk, amp_chunk = plan.chunk(t, count)
+        count = min(draws.rows, T - t) if draws is not None else T - t
+        if draws is not None:
+            z, amp = draws.chunk(t, count)
+            Z = z[0] if flat else z.transpose(1, 0, 2)  # Z[k]: the draws of step t0 + k
+            amps = amp.tolist()
         for k in range(count):
             eta = eta_next
-            eta_arr[t] = eta
-            if plan is None:
-                x_new = x + eta * v
+            eta_log[rows, t] = eta
+            step = eta if isinstance(eta, float) else col(eta)
+            if draws is None:
+                X_new = X + step * V
             else:
-                amp = amp_chunk[k] * math.sqrt(g) if plan.relative else amp_chunk[k]
-                x_new = x + eta * (v + amp * z_chunk[k])
-            v_new = np.asarray(field_fn(x_new), dtype=float)
-            g_new = float(v_new @ v_new)
-            gap[t + 1] = g_new
-            d = x_new - x
-            step_sq = float(d @ d)
-            step_arr[t] = step_sq
-            xsq = float(x_new @ x_new)
-            if not (g_new < math.inf) or not (xsq <= r2):
-                if beta_arr is not None:
-                    beta_arr[t + 1] = schedule.beta
-                return t + 1, True
+                a = col(amps[k] * sqrt(G)) if relative else amps[k]
+                X_new = X + step * (V + a * Z[k])
+            V_new = field(X_new)
+            G_new = dot(V_new, V_new)
+            gap[rows, t + 1] = G_new
+            D = X_new - X
+            S = dot(D, D)
+            step_log[rows, t] = S
+            ok = (G_new < inf) & (dot(X_new, X_new) <= r2)
+            if not (ok if flat else ok.all()):
+                gone = live if flat else live[~ok]
+                for i in gone.tolist():
+                    log.stop[i], log.diverged[i] = t + 1, True
+                if beta_log is not None:
+                    beta_log[gone, t + 1] = schedule.beta if flat else schedule.beta[~ok]
+                if t + 1 == next_log:
+                    states[gone, log_ptr] = X_new if flat else X_new[~ok]
+                if flat or not ok.any():
+                    return
+                live = rows = live[ok]
+                X_new, V_new, G, G_new, S = X_new[ok], V_new[ok], G[ok], G_new[ok], S[ok]
+                if not isinstance(eta, float):
+                    eta = eta[ok]
+                schedule.keep(ok)
+                if draws is not None:
+                    draws.keep(ok)
+                    Z = Z[:, ok]
             if t + 1 == next_log:
-                states[log_ptr] = x_new
+                states[rows, log_ptr] = X_new
                 log_ptr += 1
-                next_log = log_steps[log_ptr] if log_ptr < len(log_steps) else T + 1
+                next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
             if not is_constant:
-                eta_next = next_fast(t, eta, g, g_new, step_sq)
-            if beta_arr is not None:
-                beta_arr[t + 1] = schedule.beta
-            x, v, g = x_new, v_new, g_new
+                eta_next = update(t, eta, G, G_new, S)
+            if beta_log is not None:
+                beta_log[rows, t + 1] = schedule.beta
+            X, V, G = X_new, V_new, G_new
             t += 1
-    return T, False
 
 
-def _run_scalar(f, x, T, schedule, plan, radius, gap, eta_arr, step_arr,
+def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
                 beta_arr, log_steps, states):
     v = f(x)
     g = v * v
@@ -625,22 +787,22 @@ def _run_scalar(f, x, T, schedule, plan, radius, gap, eta_arr, step_arr,
     eta_next = schedule.first_step()
     is_constant = isinstance(schedule, ConstantSchedule)
     next_fast = schedule.next_step_fast
-    relative = plan.relative if plan is not None else False
+    relative = draws.relative if draws is not None else False
     track_beta = beta_arr is not None
     sqrt = math.sqrt
     inf = math.inf
     r2 = radius * radius
     t = 0
     while t < T:
-        count = min(_CHUNK, T - t) if plan is not None else T - t
-        if plan is not None:
-            z_chunk, amp_chunk = plan.chunk(t, count)
-            zs = z_chunk[:, 0].tolist()
+        count = min(draws.rows, T - t) if draws is not None else T - t
+        if draws is not None:
+            z_chunk, amp_chunk = draws.chunk(t, count)
+            zs = z_chunk[0, :, 0].tolist()
             amps = amp_chunk.tolist()
         for k in range(count):
             eta = eta_next
             eta_arr[t] = eta
-            if plan is None:
+            if draws is None:
                 x_new = x + eta * v
             else:
                 amp = amps[k] * sqrt(g) if relative else amps[k]
@@ -652,6 +814,8 @@ def _run_scalar(f, x, T, schedule, plan, radius, gap, eta_arr, step_arr,
             step_sq = d * d
             step_arr[t] = step_sq
             if not (g_new < inf) or not (x_new * x_new <= r2):
+                if t + 1 == next_log:
+                    states[log_ptr, 0] = x_new
                 if track_beta:
                     beta_arr[t + 1] = schedule.beta
                 return t + 1, True
@@ -668,7 +832,7 @@ def _run_scalar(f, x, T, schedule, plan, radius, gap, eta_arr, step_arr,
     return T, False
 
 
-def _run_affine2(A, b, x0, T, schedule, plan, radius, gap, eta_arr, step_arr,
+def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
                  beta_arr, log_steps, states):
     a00, a01 = float(A[0, 0]), float(A[0, 1])
     a10, a11 = float(A[1, 0]), float(A[1, 1])
@@ -690,22 +854,22 @@ def _run_affine2(A, b, x0, T, schedule, plan, radius, gap, eta_arr, step_arr,
     eta_next = schedule.first_step()
     is_constant = isinstance(schedule, ConstantSchedule)
     next_fast = schedule.next_step_fast
-    relative = plan.relative if plan is not None else False
+    relative = draws.relative if draws is not None else False
     track_beta = beta_arr is not None
     sqrt = math.sqrt
     inf = math.inf
     r2 = radius * radius
     t = 0
     while t < T:
-        count = min(_CHUNK, T - t) if plan is not None else T - t
-        if plan is not None:
-            z_chunk, amp_chunk = plan.chunk(t, count)
-            zs = z_chunk.tolist()
+        count = min(draws.rows, T - t) if draws is not None else T - t
+        if draws is not None:
+            z_chunk, amp_chunk = draws.chunk(t, count)
+            zs = z_chunk[0].tolist()
             amps = amp_chunk.tolist()
         for k in range(count):
             eta = eta_next
             eta_arr[t] = eta
-            if plan is None:
+            if draws is None:
                 y0 = x0_ + eta * v0
                 y1 = x1_ + eta * v1
             else:
@@ -722,6 +886,9 @@ def _run_affine2(A, b, x0, T, schedule, plan, radius, gap, eta_arr, step_arr,
             step_sq = d0 * d0 + d1 * d1
             step_arr[t] = step_sq
             if not (g_new < inf) or not (y0 * y0 + y1 * y1 <= r2):
+                if t + 1 == next_log:
+                    states[log_ptr, 0] = y0
+                    states[log_ptr, 1] = y1
                 if track_beta:
                     beta_arr[t + 1] = schedule.beta
                 return t + 1, True

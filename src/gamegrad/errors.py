@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+import numbers
+
 
 class ConfigError(ValueError):
     """A configuration document or parameter set is invalid."""
@@ -11,3 +13,12 @@ class UnsupportedOperation(RuntimeError):
 
 class IndeterminateResult(RuntimeError):
     """Not enough usable data to produce a result (e.g. all sampled pairs degenerate)."""
+
+
+def config_int(value, name: str) -> int:
+    """An integer config field; rejects bools, strings and non-integral numbers."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")

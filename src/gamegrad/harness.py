@@ -2,8 +2,11 @@
 
 Trials draw independent Philox streams keyed by (master_seed, trial index),
 so results do not depend on execution order or worker count; aggregation is
-a fixed-order reduction over trial indices. Reports serialize to JSON with
-sorted keys, making repeated runs of the same config byte-identical.
+a fixed-order reduction over trial indices. Trials run in contiguous blocks,
+one per worker, each with one config parse and one game build; games
+without an unrolled runner body step a whole block in lock-step, whose rows
+are block-independent. Reports serialize to JSON with sorted keys, making
+repeated runs of the same config byte-identical.
 """
 
 from __future__ import annotations
@@ -22,11 +25,22 @@ import numpy as np
 
 from . import metrics
 from ._version import __version__
-from .dynamics import DynamicsConfig, NoNoise, TrajectoryRecord, run_trajectory
-from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
-from .games import GameSpec, builtin_game_specs, make_game
+from .dynamics import (
+    DynamicsConfig,
+    NoNoise,
+    TrajectoryRecord,
+    record_bytes,
+    run_lockstep,
+    run_trajectory,
+    runner_body,
+)
+from .errors import ConfigError, IndeterminateResult, UnsupportedOperation, config_int
+from .games import Game, GameSpec, builtin_game_specs, make_game
 
 SCHEMA_VERSION = "1.0"
+
+# Record memory one lock-step block may hold; larger runs go in several blocks.
+_BLOCK_BYTES = 64 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +99,8 @@ class ExperimentConfig:
         return ExperimentConfig(
             game=spec,
             dynamics=dynamics,
-            trials=int(doc.get("trials", 1)),
-            master_seed=int(doc.get("master_seed", 0)),
+            trials=config_int(doc.get("trials", 1), "trials"),
+            master_seed=config_int(doc.get("master_seed", 0), "master_seed"),
             checks=tuple(doc.get("checks", ())),
             game_name=name,
             trajectory_dir=doc.get("trajectory_dir"),
@@ -268,12 +282,31 @@ def _json_float(v) -> Optional[float]:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _trial_payload(config_doc: dict, trial: int) -> dict:
-    """Run one trial and reduce it to the small summary the aggregator needs."""
+def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
+    """Run a contiguous block of trials and reduce each to its payload.
+
+    The config is parsed and the game built once per block. Games with an
+    unrolled runner body run one trial at a time; every other game steps the
+    block in lock-step, split only to bound the record memory.
+    """
     config = ExperimentConfig.from_dict(config_doc)
     game = make_game(config.game, name=config.game_name or config.game.kind)
-    record = run_trajectory(game, config.dynamics, rng=trial_rng(config.master_seed, trial))
+    seed = config.master_seed
+    if runner_body(game) != "lockstep":
+        return [_trial_payload(config, game, i,
+                               run_trajectory(game, config.dynamics, rng=trial_rng(seed, i)))
+                for i in trials]
+    payloads = []
+    size = max(1, _BLOCK_BYTES // record_bytes(config.dynamics, game.n))
+    for lo in range(trials.start, trials.stop, size):
+        part = range(lo, min(lo + size, trials.stop))
+        records = run_lockstep(game, config.dynamics, [trial_rng(seed, i) for i in part])
+        payloads.extend(_trial_payload(config, game, i, rec) for i, rec in zip(part, records))
+    return payloads
 
+
+def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: TrajectoryRecord) -> dict:
+    """Reduce one trial to the small summary the aggregator needs."""
     if config.trajectory_dir:
         os.makedirs(config.trajectory_dir, exist_ok=True)
         write_trajectory(record, os.path.join(config.trajectory_dir, f"trial_{trial:04d}.jsonl"))
@@ -345,6 +378,8 @@ def _slope_check_verdict(check_id: str, curves: dict) -> dict:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run all trials, aggregate at dyadic steps, evaluate checks, fit rates."""
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
     doc = config.to_dict()
     payloads = _run_trials(doc, config.trials, workers)
 
@@ -410,12 +445,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     )
 
 
+def _blocks(trials: int, workers: int) -> list[range]:
+    """min(workers, trials) contiguous, nonempty blocks of near-equal size."""
+    k = min(workers, trials)
+    bounds = [trials * j // k for j in range(k + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _run_trials(doc: dict, trials: int, workers: int) -> list[dict]:
-    if workers <= 1 or trials == 1:
-        return [_trial_payload(doc, i) for i in range(trials)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_trial_payload, doc, i) for i in range(trials)]
-        return [f.result() for f in futures]  # trial order preserved
+    blocks = _blocks(trials, workers)
+    if len(blocks) == 1:
+        return _block_payloads(doc, blocks[0])
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        return [p for payloads in pool.map(_block_payloads, [doc] * len(blocks), blocks)
+                for p in payloads]  # trial order preserved
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +489,8 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
     """One experiment per grid point (cartesian product, axis order preserved)."""
     if not grid:
         raise ConfigError("sweep grid is empty")
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
     for path, values in grid.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep axis {path!r} has no values")

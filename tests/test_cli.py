@@ -181,3 +181,36 @@ def test_fit_rate_missing_curve_lists_available(runner, tmp_path):
     assert result.exit_code == 2
     assert "available" in result.output
     assert "time_average" in result.output
+
+
+@pytest.mark.parametrize("override", [
+    "trials=\"abc\"", "trials=2.5", "master_seed=1.5", "master_seed=\"7\"",
+    "dynamics.horizon=1.5", "dynamics.horizon=true", "dynamics.thinning=0.5",
+])
+def test_run_rejects_non_integer_fields(runner, tmp_path, override):
+    cfg = write_cfg(tmp_path, quad1d_doc())
+    result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path), "--set", override])
+    assert result.exit_code == 2, result.output
+    assert "must be an integer" in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_accepts_integral_float_fields(runner, tmp_path):
+    cfg = write_cfg(tmp_path, quad1d_doc())
+    result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path),
+                                  "--set", "dynamics.horizon=32.0"])
+    assert result.exit_code == 0, result.output
+    assert read_report(str(tmp_path / "report.json")).config["dynamics"]["horizon"] == 32
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_must_be_positive(runner, tmp_path, command, workers):
+    doc = quad1d_doc()
+    if command == "sweep":
+        doc = {"template": doc, "grid": {"dynamics.schedule.eta": [0.5]}}
+    cfg = write_cfg(tmp_path, doc)
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path),
+                                  "--workers", workers])
+    assert result.exit_code == 2, result.output
+    assert "--workers" in result.output

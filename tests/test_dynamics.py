@@ -17,13 +17,16 @@ from gamegrad.dynamics import (
     VarianceSchedule,
     next_step_size,
     noise_from_dict,
+    run_lockstep,
     run_trajectory,
+    runner_body,
     sample_noise,
     schedule_from_dict,
     step_ogd,
 )
 from gamegrad.errors import ConfigError
-from gamegrad.games import JointAction, make_named_game
+from gamegrad.games import GameSpec, JointAction, make_game, make_named_game
+from gamegrad.harness import trial_rng
 
 
 def philox(seed):
@@ -272,6 +275,16 @@ def test_trajectory_divergence_flag_and_truncation():
     assert rec.gap[0] == 1.0
 
 
+def test_diverged_record_ends_with_the_state_that_left_the_ball():
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(ConstantSchedule(3.0), horizon=50, x0=(1.0,), blow_up_radius=100.0,
+                         thinning=1)
+    rec = run_trajectory(game, cfg)
+    assert rec.divergence_step == 7
+    assert rec.state_steps[-1] == 7
+    assert rec.states[-1, 0] == -128.0
+
+
 def test_trajectory_eta_monotone_for_adaptive_schedules():
     for name in ("quad_1d", "quad_2d", "piecewise", "rand_2d"):
         game = make_named_game(name)
@@ -387,3 +400,54 @@ def test_diverged_adaptive_run_has_finite_beta_tail():
     assert len(rec.beta) == len(rec.gap)
     assert np.all(np.isfinite(rec.beta))
     assert rec.beta[-1] == 1e-8
+
+
+# ---------------------------------------------------------------------------
+# lock-step blocks
+# ---------------------------------------------------------------------------
+
+def _records_equal(a, b):
+    return (a.diverged == b.diverged and a.divergence_step == b.divergence_step
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("gap", "eta", "step_norm_sq", "state_steps", "states"))
+            and (a.beta is None) == (b.beta is None)
+            and (a.beta is None or np.array_equal(a.beta, b.beta)))
+
+
+def _highdim_game():
+    return make_game(GameSpec.random_cocoercive(16, seed=3))
+
+
+@pytest.mark.parametrize("schedule,noise", [
+    (ConstantSchedule(0.2), RelativeNoise(VarianceSchedule("power", 1.0, 0.5))),
+    (StepNormSchedule(1.0), AbsoluteNoise(VarianceSchedule("constant", 0.01), "gaussian")),
+    (GradNormSchedule(1.0, 2.0), NoNoise()),
+    (PowerSchedule(0.5, 0.5), RelativeNoise(VarianceSchedule("constant", 0.25), "gaussian")),
+])
+def test_single_trial_equals_its_row_of_a_block(schedule, noise):
+    game = _highdim_game()
+    assert runner_body(game) == "lockstep"
+    cfg = DynamicsConfig(schedule, horizon=300, x0=(1.0,) * 16, noise=noise, thinning=7)
+    block = run_lockstep(game, cfg, [trial_rng(4, i) for i in range(5)])
+    for i in (0, 3):
+        single = run_trajectory(game, cfg, rng=trial_rng(4, i))
+        assert _records_equal(single, block[i])
+
+
+@pytest.mark.parametrize("schedule,radius", [(ConstantSchedule(0.2), 7.0),
+                                             (StepNormSchedule(4.0), 5.0)])
+def test_divergence_stays_inside_its_row_of_a_block(schedule, radius):
+    game = _highdim_game()
+    noise = AbsoluteNoise(VarianceSchedule("constant", 25.0), shape="sphere")
+    cfg = DynamicsConfig(schedule, horizon=200, x0=(1.0,) * 16, noise=noise,
+                         blow_up_radius=radius, thinning=1)
+    block = run_lockstep(game, cfg, [trial_rng(2, i) for i in range(8)])
+    outcomes = {rec.diverged for rec in block}
+    assert outcomes == {True, False}  # some trials diverge, others run to the horizon
+    for i, rec in enumerate(block):
+        single = run_trajectory(game, cfg, rng=trial_rng(2, i))
+        assert _records_equal(rec, single)
+        if rec.diverged:
+            assert len(rec.gap) == rec.divergence_step + 1
+            assert rec.state_steps[-1] == rec.divergence_step
+            assert np.linalg.norm(rec.states[-1]) > radius  # the state that left the ball

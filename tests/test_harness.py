@@ -15,6 +15,7 @@ from gamegrad.errors import ConfigError
 from gamegrad.games import GameSpec, make_named_game
 from gamegrad.harness import (
     ExperimentConfig,
+    _blocks,
     dyadic_steps,
     iter_trajectory,
     read_report,
@@ -295,3 +296,45 @@ def test_incompatible_check_is_config_error():
     cfg = noisy_config(checks=("descent_invariants",))  # needs a noiseless run
     with pytest.raises(ConfigError, match="does not apply"):
         run_experiment(cfg)
+
+
+# ---------------------------------------------------------------------------
+# lock-step blocks
+# ---------------------------------------------------------------------------
+
+def highdim_config(trials=5, horizon=300):
+    noise = RelativeNoise(VarianceSchedule("power", 1.0, 0.5), shape="sphere")
+    return ExperimentConfig(
+        game=GameSpec.random_cocoercive(16, seed=3),
+        dynamics=DynamicsConfig(ConstantSchedule(0.2), horizon=horizon, x0=(1.0,) * 16,
+                                noise=noise, thinning=16),
+        trials=trials, master_seed=11, checks=("no_divergence",))
+
+
+def test_blocks_are_contiguous_and_nonempty():
+    assert _blocks(5, 1) == [range(0, 5)]
+    assert _blocks(5, 2) == [range(0, 2), range(2, 5)]
+    assert _blocks(5, 3) == [range(0, 1), range(1, 3), range(3, 5)]
+    assert _blocks(2, 8) == [range(0, 1), range(1, 2)]
+
+
+def test_highdim_report_bytes_do_not_depend_on_workers(tmp_path):
+    cfg = highdim_config(trials=5)
+    blobs = []
+    for workers in (1, 2, 3):  # 3 splits 5 trials unevenly: 1 + 2 + 2
+        path = tmp_path / f"w{workers}.json"
+        write_report(run_experiment(cfg, workers=workers), str(path))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_workers_below_one_rejected():
+    with pytest.raises(ConfigError, match="workers"):
+        run_experiment(quad1d_config(), workers=0)
+    with pytest.raises(ConfigError, match="workers"):
+        sweep(quad1d_config().to_dict(), {"dynamics.schedule.eta": [0.5]}, workers=0)
+
+
+def test_more_workers_than_trials_matches_sequential():
+    cfg = highdim_config(trials=2, horizon=64)
+    assert run_experiment(cfg, workers=3).to_dict() == run_experiment(cfg).to_dict()
