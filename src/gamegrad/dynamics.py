@@ -13,6 +13,27 @@ tests pin them against each other:
 
 The unrolled bodies run one trial at a time; measured on a one-dimensional
 quadratic, a lock-step block only overtakes them from about 32 trials up.
+
+Settled trials. In double precision the runs reach an exact fixed point: a
+state the update maps to itself bit for bit. The unrolled bodies stop
+stepping there. A trial is settled at the end of step t when
+
+- (a) the new state equals the old one bit for bit: every coordinate
+  compares equal and no old coordinate is -0.0 (-0.0 + 0.0 gives +0.0), and
+- (b) the noise term of every later step is exactly +-0: no noise, or
+  relative noise with the new gap exactly 0.0, whose amplitude is
+  sqrt(tau_t) * sqrt(0). Absolute noise never settles.
+
+The rest of the record is then filled instead of stepped: the same state,
+gap and beta, step norm 0.0, and the step sizes from the schedule's own
+next_step_fast, called once per remaining step exactly as the stepping loop
+calls it. Why this is exact: every later step starts from the same bits, so
+it sees the same field and gap and a noise term of +-0, which leaves a
+nonzero field as it is and a zero one zero. With equal gaps and a zero step
+norm, beta no longer grows and every schedule's eta is nonincreasing
+(eta_monotone checks it). Rounding is monotone (IEEE 754): the increment
+eta * v vanished against the state at step t, so the no larger increment of
+any smaller eta vanishes too. The lock-step body does not fast-forward.
 """
 
 from __future__ import annotations
@@ -23,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, config_int
+from .errors import ConfigError, config_float, config_int
 from .games import Game, JointAction
 
 Array = np.ndarray
@@ -238,11 +259,15 @@ class StepNormSchedule:
 
 Schedule = ConstantSchedule | PowerSchedule | GradNormSchedule | StepNormSchedule
 
+def _param(doc: dict, key: str) -> float:
+    return config_float(doc[key], f"dynamics.schedule.{key}")
+
+
 _SCHEDULE_KINDS = {
-    "constant": lambda d: ConstantSchedule(d["eta"]),
-    "power": lambda d: PowerSchedule(d["c"], d["p"]),
-    "grad_norm": lambda d: GradNormSchedule(d["beta1"], d["r"]),
-    "step_norm": lambda d: StepNormSchedule(d["beta"]),
+    "constant": lambda d: ConstantSchedule(_param(d, "eta")),
+    "power": lambda d: PowerSchedule(_param(d, "c"), _param(d, "p")),
+    "grad_norm": lambda d: GradNormSchedule(_param(d, "beta1"), _param(d, "r")),
+    "step_norm": lambda d: StepNormSchedule(_param(d, "beta")),
 }
 
 
@@ -280,10 +305,10 @@ class VarianceSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "power", "inv_t_log", "inv_loglog"):
             raise ConfigError(f"unknown variance schedule kind {self.kind!r}")
-        if self.c < 0:
-            raise ConfigError("variance scale must be nonnegative")
-        if self.kind == "power" and self.q < 0:
-            raise ConfigError("variance decay exponent must be nonnegative")
+        if not 0 <= self.c < math.inf:
+            raise ConfigError("variance scale must be finite and nonnegative")
+        if self.kind == "power" and not 0 <= self.q < math.inf:
+            raise ConfigError("variance decay exponent must be finite and nonnegative")
 
     def value(self, t: int) -> float:
         return float(self.values(t, 1)[0])
@@ -305,9 +330,10 @@ class VarianceSchedule:
         return doc
 
     @staticmethod
-    def from_dict(doc: dict) -> "VarianceSchedule":
+    def from_dict(doc: dict, where: str) -> "VarianceSchedule":
         try:
-            return VarianceSchedule(doc["kind"], doc["c"], doc.get("q", 1.0))
+            return VarianceSchedule(doc["kind"], config_float(doc["c"], f"{where}.c"),
+                                    config_float(doc.get("q", 1.0), f"{where}.q"))
         except KeyError as exc:
             raise ConfigError(f"variance schedule is missing parameter {exc}") from None
 
@@ -363,9 +389,11 @@ def noise_from_dict(doc: dict) -> NoiseModel:
     if kind == "none":
         return NoNoise()
     if kind == "relative":
-        return RelativeNoise(VarianceSchedule.from_dict(doc["tau"]), doc.get("shape", "sphere"))
+        return RelativeNoise(VarianceSchedule.from_dict(doc["tau"], "dynamics.noise.tau"),
+                             doc.get("shape", "sphere"))
     if kind == "absolute":
-        return AbsoluteNoise(VarianceSchedule.from_dict(doc["sigma_sq"]), doc.get("shape", "sphere"))
+        return AbsoluteNoise(VarianceSchedule.from_dict(doc["sigma_sq"], "dynamics.noise.sigma_sq"),
+                             doc.get("shape", "sphere"))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
@@ -491,12 +519,17 @@ class DynamicsConfig:
     @staticmethod
     def from_dict(doc: dict) -> "DynamicsConfig":
         try:
+            x0, radius = doc["x0"], doc.get("blow_up_radius")
+            if not isinstance(x0, (list, tuple)):
+                raise ConfigError(f"dynamics.x0 must be a list of numbers, got {x0!r}")
+            if radius is not None:
+                radius = config_float(radius, "dynamics.blow_up_radius")
             return DynamicsConfig(
                 schedule=schedule_from_dict(doc["schedule"]),
                 horizon=config_int(doc["horizon"], "dynamics.horizon"),
-                x0=tuple(doc["x0"]),
+                x0=tuple(config_float(v, f"dynamics.x0[{i}]") for i, v in enumerate(x0)),
                 noise=noise_from_dict(doc.get("noise", {"kind": "none"})),
-                blow_up_radius=doc.get("blow_up_radius"),
+                blow_up_radius=radius,
                 thinning=config_int(doc.get("thinning", 0), "dynamics.thinning"),
             )
         except KeyError as exc:
@@ -519,6 +552,9 @@ class TrajectoryRecord:
     horizon: int
     diverged: bool
     divergence_step: Optional[int]
+    # First step filled instead of stepped once the trial settled (see the
+    # module docstring); None when every step ran. Kept in memory only.
+    settle_step: Optional[int] = None
 
     @property
     def steps_completed(self) -> int:
@@ -533,12 +569,20 @@ class TrajectoryRecord:
 # Runner
 # ---------------------------------------------------------------------------
 
-def _log_steps(horizon: int, thinning: int) -> Array:
-    steps = {0, horizon}
+def dyadic_steps(horizon: int) -> list[int]:
+    """The steps 1, 2, 4, ... up to the horizon, and the horizon itself."""
+    steps = []
     p = 1
     while p <= horizon:
-        steps.add(p)
+        steps.append(p)
         p *= 2
+    if steps[-1] != horizon:
+        steps.append(horizon)
+    return steps
+
+
+def _log_steps(horizon: int, thinning: int) -> Array:
+    steps = {0, *dyadic_steps(horizon)}
     if thinning >= 1:
         steps.update(range(0, horizon + 1, thinning))
     return np.array(sorted(steps), dtype=np.int64)
@@ -566,6 +610,7 @@ class _Log:
         self.states = np.empty((m, len(self.steps), n))
         self.stop = [T] * m
         self.diverged = [False] * m
+        self.settle = [None] * m
 
     def record(self, i: int, game: Game, config: DynamicsConfig, seed) -> TrajectoryRecord:
         t_stop = self.stop[i]
@@ -583,6 +628,7 @@ class _Log:
             horizon=config.horizon,
             diverged=self.diverged[i],
             divergence_step=t_stop if self.diverged[i] else None,
+            settle_step=self.settle[i],
         )
 
 
@@ -619,7 +665,8 @@ def run_trajectory(game: Game, config: DynamicsConfig,
 
     Divergence (non-finite values or leaving the blow-up ball) sets a flag
     and truncates the record instead of raising, so sweeps can aggregate
-    failures.
+    failures. A settled trial skips its remaining noise draws, so the
+    position of a generator passed in is unspecified after the run.
     """
     body = runner_body(game)
     if body == "lockstep":
@@ -629,15 +676,15 @@ def run_trajectory(game: Game, config: DynamicsConfig,
     log = _Log(1, game.n, config, schedule.tracks_beta)
     beta = None if log.beta is None else log.beta[0]
     if body == "scalar":
-        t_stop, diverged = _run_scalar(game.scalar_field, config.x0[0], config.horizon, schedule,
-                                       draws, radius, log.gap[0], log.eta[0], log.step[0], beta,
-                                       log.steps, log.states[0])
+        t_stop, diverged, settle = _run_scalar(game.scalar_field, config.x0[0], config.horizon,
+                                               schedule, draws, radius, log.gap[0], log.eta[0],
+                                               log.step[0], beta, log.steps, log.states[0])
     else:
         A, b = game.affine
-        t_stop, diverged = _run_affine2(A, b, config.x0, config.horizon, schedule, draws, radius,
-                                        log.gap[0], log.eta[0], log.step[0], beta,
-                                        log.steps, log.states[0])
-    log.stop[0], log.diverged[0] = t_stop, diverged
+        t_stop, diverged, settle = _run_affine2(A, b, config.x0, config.horizon, schedule, draws,
+                                                radius, log.gap[0], log.eta[0], log.step[0], beta,
+                                                log.steps, log.states[0])
+    log.stop[0], log.diverged[0], log.settle[0] = t_stop, diverged, settle
     return log.record(0, game, config, seed)
 
 
@@ -772,6 +819,39 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
             t += 1
 
 
+def _settled(old: tuple, draws, g_new: float) -> bool:
+    """Whether a step that left every coordinate comparing equal settled the trial.
+
+    The rest of the module docstring's (a) and (b): no old coordinate is -0.0,
+    and every later noise term is exactly +-0.
+    """
+    if draws is not None and not (draws.relative and g_new == 0.0):
+        return False
+    return not any(a == 0.0 and math.copysign(1.0, a) < 0.0 for a in old)
+
+
+def _fill_settled(s, x, g, eta, schedule, gap, eta_arr, step_arr, beta_arr,
+                  states, log_ptr) -> None:
+    """Fill steps s..T-1 of a trial that settled in state x at the end of step s-1.
+
+    eta is the step size of step s, already computed by the stepping loop.
+    """
+    gap[s + 1:] = g
+    step_arr[s:] = 0.0
+    if beta_arr is not None:
+        beta_arr[s + 1:] = schedule.beta
+    states[log_ptr:] = x
+    if isinstance(schedule, ConstantSchedule):
+        eta_arr[s:] = eta
+        return
+    next_fast = schedule.next_step_fast
+    etas = []
+    for t in range(s, len(eta_arr)):
+        etas.append(eta)
+        eta = next_fast(t, eta, g, g, 0.0)
+    eta_arr[s:] = etas
+
+
 def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
                 beta_arr, log_steps, states):
     v = f(x)
@@ -818,7 +898,7 @@ def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
                     states[log_ptr, 0] = x_new
                 if track_beta:
                     beta_arr[t + 1] = schedule.beta
-                return t + 1, True
+                return t + 1, True, None
             if t + 1 == next_log:
                 states[log_ptr, 0] = x_new
                 log_ptr += 1
@@ -827,9 +907,13 @@ def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
                 eta_next = next_fast(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
+            if step_sq == 0.0 and x_new == x and t + 1 < T and _settled((x,), draws, g_new):
+                _fill_settled(t + 1, x_new, g_new, eta_next, schedule, gap, eta_arr, step_arr,
+                              beta_arr, states, log_ptr)
+                return T, False, t + 1
             x, v, g = x_new, v_new, g_new
             t += 1
-    return T, False
+    return T, False, None
 
 
 def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
@@ -891,7 +975,7 @@ def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
                     states[log_ptr, 1] = y1
                 if track_beta:
                     beta_arr[t + 1] = schedule.beta
-                return t + 1, True
+                return t + 1, True, None
             if t + 1 == next_log:
                 states[log_ptr, 0] = y0
                 states[log_ptr, 1] = y1
@@ -901,6 +985,11 @@ def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
                 eta_next = next_fast(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
+            if (step_sq == 0.0 and y0 == x0_ and y1 == x1_ and t + 1 < T
+                    and _settled((x0_, x1_), draws, g_new)):
+                _fill_settled(t + 1, (y0, y1), g_new, eta_next, schedule, gap, eta_arr, step_arr,
+                              beta_arr, states, log_ptr)
+                return T, False, t + 1
             x0_, x1_, v0, v1, g = y0, y1, w0, w1, g_new
             t += 1
-    return T, False
+    return T, False, None

@@ -22,3 +22,10 @@ def config_int(value, name: str) -> int:
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
         return int(value)
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def config_float(value, name: str) -> float:
+    """A real-valued config field; rejects bools, strings and other non-numbers."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")

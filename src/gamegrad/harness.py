@@ -29,6 +29,7 @@ from .dynamics import (
     DynamicsConfig,
     NoNoise,
     TrajectoryRecord,
+    dyadic_steps,
     record_bytes,
     run_lockstep,
     run_trajectory,
@@ -63,8 +64,7 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         for cid in self.checks:
-            if not metrics.is_known_check(cid):
-                raise ConfigError(f"unknown check id {cid!r}")
+            metrics.validate_check_id(cid)
 
     def to_dict(self) -> dict:
         game = self.game.to_dict()
@@ -115,17 +115,6 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 def config_hash(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def dyadic_steps(horizon: int) -> list[int]:
-    steps = []
-    p = 1
-    while p <= horizon:
-        steps.append(p)
-        p *= 2
-    if steps[-1] != horizon:
-        steps.append(horizon)
-    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +350,13 @@ def _mean_stderr(columns: list[list[float]]) -> tuple[list[Optional[float]], lis
 
 def _slope_check_verdict(check_id: str, curves: dict) -> dict:
     """Evaluate 'slope_below:<curve>:<bound>[:Tmin:Tmax]' on a mean curve."""
-    parts = check_id.split(":")
-    if len(parts) not in (3, 5):
-        raise ConfigError(f"malformed slope check {check_id!r}; "
-                          "expected slope_below:<curve>:<bound>[:Tmin:Tmax]")
-    _, curve_name, bound = parts[:3]
-    window = (float(parts[3]), float(parts[4])) if len(parts) == 5 else None
+    curve_name, bound, window = metrics.parse_slope_check(check_id)
     points = curves.get(curve_name)
     if points is None:
         available = [k for k, v in curves.items() if v is not None]
         raise ConfigError(f"slope check references curve {curve_name!r}, which is not "
                           f"available in this run; available: {available}")
-    verdict = metrics.slope_verdict(points, float(bound), check_id, window=window)
+    verdict = metrics.slope_verdict(points, bound, check_id, window=window)
     return {"trial": None, **verdict.to_dict()}
 
 

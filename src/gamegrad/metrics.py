@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dynamics import AbsoluteNoise, NoiseModel, NoNoise, RelativeNoise, TrajectoryRecord
-from .errors import IndeterminateResult, UnsupportedOperation
+from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
 from .games import Game, project_to_nash
 
 Array = np.ndarray
@@ -309,7 +309,7 @@ def _check_no_divergence(record, game, arg) -> list[ConvergenceVerdict]:
 
 
 def _check_tail_to_zero(record, game, arg) -> list[ConvergenceVerdict]:
-    factor = float(arg) if arg else 1e-3
+    factor = _tail_factor(arg)
     series = tail_product(record)
     burn = burnin_count(len(series.value))
     ok = vanishes_monotonically(series.value, burnin=burn, drop_factor=factor)
@@ -319,9 +319,7 @@ def _check_tail_to_zero(record, game, arg) -> list[ConvergenceVerdict]:
 
 
 def _check_distance_below(record, game, arg) -> list[ConvergenceVerdict]:
-    if arg is None:
-        raise UnsupportedOperation("distance_below needs a threshold, e.g. distance_below:1e-3")
-    thresh = float(arg)
+    thresh = _distance_threshold(arg)
     dist = distance_to_nash(game, record.final_state)
     return [ConvergenceVerdict(f"distance_below:{thresh:g}", passed=dist < thresh,
                                worst_violation=dist - thresh)]
@@ -346,9 +344,48 @@ def parse_check_id(check_id: str) -> tuple[str, Optional[str]]:
     return name, (arg if sep else None)
 
 
-def is_known_check(check_id: str) -> bool:
-    name, _ = parse_check_id(check_id)
-    return name in CHECKS or name in REPORT_CHECKS
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from None
+
+
+def _tail_factor(arg: Optional[str]) -> float:
+    return _number(arg, "tail_to_zero factor") if arg else 1e-3
+
+
+def _distance_threshold(arg: Optional[str]) -> float:
+    if arg is None:
+        raise ConfigError("distance_below needs a threshold, e.g. distance_below:1e-3")
+    return _number(arg, "distance_below threshold")
+
+
+def parse_slope_check(check_id: str) -> tuple[str, float, Optional[tuple[float, float]]]:
+    """Split 'slope_below:<curve>:<bound>[:Tmin:Tmax]' into curve, bound and window."""
+    parts = check_id.split(":")
+    if len(parts) not in (3, 5):
+        raise ConfigError(f"malformed slope check {check_id!r}; "
+                          "expected slope_below:<curve>:<bound>[:Tmin:Tmax]")
+    window = None
+    if len(parts) == 5:
+        window = (_number(parts[3], "slope_below Tmin"), _number(parts[4], "slope_below Tmax"))
+    return parts[1], _number(parts[2], "slope_below bound"), window
+
+
+def validate_check_id(check_id) -> None:
+    """Reject an unknown check or a malformed check argument, before any trial runs."""
+    if not isinstance(check_id, str):
+        raise ConfigError(f"check ids must be strings, got {check_id!r}")
+    name, arg = parse_check_id(check_id)
+    if name not in CHECKS and name not in REPORT_CHECKS:
+        raise ConfigError(f"unknown check id {check_id!r}")
+    if name == "tail_to_zero":
+        _tail_factor(arg)
+    elif name == "distance_below":
+        _distance_threshold(arg)
+    elif name == "slope_below":
+        parse_slope_check(check_id)
 
 
 def run_check(check_id: str, record: TrajectoryRecord, game: Game) -> list[ConvergenceVerdict]:

@@ -195,6 +195,26 @@ def test_run_rejects_non_integer_fields(runner, tmp_path, override):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("override,message", [
+    ('checks=["distance_below:abc"]', "distance_below threshold must be a number"),
+    ('checks=["tail_to_zero:x"]', "tail_to_zero factor must be a number"),
+    ('dynamics.schedule.eta="0.1"', "dynamics.schedule.eta must be a number"),
+    ('dynamics.x0=["a"]', "dynamics.x0[0] must be a number"),
+    ('dynamics.blow_up_radius="big"', "dynamics.blow_up_radius must be a number"),
+])
+def test_run_rejects_malformed_numbers_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                           override, message):
+    def no_dynamics(*args, **kwargs):
+        raise AssertionError("dynamics ran on a malformed config")
+
+    monkeypatch.setattr("gamegrad.harness.run_trajectory", no_dynamics)
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", override])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_run_accepts_integral_float_fields(runner, tmp_path):
     cfg = write_cfg(tmp_path, quad1d_doc())
     result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path),

@@ -206,6 +206,16 @@ def test_variance_schedule_values_and_validation():
         VarianceSchedule("constant", -1.0)
 
 
+@pytest.mark.parametrize("doc", [{"kind": "constant", "c": math.inf},
+                                 {"kind": "constant", "c": math.nan},
+                                 {"kind": "power", "c": 1.0, "q": math.nan},
+                                 {"kind": "constant", "c": "0.25"}])
+def test_variance_schedule_rejects_non_finite_and_non_numeric(doc):
+    # a finite amplitude is what makes relative noise exactly zero at a zero gap
+    with pytest.raises(ConfigError):
+        noise_from_dict({"kind": "relative", "tau": doc})
+
+
 def test_noise_serialization_round_trip():
     for model in (NoNoise(),
                   RelativeNoise(VarianceSchedule("power", 0.5, 1.0), "gaussian"),
@@ -451,3 +461,164 @@ def test_divergence_stays_inside_its_row_of_a_block(schedule, radius):
             assert len(rec.gap) == rec.divergence_step + 1
             assert rec.state_steps[-1] == rec.divergence_step
             assert np.linalg.norm(rec.states[-1]) > radius  # the state that left the ball
+
+
+# ---------------------------------------------------------------------------
+# settled trials
+# ---------------------------------------------------------------------------
+
+_RECORD_ARRAYS = ("gap", "eta", "step_norm_sq", "beta", "state_steps", "states")
+
+
+def _same_bits(a, b):
+    """Bitwise equality of two records: -0.0 differs from +0.0 here."""
+    for f in _RECORD_ARRAYS:
+        x, y = getattr(a, f), getattr(b, f)
+        if (x is None) != (y is None):
+            return False
+        if x is not None and (x.shape != y.shape or x.tobytes() != y.tobytes()):
+            return False
+    return (a.diverged, a.divergence_step) == (b.diverged, b.divergence_step)
+
+
+_SETTLE_SCHEDULES = {
+    "constant": lambda: ConstantSchedule(0.3),
+    "power": lambda: PowerSchedule(0.5, 0.1),
+    "grad_norm": lambda: GradNormSchedule(1.0, 2.0),
+    "step_norm": lambda: StepNormSchedule(1.0),
+}
+_SETTLE_NOISE = {
+    "none": NoNoise(),
+    "relative_sphere": RelativeNoise(VarianceSchedule("constant", 0.25), "sphere"),
+    "relative_gaussian": RelativeNoise(VarianceSchedule("power", 1.0, 0.5), "gaussian"),
+}
+_SETTLE_CASES = [(s, n) for s in _SETTLE_SCHEDULES for n in _SETTLE_NOISE
+                 if not (s == "grad_norm" and n != "none")]
+
+
+@pytest.mark.parametrize("thinning", [0, 1, 7])
+@pytest.mark.parametrize("schedule,noise", _SETTLE_CASES)
+@pytest.mark.parametrize("name", ["quad_1d", "piecewise"])
+def test_settled_scalar_run_matches_lockstep_bitwise(name, schedule, noise, thinning):
+    game = make_named_game(name)
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=6000, x0=(-0.8,),
+                         noise=_SETTLE_NOISE[noise], thinning=thinning)
+    fast = run_trajectory(game, cfg, rng=31)
+    slow = run_trajectory(_force_generic(game), cfg, rng=31)  # lock-step, never fast-forwards
+    assert fast.settle_step is not None and slow.settle_step is None
+    assert _same_bits(fast, slow)
+
+
+def _affine2_by_steps(game, cfg, seed):
+    """Step every step of the unrolled 2-d body's arithmetic; no fast-forward."""
+    (a00, a01), (a10, a11) = game.affine[0].tolist()
+    b0, b1 = game.affine[1].tolist()
+    rng = philox(seed)
+    amp = math.sqrt(cfg.noise.tau.c / 2) if isinstance(cfg.noise, RelativeNoise) else None
+    sched = cfg.schedule.fresh()
+    x0, x1 = cfg.x0
+    v0 = b0 - (a00 * x0 + a01 * x1)
+    v1 = b1 - (a10 * x0 + a11 * x1)
+    g = v0 * v0 + v1 * v1
+    gap, etas, steps, betas, states = [g], [], [], [getattr(sched, "beta", 0.0)], [(x0, x1)]
+    eta = sched.first_step()
+    for t in range(cfg.horizon):
+        etas.append(eta)
+        if amp is None:
+            y0 = x0 + eta * v0
+            y1 = x1 + eta * v1
+        else:
+            z0, z1 = rng.standard_normal(2).tolist()
+            a = amp * math.sqrt(g)
+            y0 = x0 + eta * (v0 + a * z0)
+            y1 = x1 + eta * (v1 + a * z1)
+        w0 = b0 - (a00 * y0 + a01 * y1)
+        w1 = b1 - (a10 * y0 + a11 * y1)
+        g_new = w0 * w0 + w1 * w1
+        d0 = y0 - x0
+        d1 = y1 - x1
+        step_sq = d0 * d0 + d1 * d1
+        eta = sched.next_step_fast(t, eta, g, g_new, step_sq)
+        gap.append(g_new)
+        steps.append(step_sq)
+        betas.append(getattr(sched, "beta", 0.0))
+        states.append((y0, y1))
+        x0, x1, v0, v1, g = y0, y1, w0, w1, g_new
+    return np.array(gap), np.array(etas), np.array(steps), np.array(betas), np.array(states)
+
+
+@pytest.mark.parametrize("thinning", [0, 7])
+@pytest.mark.parametrize("schedule,noise", [(s, n) for s, n in _SETTLE_CASES
+                                            if n != "relative_sphere"])
+@pytest.mark.parametrize("name", ["quad_2d", "rand_2d"])
+def test_settled_affine2_run_matches_per_step_loop_bitwise(name, schedule, noise, thinning):
+    game = make_named_game(name)
+    relative = RelativeNoise(VarianceSchedule("constant", 0.25), "gaussian")
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=8000, x0=(0.9, -1.2),
+                         noise=NoNoise() if noise == "none" else relative, thinning=thinning)
+    rec = run_trajectory(game, cfg, rng=8)
+    gap, eta, step, beta, states = _affine2_by_steps(game, cfg, 8)
+    assert rec.settle_step is not None
+    assert gap.tobytes() == rec.gap.tobytes()
+    assert eta.tobytes() == rec.eta.tobytes()
+    assert step.tobytes() == rec.step_norm_sq.tobytes()
+    assert states[rec.state_steps].tobytes() == rec.states.tobytes()
+    if rec.beta is not None:
+        assert beta.tobytes() == rec.beta.tobytes()
+
+
+def test_settling_waits_for_every_coordinate():
+    # coordinate 0 sticks near step 2,000; coordinate 1 keeps moving by steps
+    # whose squares underflow to 0 from step ~12,000 until it sticks too
+    game = make_game(GameSpec.quadratic([[1.0, 0.0], [0.0, 0.1]], [0.0, 0.0]))
+    cfg = DynamicsConfig(ConstantSchedule(0.3), horizon=30000, x0=(1.0, 1.0), thinning=1)
+    rec = run_trajectory(game, cfg)
+    gap, _, step, _, states = _affine2_by_steps(game, cfg, None)
+    assert rec.settle_step > np.nonzero(step)[0][-1] + 10000
+    assert states.tobytes() == rec.states.tobytes()
+    assert gap.tobytes() == rec.gap.tobytes()
+
+
+def test_negative_zero_start_settles_after_turning_positive():
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(ConstantSchedule(0.3), horizon=50, x0=(-0.0,), thinning=1)
+    rec = run_trajectory(game, cfg)
+    assert rec.settle_step == 2  # step 0 moves -0.0 to +0.0; step 1 changes no bit
+    assert math.copysign(1.0, rec.states[0, 0]) == -1.0
+    assert all(math.copysign(1.0, x) == 1.0 for x in rec.states[1:, 0])
+    assert _same_bits(rec, run_trajectory(_force_generic(game), cfg))
+
+
+@pytest.mark.parametrize("horizon,settle_step", [(1, None), (2, 1), (5, 1)])
+@pytest.mark.parametrize("x0", [0.0, 0.5])
+def test_piecewise_on_its_nash_set_settles_at_step_zero(x0, horizon, settle_step):
+    game = make_named_game("piecewise")
+    cfg = DynamicsConfig(StepNormSchedule(1.0), horizon=horizon, x0=(x0,), thinning=1,
+                         noise=RelativeNoise(VarianceSchedule("constant", 0.25)))
+    rec = run_trajectory(game, cfg, rng=2)
+    assert rec.settle_step == settle_step  # step 0 leaves x0 in place; later steps are filled
+    assert _same_bits(rec, run_trajectory(_force_generic(game), cfg, rng=2))
+
+
+@pytest.mark.parametrize("name", ["quad_1d", "quad_2d"])
+def test_absolute_noise_never_settles(name):
+    game = make_named_game(name)
+    cfg = DynamicsConfig(ConstantSchedule(0.3), horizon=6000, x0=(1.0,) * game.n,
+                         noise=AbsoluteNoise(VarianceSchedule("power", 1.0, 4.0)))
+    assert run_trajectory(game, cfg, rng=5).settle_step is None
+
+
+def test_grad_norm_beta_and_eta_after_settling():
+    # rand_2d settles near its Nash point with a nonzero gap, which the running
+    # sum keeps taking in after the settle step while beta holds
+    game = make_named_game("rand_2d")
+    cfg = DynamicsConfig(GradNormSchedule(1.0, 2.0), horizon=6000, x0=(0.9, -1.2))
+    rec = run_trajectory(game, cfg)
+    s = rec.settle_step
+    assert s is not None and rec.gap[s] > 0.0
+    assert rec.beta[0] < rec.beta[s]  # beta grew before settling
+    assert np.all(rec.beta[s:] == rec.beta[s])
+    assert np.all(np.diff(rec.eta[s - 1:]) <= 0.0)
+    _, eta, _, beta, _ = _affine2_by_steps(game, cfg, None)
+    assert eta.tobytes() == rec.eta.tobytes()
+    assert beta.tobytes() == rec.beta.tobytes()
