@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, config_float, config_int
+from .errors import ConfigError, config_dict, config_float, config_int
 from .games import Game, JointAction
 
 Array = np.ndarray
@@ -272,8 +272,8 @@ _SCHEDULE_KINDS = {
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
-    kind = doc.get("kind")
-    if kind not in _SCHEDULE_KINDS:
+    kind = config_dict(doc, "dynamics.schedule").get("kind")
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KINDS:
         raise ConfigError(f"unknown schedule kind {kind!r}; available: {sorted(_SCHEDULE_KINDS)}")
     try:
         return _SCHEDULE_KINDS[kind](doc)
@@ -331,6 +331,7 @@ class VarianceSchedule:
 
     @staticmethod
     def from_dict(doc: dict, where: str) -> "VarianceSchedule":
+        config_dict(doc, where)
         try:
             return VarianceSchedule(doc["kind"], config_float(doc["c"], f"{where}.c"),
                                     config_float(doc.get("q", 1.0), f"{where}.q"))
@@ -385,7 +386,7 @@ def _check_shape(shape: str) -> None:
 
 
 def noise_from_dict(doc: dict) -> NoiseModel:
-    kind = doc.get("kind", "none")
+    kind = config_dict(doc, "dynamics.noise").get("kind", "none")
     if kind == "none":
         return NoNoise()
     if kind == "relative":
@@ -518,6 +519,7 @@ class DynamicsConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "DynamicsConfig":
+        config_dict(doc, "dynamics")
         try:
             x0, radius = doc["x0"], doc.get("blow_up_radius")
             if not isinstance(x0, (list, tuple)):
@@ -546,7 +548,7 @@ class TrajectoryRecord:
     eta: Array               # step size used at each step, length T
     step_norm_sq: Array      # ||x_{t+1} - x_t||^2, length T
     beta: Optional[Array]    # offset in force entering each step (grad_norm runs)
-    state_steps: Array       # indices of logged states
+    state_steps: Array       # indices of logged states, increasing
     states: Array            # logged states, shape (len(state_steps), n)
     seed: Optional[int]
     horizon: int

@@ -29,3 +29,10 @@ def config_float(value, name: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def config_dict(value, name: str) -> dict:
+    """A config section; rejects anything that is not a JSON object."""
+    if isinstance(value, dict):
+        return value
+    raise ConfigError(f"{name} must be an object, got {value!r}")

@@ -35,13 +35,16 @@ from .dynamics import (
     run_trajectory,
     runner_body,
 )
-from .errors import ConfigError, IndeterminateResult, UnsupportedOperation, config_int
+from .errors import ConfigError, IndeterminateResult, UnsupportedOperation, config_dict, config_int
 from .games import Game, GameSpec, builtin_game_specs, make_game
 
 SCHEMA_VERSION = "1.0"
 
 # Record memory one lock-step block may hold; larger runs go in several blocks.
 _BLOCK_BYTES = 64 << 20
+
+# Trajectory rows formatted and written at a time, bounding the text held.
+_WRITE_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
+        if self.trajectory_dir is not None and not isinstance(self.trajectory_dir, str):
+            raise ConfigError(f"trajectory_dir must be a string or null, got {self.trajectory_dir!r}")
         for cid in self.checks:
             metrics.validate_check_id(cid)
 
@@ -81,11 +86,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
+        doc = config_dict(doc, "experiment config")
         try:
-            game_doc = dict(doc["game"])
+            game_doc = dict(config_dict(doc["game"], "game"))
             dynamics = DynamicsConfig.from_dict(doc["dynamics"])
         except KeyError as exc:
             raise ConfigError(f"experiment config is missing field {exc}") from None
+        checks = doc.get("checks", [])
+        if not isinstance(checks, (list, tuple)):
+            raise ConfigError(f"checks must be a list of check ids, got {checks!r}")
         name = game_doc.pop("name", "")
         if "kind" not in game_doc:
             if not name:
@@ -101,7 +110,7 @@ class ExperimentConfig:
             dynamics=dynamics,
             trials=config_int(doc.get("trials", 1), "trials"),
             master_seed=config_int(doc.get("master_seed", 0), "master_seed"),
-            checks=tuple(doc.get("checks", ())),
+            checks=tuple(checks),
             game_name=name,
             trajectory_dir=doc.get("trajectory_dir"),
         )
@@ -234,23 +243,60 @@ def read_report(path: str) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def write_trajectory(record: TrajectoryRecord, path: str) -> None:
-    """Stream one trajectory to disk: a header record, then one line per step."""
-    logged = {int(s): i for i, s in enumerate(record.state_steps)}
+    """Stream one trajectory to disk: a header line, then one line per step t.
+
+    Every line is what ``json.dumps(row, sort_keys=True)`` writes for it.
+    A step line has the keys ``beta`` (only on grad_norm runs), ``eta``,
+    ``gap``, ``step_norm_sq`` (neither eta nor step_norm_sq on the final
+    row), ``t``, and ``x`` at logged steps. Floats are written as their
+    Python ``repr`` and non-finite values (reached as a run diverges) as
+    ``null``, so the file is byte-deterministic for a fixed config and
+    seed. The columns are formatted and written ``_WRITE_ROWS`` rows at a
+    time: one repr pass over each column slice and one f-string per line.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         header = {"type": "header", "game": record.game_name, "config": record.config,
                   "seed": record.seed, "horizon": record.horizon,
                   "diverged": record.diverged, "divergence_step": record.divergence_step}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for t in range(len(record.gap)):
-            row: dict[str, Any] = {"t": t, "gap": _json_float(record.gap[t])}
-            if t < len(record.eta):
-                row["eta"] = _json_float(record.eta[t])
-                row["step_norm_sq"] = _json_float(record.step_norm_sq[t])
-            if record.beta is not None and t < len(record.beta):
-                row["beta"] = _json_float(record.beta[t])
-            if t in logged:
-                row["x"] = [_json_float(v) for v in record.states[logged[t]]]
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for lo in range(0, len(record.gap), _WRITE_ROWS):
+            fh.write("".join(_step_lines(record, lo, min(lo + _WRITE_ROWS, len(record.gap)))))
+
+
+def _step_lines(record: TrajectoryRecord, lo: int, hi: int) -> list[str]:
+    """The lines of steps lo..hi-1 (hi <= len(record.gap))."""
+    gap = _reprs(record.gap[lo:hi])
+    eta = _reprs(record.eta[lo:hi])
+    step = _reprs(record.step_norm_sq[lo:hi])
+    if record.beta is None:
+        beta = [""] * (hi - lo)
+    else:
+        beta = [f'"beta": {v}, ' for v in _reprs(record.beta[lo:hi])]
+    ends = ["}\n"] * (hi - lo)
+    first, last = np.searchsorted(record.state_steps, (lo, hi))
+    n = record.states.shape[1]
+    xs = _reprs(record.states[first:last].ravel())
+    for k, t in enumerate(record.state_steps[first:last].tolist()):
+        ends[t - lo] = f', "x": [{", ".join(xs[k * n:(k + 1) * n])}]}}\n'
+    lines = [f'{{{bt}"eta": {e}, "gap": {g}, "step_norm_sq": {s}, "t": {t}{x}'
+             for t, bt, e, g, s, x in zip(range(lo, hi), beta, eta, gap, step, ends)]
+    # zip stops at the shortest column; the rows past it (the final row,
+    # which has no step) are written key by key.
+    for i in range(len(lines), hi - lo):
+        bt = beta[i] if i < len(beta) else ""
+        e, s = (f'"eta": {eta[i]}, ', f'"step_norm_sq": {step[i]}, ') if i < len(eta) else ("", "")
+        lines.append(f'{{{bt}{e}"gap": {gap[i]}, {s}"t": {lo + i}{ends[i]}')
+    return lines
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """Each float as json.dumps writes it: its repr, or null if not finite."""
+    out = list(map(float.__repr__, values.tolist()))
+    finite = np.isfinite(values)
+    if not finite.all():
+        for i in np.flatnonzero(~finite).tolist():
+            out[i] = "null"
+    return out
 
 
 def iter_trajectory(path: str):
@@ -281,6 +327,8 @@ def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
     config = ExperimentConfig.from_dict(config_doc)
     game = make_game(config.game, name=config.game_name or config.game.kind)
     seed = config.master_seed
+    if config.trajectory_dir:
+        os.makedirs(config.trajectory_dir, exist_ok=True)
     if runner_body(game) != "lockstep":
         return [_trial_payload(config, game, i,
                                run_trajectory(game, config.dynamics, rng=trial_rng(seed, i)))
@@ -297,7 +345,6 @@ def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
 def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: TrajectoryRecord) -> dict:
     """Reduce one trial to the small summary the aggregator needs."""
     if config.trajectory_dir:
-        os.makedirs(config.trajectory_dir, exist_ok=True)
         write_trajectory(record, os.path.join(config.trajectory_dir, f"trial_{trial:04d}.jsonl"))
 
     steps = dyadic_steps(config.dynamics.horizon)

@@ -386,6 +386,8 @@ def validate_check_id(check_id) -> None:
         _distance_threshold(arg)
     elif name == "slope_below":
         parse_slope_check(check_id)
+    elif arg is not None:
+        raise ConfigError(f"check {name!r} takes no argument, got {check_id!r}")
 
 
 def run_check(check_id: str, record: TrajectoryRecord, game: Game) -> list[ConvergenceVerdict]:

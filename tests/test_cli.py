@@ -234,3 +234,41 @@ def test_workers_must_be_positive(runner, tmp_path, command, workers):
                                   "--workers", workers])
     assert result.exit_code == 2, result.output
     assert "--workers" in result.output
+
+
+def forbid_dynamics(monkeypatch):
+    def no_dynamics(*args, **kwargs):
+        raise AssertionError("dynamics ran on a malformed config")
+
+    monkeypatch.setattr("gamegrad.harness.run_trajectory", no_dynamics)
+    monkeypatch.setattr("gamegrad.harness.run_lockstep", no_dynamics)
+
+
+@pytest.mark.parametrize("override,message", [
+    ('dynamics.schedule="constant"', "dynamics.schedule must be an object"),
+    ("dynamics.noise=5", "dynamics.noise must be an object"),
+    ("game=5", "game must be an object"),
+    ('checks=["no_divergence:xyz"]', "check 'no_divergence' takes no argument"),
+    ("dynamics=5", "dynamics must be an object"),
+    ('dynamics.noise={"kind": "relative", "tau": 5}', "dynamics.noise.tau must be an object"),
+    ('dynamics.schedule={"kind": ["constant"]}', "unknown schedule kind"),
+    ('checks="no_divergence"', "checks must be a list of check ids"),
+])
+def test_run_rejects_wrong_type_sections_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                             override, message):
+    forbid_dynamics(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", override])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("trajectory_dir", [5, ["a"]])
+def test_run_rejects_non_string_trajectory_dir(runner, tmp_path, monkeypatch, trajectory_dir):
+    forbid_dynamics(monkeypatch)
+    cfg = write_cfg(tmp_path, quad1d_doc(trajectory_dir=trajectory_dir))
+    result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "trajectory_dir must be a string or null" in result.output
+    assert not (tmp_path / "report.json").exists()

@@ -1,19 +1,26 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from gamegrad.dynamics import (
+    AbsoluteNoise,
     ConstantSchedule,
     DynamicsConfig,
+    GradNormSchedule,
+    PowerSchedule,
     RelativeNoise,
+    StepNormSchedule,
+    TrajectoryRecord,
     VarianceSchedule,
     run_trajectory,
 )
 from gamegrad.errors import ConfigError
-from gamegrad.games import GameSpec, make_named_game
+from gamegrad.games import GameSpec, make_game, make_named_game
 from gamegrad.harness import (
+    _WRITE_ROWS,
     ExperimentConfig,
     _blocks,
     dyadic_steps,
@@ -221,6 +228,131 @@ def test_experiment_writes_trajectories(tmp_path):
     run_experiment(cfg)
     files = sorted((tmp_path / "trajs").iterdir())
     assert [f.name for f in files] == ["trial_0000.jsonl", "trial_0001.jsonl"]
+
+
+def test_trajectory_dir_is_made_once_per_block(tmp_path, monkeypatch):
+    made = []
+    monkeypatch.setattr("gamegrad.harness.os.makedirs",
+                        lambda path, exist_ok=False: made.append(path) or os.mkdir(path))
+    cfg = quad1d_config(horizon=8, trials=3, trajectory_dir=str(tmp_path / "trajs"))
+    run_experiment(cfg)
+    assert made == [str(tmp_path / "trajs")]
+    assert len(list((tmp_path / "trajs").iterdir())) == 3
+
+
+def reference_trajectory_text(record):
+    """The row-by-row encoder: one json.dumps(row, sort_keys=True) per step."""
+    def num(v):
+        v = float(v)
+        return v if math.isfinite(v) else None
+
+    logged = {int(s): i for i, s in enumerate(record.state_steps)}
+    header = {"type": "header", "game": record.game_name, "config": record.config,
+              "seed": record.seed, "horizon": record.horizon,
+              "diverged": record.diverged, "divergence_step": record.divergence_step}
+    lines = [json.dumps(header, sort_keys=True)]
+    for t in range(len(record.gap)):
+        row = {"t": t, "gap": num(record.gap[t])}
+        if t < len(record.eta):
+            row["eta"] = num(record.eta[t])
+            row["step_norm_sq"] = num(record.step_norm_sq[t])
+        if record.beta is not None and t < len(record.beta):
+            row["beta"] = num(record.beta[t])
+        if t in logged:
+            row["x"] = [num(v) for v in record.states[logged[t]]]
+        lines.append(json.dumps(row, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_writes_reference(record, path):
+    write_trajectory(record, str(path))
+    assert path.read_bytes() == reference_trajectory_text(record).encode()
+
+
+ORACLE_GAMES = ["quad_1d", "quad_2d", "piecewise", "rand_2d", "rand_4d"]
+ORACLE_DYNAMICS = {  # schedule, noise: every column kind the writer emits
+    "constant": (ConstantSchedule(0.3), None),
+    "power_relative": (PowerSchedule(0.5, 0.5),
+                       RelativeNoise(VarianceSchedule("constant", 0.25))),
+    "step_norm_absolute": (StepNormSchedule(1.0),
+                           AbsoluteNoise(VarianceSchedule("power", 0.01, 0.5))),
+    "grad_norm": (GradNormSchedule(1.0, 2.0), None),  # writes the beta column
+}
+
+
+def oracle_game(name):
+    if name == "rand_4d":  # no unrolled body: runs in lock-step
+        return make_game(GameSpec.random_cocoercive(4, seed=3), name=name)
+    return make_named_game(name)
+
+
+def assert_oracle_runs_match(tmp_path, game_name, dynamics, horizons, thinnings):
+    game = oracle_game(game_name)
+    schedule, noise = ORACLE_DYNAMICS[dynamics]
+    extra = {} if noise is None else {"noise": noise}
+    for horizon in horizons:
+        for thinning in thinnings:
+            cfg = DynamicsConfig(schedule, horizon=horizon, x0=(1.0,) * game.n,
+                                 thinning=thinning, **extra)
+            record = run_trajectory(game, cfg, rng=trial_rng(3, horizon + thinning))
+            assert (record.beta is not None) == (dynamics == "grad_norm")
+            assert_writes_reference(record, tmp_path / f"T{horizon}_k{thinning}.jsonl")
+
+
+@pytest.mark.parametrize("dynamics", sorted(ORACLE_DYNAMICS))
+@pytest.mark.parametrize("game_name", ORACLE_GAMES)
+def test_trajectory_writer_matches_row_encoder(tmp_path, monkeypatch, game_name, dynamics):
+    # A short write chunk puts several chunk boundaries inside a cheap run.
+    monkeypatch.setattr("gamegrad.harness._WRITE_ROWS", 64)
+    assert_oracle_runs_match(tmp_path, game_name, dynamics, (1, 5, 3 * 64 + 37), (0, 1, 7))
+
+
+@pytest.mark.parametrize("dynamics", ["grad_norm", "power_relative"])
+def test_trajectory_writer_matches_row_encoder_past_one_chunk(tmp_path, dynamics):
+    assert_oracle_runs_match(tmp_path, "quad_2d", dynamics, (_WRITE_ROWS + 37,), (0, 1, 7))
+
+
+@pytest.mark.parametrize("game_name", ["quad_1d", "quad_2d", "rand_2d", "rand_4d"])
+@pytest.mark.parametrize("radius", [50.0, 1e300])
+def test_trajectory_writer_matches_row_encoder_after_divergence(tmp_path, game_name, radius):
+    game = oracle_game(game_name)
+    path = tmp_path / "traj.jsonl"
+    for thinning in (0, 1, 7):
+        cfg = DynamicsConfig(ConstantSchedule(5.0), horizon=2000, x0=(1.0,) * game.n,
+                             blow_up_radius=radius, thinning=thinning)
+        record = run_trajectory(game, cfg)
+        assert record.diverged
+        assert_writes_reference(record, path)
+        # Leaving a ball of radius 50 keeps every value finite; overflowing
+        # before leaving a huge ball writes the non-finite gap as null.
+        steps = path.read_bytes().split(b"\n", 1)[1]  # the header has null seed
+        assert (b"null" in steps) == (radius == 1e300)
+
+
+@pytest.mark.parametrize("game_name", ["quad_1d", "piecewise"])
+def test_trajectory_writer_keeps_negative_zero(tmp_path, game_name):
+    for horizon in (1, 5):
+        cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=horizon, x0=(-0.0,), thinning=1)
+        record = run_trajectory(make_named_game(game_name), cfg)
+        path = tmp_path / f"T{horizon}.jsonl"
+        assert_writes_reference(record, path)
+        assert '"x": [-0.0]' in path.read_text()
+
+
+def test_trajectory_writer_non_finite_values_in_every_column(tmp_path):
+    inf, nan = math.inf, math.nan
+    record = TrajectoryRecord(
+        game_name="fabricated", config={"horizon": 3}, gap=np.array([1.0, nan, inf, -inf]),
+        eta=np.array([0.5, -inf, 1e-300]), step_norm_sq=np.array([nan, 0.0, 5e-324]),
+        beta=np.array([1.0, inf, 2.0, nan]), state_steps=np.array([0, 2, 3]),
+        states=np.array([[nan, -0.0], [1e308, -inf], [0.1, inf]]),
+        seed=None, horizon=3, diverged=True, divergence_step=3)
+    path = tmp_path / "traj.jsonl"
+    assert_writes_reference(record, path)
+    rows = list(iter_trajectory(str(path)))[1:]
+    assert rows[2] == {"beta": 2.0, "eta": 1e-300, "gap": None, "step_norm_sq": 5e-324,
+                       "t": 2, "x": [1e308, None]}
+    assert rows[3] == {"beta": None, "gap": None, "t": 3, "x": [0.1, None]}
 
 
 # ---------------------------------------------------------------------------
