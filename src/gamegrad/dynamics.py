@@ -25,31 +25,66 @@ stepping there. A trial is settled at the end of step t when
   sqrt(tau_t) * sqrt(0). Absolute noise never settles.
 
 The rest of the record is then filled instead of stepped: the same state,
-gap and beta, step norm 0.0, and the step sizes from the schedule's own
-next_step_fast, called once per remaining step exactly as the stepping loop
-calls it. Why this is exact: every later step starts from the same bits, so
-it sees the same field and gap and a noise term of +-0, which leaves a
-nonzero field as it is and a zero one zero. With equal gaps and a zero step
-norm, beta no longer grows and every schedule's eta is nonincreasing
-(eta_monotone checks it). Rounding is monotone (IEEE 754): the increment
-eta * v vanished against the state at step t, so the no larger increment of
-any smaller eta vanishes too. The lock-step body does not fast-forward.
+gap and beta, step norm 0.0, and the step sizes from the schedule's
+settled_steps, which gives as one array what next_step_fast(t, eta, g, g, 0.0)
+would return step by step. Why this is exact: every later step starts from
+the same bits, so it sees the same field and gap and a noise term of +-0,
+which leaves a nonzero field as it is and a zero one zero. With equal gaps
+and a zero step norm, beta no longer grows and every schedule's eta is
+nonincreasing (eta_monotone checks it). Rounding is monotone (IEEE 754): the
+increment eta * v vanished against the state at step t, so the no larger
+increment of any smaller eta vanishes too. The lock-step body does not
+fast-forward.
+
+The settled step sizes are computed as arrays, with the same bits as the
+per-step calls. The transcendental values, log(t + 2) for step_norm and
+(t + 2) ** p for power, come from tables of the same libm functions that
+next_step_fast calls (math.log and float.__pow__) on the same doubles,
+built once per horizon (and p) and shared by every trial that settles. The
+rest is +, /, sqrt and a left-to-right running sum (np.add.accumulate), which
+numpy rounds correctly elementwise, as Python's float arithmetic does.
+numpy's own log and power are not used: they are not the libm functions,
+and on an AVX512F machine (numpy 2.4.6) np.log(t + 2) differs from math.log
+in the last bit for 111 of t < 2,000,000, first at t = 9,168.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, config_dict, config_float, config_int
+from .errors import ConfigError, config_dict, config_float, config_int, config_keys
 from .games import Game, JointAction
 
 Array = np.ndarray
 
 _CHUNK = 4096
+
+# Libm tables cached per process: one per horizon (and p) in use at a time.
+_TABLES = 8
+
+
+def _table(values) -> Array:
+    out = np.array(list(values), dtype=float)
+    out.flags.writeable = False  # shared by every caller of the cache
+    return out
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _log_table(n: int) -> Array:
+    """math.log(t + 2.0) for t = 0..n-1."""
+    return _table(map(math.log, map(float, range(2, n + 2))))
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _pow_table(n: int, p: float) -> Array:
+    """(t + 2.0) ** p (float.__pow__) for t = 0..n-1."""
+    return _table(map(float.__pow__, map(float, range(2, n + 2)), itertools.repeat(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +140,10 @@ class ConstantSchedule(_SharedStep):
     def next_step_fast(self, t, eta, g_prev, g_next, step_sq) -> float:
         return self.eta
 
+    def settled_steps(self, t, eta, g, count) -> Array:
+        """What next_step_fast returns over a settled tail; see StepNormSchedule's."""
+        return np.broadcast_to(self.eta, count)  # no buffer: one value repeated
+
     def next_step(self, fb: StepFeedback) -> float:
         _validate_feedback(fb)
         return self.eta
@@ -137,6 +176,10 @@ class PowerSchedule(_SharedStep):
     def next_step_fast(self, t, eta, g_prev, g_next, step_sq) -> float:
         # step t (0-based) just finished; the next one is the (t+2)-th.
         return self.c / (t + 2.0) ** self.p
+
+    def settled_steps(self, t, eta, g, count) -> Array:
+        """What next_step_fast returns over a settled tail; see StepNormSchedule's."""
+        return self.c / _pow_table(t + count, self.p)[t:]
 
     def next_step(self, fb: StepFeedback) -> float:
         _validate_feedback(fb)
@@ -191,7 +234,20 @@ class GradNormSchedule:
         """next_step_fast over the trials of a lock-step block (state from fresh(trials))."""
         self.beta = np.where(g_next > g_prev, self.beta * self.r, self.beta)
         self.grad_sq_sum = self.grad_sq_sum + g_prev
-        return 1.0 / np.sqrt(self.beta + self.grad_sq_sum)
+        return self._steps(self.grad_sq_sum)
+
+    def settled_steps(self, t, eta, g, count) -> Array:
+        """What next_step_fast returns over a settled tail; see StepNormSchedule's.
+
+        With equal gaps beta holds, and the running sum takes in g once per
+        step, summed left to right as the per-step calls sum it.
+        """
+        sums = np.add.accumulate(np.concatenate(([self.grad_sq_sum], np.full(count, g))))
+        self.grad_sq_sum = float(sums[-1])
+        return self._steps(sums[1:])
+
+    def _steps(self, grad_sq_sum):
+        return 1.0 / np.sqrt(self.beta + grad_sq_sum)
 
     def keep(self, live) -> None:
         """Drop the state of the trials that left a lock-step block."""
@@ -243,7 +299,23 @@ class StepNormSchedule:
     def next_steps(self, t, eta, g_prev, g_next, step_sq):
         """next_step_fast over the trials of a lock-step block (state from fresh(trials))."""
         self.delta = self.delta + step_sq / (eta * eta)
-        return 1.0 / np.sqrt(self.beta + math.log(t + 2.0) + self.delta)
+        return self._steps(math.log(t + 2.0))
+
+    def settled_steps(self, t, eta, g, count) -> Array:
+        """The step sizes of a settled tail as one array.
+
+        Element k is what the k-th of the calls next_step_fast(t + k, eta_k,
+        g, g, 0.0), k = 0..count-1, returns, bit for bit, where eta_0 = eta
+        and eta_{k+1} is the k-th result; the schedule's state is left as
+        those calls would leave it. Only the first call can change delta
+        (0.0 / eta**2 is +0.0 for every later eta unless delta is NaN).
+        """
+        if count:
+            self.delta += 0.0 / (eta * eta)
+        return self._steps(_log_table(t + count)[t:])
+
+    def _steps(self, log_t):
+        return 1.0 / np.sqrt(self.beta + log_t + self.delta)
 
     def keep(self, live) -> None:
         """Drop the state of the trials that left a lock-step block."""
@@ -259,15 +331,12 @@ class StepNormSchedule:
 
 Schedule = ConstantSchedule | PowerSchedule | GradNormSchedule | StepNormSchedule
 
-def _param(doc: dict, key: str) -> float:
-    return config_float(doc[key], f"dynamics.schedule.{key}")
-
-
+# kind -> (class, its parameters in constructor order)
 _SCHEDULE_KINDS = {
-    "constant": lambda d: ConstantSchedule(_param(d, "eta")),
-    "power": lambda d: PowerSchedule(_param(d, "c"), _param(d, "p")),
-    "grad_norm": lambda d: GradNormSchedule(_param(d, "beta1"), _param(d, "r")),
-    "step_norm": lambda d: StepNormSchedule(_param(d, "beta")),
+    "constant": (ConstantSchedule, ("eta",)),
+    "power": (PowerSchedule, ("c", "p")),
+    "grad_norm": (GradNormSchedule, ("beta1", "r")),
+    "step_norm": (StepNormSchedule, ("beta",)),
 }
 
 
@@ -275,8 +344,10 @@ def schedule_from_dict(doc: dict) -> Schedule:
     kind = config_dict(doc, "dynamics.schedule").get("kind")
     if not isinstance(kind, str) or kind not in _SCHEDULE_KINDS:
         raise ConfigError(f"unknown schedule kind {kind!r}; available: {sorted(_SCHEDULE_KINDS)}")
+    cls, params = _SCHEDULE_KINDS[kind]
+    config_keys(doc, ("kind", *params), f"dynamics.schedule ({kind})")
     try:
-        return _SCHEDULE_KINDS[kind](doc)
+        return cls(*(config_float(doc[key], f"dynamics.schedule.{key}") for key in params))
     except KeyError as exc:
         raise ConfigError(f"schedule {kind!r} is missing parameter {exc}") from None
 
@@ -332,6 +403,8 @@ class VarianceSchedule:
     @staticmethod
     def from_dict(doc: dict, where: str) -> "VarianceSchedule":
         config_dict(doc, where)
+        config_keys(doc, ("kind", "c", "q") if doc.get("kind") == "power" else ("kind", "c"),
+                    f"{where} ({doc.get('kind')})")
         try:
             return VarianceSchedule(doc["kind"], config_float(doc["c"], f"{where}.c"),
                                     config_float(doc.get("q", 1.0), f"{where}.q"))
@@ -385,17 +458,24 @@ def _check_shape(shape: str) -> None:
         raise ConfigError(f"unknown noise shape {shape!r}")
 
 
+# kind -> (class, the key of its variance schedule)
+_NOISE_KINDS = {"relative": (RelativeNoise, "tau"), "absolute": (AbsoluteNoise, "sigma_sq")}
+
+
 def noise_from_dict(doc: dict) -> NoiseModel:
     kind = config_dict(doc, "dynamics.noise").get("kind", "none")
     if kind == "none":
+        config_keys(doc, ("kind",), "dynamics.noise (none)")
         return NoNoise()
-    if kind == "relative":
-        return RelativeNoise(VarianceSchedule.from_dict(doc["tau"], "dynamics.noise.tau"),
-                             doc.get("shape", "sphere"))
-    if kind == "absolute":
-        return AbsoluteNoise(VarianceSchedule.from_dict(doc["sigma_sq"], "dynamics.noise.sigma_sq"),
-                             doc.get("shape", "sphere"))
-    raise ConfigError(f"unknown noise kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _NOISE_KINDS:
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    cls, var = _NOISE_KINDS[kind]
+    config_keys(doc, ("kind", var, "shape"), f"dynamics.noise ({kind})")
+    try:
+        return cls(VarianceSchedule.from_dict(doc[var], f"dynamics.noise.{var}"),
+                   doc.get("shape", "sphere"))
+    except KeyError as exc:
+        raise ConfigError(f"noise {kind!r} is missing parameter {exc}") from None
 
 
 class _NoiseDraws:
@@ -520,6 +600,8 @@ class DynamicsConfig:
     @staticmethod
     def from_dict(doc: dict) -> "DynamicsConfig":
         config_dict(doc, "dynamics")
+        config_keys(doc, ("schedule", "noise", "horizon", "x0", "blow_up_radius", "thinning"),
+                    "dynamics")
         try:
             x0, radius = doc["x0"], doc.get("blow_up_radius")
             if not isinstance(x0, (list, tuple)):
@@ -843,15 +925,8 @@ def _fill_settled(s, x, g, eta, schedule, gap, eta_arr, step_arr, beta_arr,
     if beta_arr is not None:
         beta_arr[s + 1:] = schedule.beta
     states[log_ptr:] = x
-    if isinstance(schedule, ConstantSchedule):
-        eta_arr[s:] = eta
-        return
-    next_fast = schedule.next_step_fast
-    etas = []
-    for t in range(s, len(eta_arr)):
-        etas.append(eta)
-        eta = next_fast(t, eta, g, g, 0.0)
-    eta_arr[s:] = etas
+    eta_arr[s] = eta
+    eta_arr[s + 1:] = schedule.settled_steps(s, eta, g, len(eta_arr) - s - 1)
 
 
 def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,

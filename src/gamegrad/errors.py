@@ -36,3 +36,12 @@ def config_dict(value, name: str) -> dict:
     if isinstance(value, dict):
         return value
     raise ConfigError(f"{name} must be an object, got {value!r}")
+
+
+def config_keys(doc: dict, allowed, name: str) -> dict:
+    """A config section with no key outside ``allowed``; names any other key."""
+    unknown = sorted(set(doc) - set(allowed), key=str)
+    if unknown:
+        raise ConfigError(f"{name} has unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"allowed: {sorted(allowed)}")
+    return doc

@@ -14,7 +14,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
+from .errors import (
+    ConfigError,
+    IndeterminateResult,
+    UnsupportedOperation,
+    config_float,
+    config_int,
+    config_keys,
+)
 
 Array = np.ndarray
 
@@ -123,10 +130,14 @@ class GameSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "GameSpec":
+        """The spec of a game section; its parameters are checked here, before any
+        game is built, and kept as given."""
         if "kind" not in doc:
             raise ConfigError("game spec is missing the 'kind' tag")
-        params = {k: v for k, v in doc.items() if k != "kind"}
-        return GameSpec(str(doc["kind"]), params)
+        spec = GameSpec(doc["kind"], {k: v for k, v in doc.items() if k != "kind"})
+        parse, _ = _game_kind(spec)
+        parse(spec.params)
+        return spec
 
 
 def _quadratic_parts(A: Array, b: Array, name: str):
@@ -174,27 +185,51 @@ def _quadratic_parts(A: Array, b: Array, name: str):
     return field, oracle, payoff, 1.0 / lam_max
 
 
-def _make_quadratic(spec: GameSpec, name: str) -> Game:
-    params = spec.params
+def _numbers(value, name: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [config_float(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+def _dims(value, n: int) -> tuple[int, ...]:
+    """Player block sizes summing to n; one player per coordinate by default."""
+    if value is None:
+        return (1,) * n
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"game.dims must be a list of integers, got {value!r}")
+    dims = tuple(config_int(d, f"game.dims[{i}]") for i, d in enumerate(value))
+    if not all(d >= 1 for d in dims):
+        raise ConfigError(f"game.dims must be positive, got {list(dims)}")
+    if sum(dims) != n:
+        raise ConfigError(f"player dims {dims} do not sum to matrix size {n}")
+    return dims
+
+
+def _quadratic_params(params: dict) -> tuple[Array, Array, tuple[int, ...]]:
+    config_keys(params, ("matrix", "offset", "dims"), "quadratic game")
     try:
-        A = np.asarray(params["matrix"], dtype=float)
-        b = np.asarray(params["offset"], dtype=float).reshape(-1)
+        matrix, offset = params["matrix"], params["offset"]
     except KeyError as exc:
         raise ConfigError(f"quadratic spec is missing parameter {exc}") from None
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigError(f"quadratic matrix must be square, got shape {A.shape}")
-    n = A.shape[0]
+    if not isinstance(matrix, (list, tuple)):
+        raise ConfigError(f"game.matrix must be a list of rows of numbers, got {matrix!r}")
+    rows = [_numbers(row, f"game.matrix[{i}]") for i, row in enumerate(matrix)]
+    n = len(rows)
     if n == 0:
         raise ConfigError("quadratic spec has zero dimension")
-    if b.size != n:
-        raise ConfigError(f"offset length {b.size} does not match matrix size {n}")
+    if any(len(row) != n for row in rows):
+        raise ConfigError(f"quadratic matrix must be square, got row lengths {[len(r) for r in rows]}")
+    b = _numbers(offset, "game.offset")
+    if len(b) != n:
+        raise ConfigError(f"offset length {len(b)} does not match matrix size {n}")
+    return np.array(rows, dtype=float), np.array(b, dtype=float), _dims(params.get("dims"), n)
+
+
+def _make_quadratic(A: Array, b: Array, dims: tuple[int, ...], name: str) -> Game:
     if not np.allclose(A, A.T, atol=1e-9 * (1.0 + np.abs(A).max())):
         raise ConfigError("quadratic matrix must be symmetric")
     A = 0.5 * (A + A.T)
-
-    dims = tuple(params.get("dims") or (1,) * n)
-    if sum(dims) != n:
-        raise ConfigError(f"player dims {dims} do not sum to matrix size {n}")
+    n = A.shape[0]
 
     field_fn, oracle, payoff, lam = _quadratic_parts(A, b, name)
     payoffs = tuple(payoff for _ in dims) if payoff is not None else None
@@ -204,6 +239,11 @@ def _make_quadratic(spec: GameSpec, name: str) -> Game:
         scalar = lambda x: b0 - a00 * x  # noqa: E731
     return Game(dims=dims, field=field_fn, payoffs=payoffs, nash_oracle=oracle,
                 cocoercivity=lam, name=name, scalar_field=scalar, affine=(A, b))
+
+
+def _piecewise_params(params: dict) -> tuple:
+    config_keys(params, (), "piecewise_scalar game")
+    return ()
 
 
 def _make_piecewise(name: str) -> Game:
@@ -225,41 +265,51 @@ def _make_piecewise(name: str) -> Game:
                 cocoercivity=0.5, name=name, scalar_field=scalar, affine=None)
 
 
-def _make_random(spec: GameSpec, name: str) -> Game:
-    params = spec.params
+def _random_params(params: dict) -> tuple[int, int, float, tuple[int, ...]]:
+    config_keys(params, ("n", "seed", "conditioning", "dims"), "random_cocoercive game")
     try:
-        n = int(params["n"])
-        seed = int(params["seed"])
+        n = config_int(params["n"], "game.n")
+        seed = config_int(params["seed"], "game.seed")
     except KeyError as exc:
         raise ConfigError(f"random_cocoercive spec is missing parameter {exc}") from None
-    conditioning = float(params.get("conditioning", 4.0))
+    conditioning = config_float(params.get("conditioning", 4.0), "game.conditioning")
     if n <= 0:
         raise ConfigError("random_cocoercive spec has zero dimension")
+    if seed < 0:
+        raise ConfigError(f"game.seed must be nonnegative, got {seed}")
     if conditioning <= 0:
         raise ConfigError("conditioning bound must be positive")
+    return n, seed, conditioning, _dims(params.get("dims"), n)
 
+
+def _make_random(n: int, seed: int, conditioning: float, dims: tuple[int, ...], name: str) -> Game:
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     S = M.T @ M
     lam_max = float(np.linalg.eigvalsh(S)[-1])
     S *= conditioning / lam_max  # top eigenvalue pinned to the bound
     b = S @ rng.standard_normal(n)  # in range(S), so a Nash point exists
+    return _make_quadratic(S, b, dims, name)
 
-    quadratic = GameSpec.quadratic(S, b, dims=params.get("dims"))
-    game = _make_quadratic(quadratic, name)
-    return game
+
+# kind -> (parameter parser, game constructor taking the parsed parameters and a name)
+_GAME_KINDS = {
+    "quadratic": (_quadratic_params, _make_quadratic),
+    "piecewise_scalar": (_piecewise_params, _make_piecewise),
+    "random_cocoercive": (_random_params, _make_random),
+}
+
+
+def _game_kind(spec: GameSpec):
+    if not isinstance(spec.kind, str) or spec.kind not in _GAME_KINDS:
+        raise ConfigError(f"unknown game kind {spec.kind!r}; available: {sorted(_GAME_KINDS)}")
+    return _GAME_KINDS[spec.kind]
 
 
 def make_game(spec: GameSpec, name: str = "") -> Game:
     """Instantiate a game from its spec; rejects specs that would not be cocoercive."""
-    label = name or spec.kind
-    if spec.kind == "quadratic":
-        return _make_quadratic(spec, label)
-    if spec.kind == "piecewise_scalar":
-        return _make_piecewise(label)
-    if spec.kind == "random_cocoercive":
-        return _make_random(spec, label)
-    raise ConfigError(f"unknown game kind {spec.kind!r}")
+    parse, build = _game_kind(spec)
+    return build(*parse(spec.params), name or spec.kind)
 
 
 def builtin_game_specs() -> dict[str, GameSpec]:

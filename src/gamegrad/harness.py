@@ -35,7 +35,14 @@ from .dynamics import (
     run_trajectory,
     runner_body,
 )
-from .errors import ConfigError, IndeterminateResult, UnsupportedOperation, config_dict, config_int
+from .errors import (
+    ConfigError,
+    IndeterminateResult,
+    UnsupportedOperation,
+    config_dict,
+    config_int,
+    config_keys,
+)
 from .games import Game, GameSpec, builtin_game_specs, make_game
 
 SCHEMA_VERSION = "1.0"
@@ -87,6 +94,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
         doc = config_dict(doc, "experiment config")
+        config_keys(doc, ("game", "dynamics", "trials", "master_seed", "checks", "trajectory_dir"),
+                    "experiment config")
         try:
             game_doc = dict(config_dict(doc["game"], "game"))
             dynamics = DynamicsConfig.from_dict(doc["dynamics"])
@@ -99,6 +108,7 @@ class ExperimentConfig:
         if "kind" not in game_doc:
             if not name:
                 raise ConfigError("game entry needs either a 'kind' spec or a built-in 'name'")
+            config_keys(game_doc, (), f"game {name!r} (built-in)")
             specs = builtin_game_specs()
             if name not in specs:
                 raise ConfigError(f"unknown built-in game {name!r}; available: {sorted(specs)}")

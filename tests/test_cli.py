@@ -272,3 +272,69 @@ def test_run_rejects_non_string_trajectory_dir(runner, tmp_path, monkeypatch, tr
     assert result.exit_code == 2, result.output
     assert "trajectory_dir must be a string or null" in result.output
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ('game={"kind": "quadratic", "matrix": "abc", "offset": [0]}',
+     "game.matrix must be a list of rows of numbers"),
+    ('game={"kind": "random_cocoercive", "n": "a", "seed": 1}', "game.n must be an integer"),
+    ('game={"kind": "quadratic", "matrix": [[1]], "offset": 5}',
+     "game.offset must be a list of numbers"),
+    ('game={"kind": "quadratic", "matrix": [[1]], "offset": [0, 0]}',
+     "offset length 2 does not match matrix size 1"),
+    ('game={"kind": "quadratic", "matrix": [[1, 0], [0, 1]], "offset": [0, 0], "dims": [0, 2]}',
+     "game.dims must be positive"),
+    ('game={"kind": "random_cocoercive", "n": 2, "seed": -1}', "game.seed must be nonnegative"),
+], ids=["matrix_string", "n_string", "offset_scalar", "offset_length", "dims_zero", "seed_negative"])
+def test_run_rejects_malformed_game_parameters_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                                   override, message):
+    forbid_dynamics(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", override])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("section,value,message", [
+    ("dynamics", {"schedule": {"kind": "constant", "eta": 0.5}, "horizon": 8, "x0": [1.0],
+                  "thinnig": 3}, "dynamics has unknown key(s) 'thinnig'"),
+    ("dynamics.schedule", {"kind": "constant", "eta": 0.5, "c": 1.0},
+     "dynamics.schedule (constant) has unknown key(s) 'c'"),
+    ("dynamics.schedule", {"kind": "power", "c": 0.5, "p": 0.5, "eta": 0.5},
+     "dynamics.schedule (power) has unknown key(s) 'eta'"),
+    ("dynamics.schedule", {"kind": "grad_norm", "beta1": 1.0, "r": 2.0, "beta": 1.0},
+     "dynamics.schedule (grad_norm) has unknown key(s) 'beta'"),
+    ("dynamics.schedule", {"kind": "step_norm", "beta": 1.0, "beta1": 1.0},
+     "dynamics.schedule (step_norm) has unknown key(s) 'beta1'"),
+    ("dynamics.noise", {"kind": "none", "tau": {"kind": "constant", "c": 0.1}},
+     "dynamics.noise (none) has unknown key(s) 'tau'"),
+    ("dynamics.noise", {"kind": "relative", "tau": {"kind": "constant", "c": 0.1}, "shap": "sphere"},
+     "dynamics.noise (relative) has unknown key(s) 'shap'"),
+    ("dynamics.noise", {"kind": "relative", "tau": {"kind": "constant", "c": 0.1, "q": 1.0}},
+     "dynamics.noise.tau (constant) has unknown key(s) 'q'"),
+    ("dynamics.noise", {"kind": "absolute", "sigma_sq": {"kind": "power", "c": 0.1, "qq": 1.0}},
+     "dynamics.noise.sigma_sq (power) has unknown key(s) 'qq'"),
+    ("game", {"name": "quad_1d", "offset": [1.0]},
+     "game 'quad_1d' (built-in) has unknown key(s) 'offset'"),
+    ("game", {"kind": "random_cocoercive", "n": 2, "seed": 1, "conditionning": 2.0},
+     "random_cocoercive game has unknown key(s) 'conditionning'"),
+], ids=["dynamics", "constant", "power", "grad_norm", "step_norm", "noise_none", "noise_relative",
+        "variance_constant", "variance_power", "game_builtin", "game_kind"])
+def test_run_rejects_unknown_keys_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                      section, value, message):
+    forbid_dynamics(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", f"{section}={json.dumps(value)}"])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_rejects_unknown_top_level_key_before_any_dynamics(runner, tmp_path, monkeypatch):
+    forbid_dynamics(monkeypatch)
+    cfg = write_cfg(tmp_path, quad1d_doc(trails=3))
+    result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "experiment config has unknown key(s) 'trails'" in result.output
+    assert not (tmp_path / "report.json").exists()

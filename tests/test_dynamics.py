@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gamegrad.dynamics import (
+    _log_table,
+    _pow_table,
     AbsoluteNoise,
     ConstantSchedule,
     DynamicsConfig,
@@ -494,14 +496,20 @@ _SETTLE_NOISE = {
 }
 _SETTLE_CASES = [(s, n) for s in _SETTLE_SCHEDULES for n in _SETTLE_NOISE
                  if not (s == "grad_norm" and n != "none")]
+# step_norm also at a horizon whose settled tail spans t = 9,168 and 19,141,
+# where np.log(t + 2) and math.log differ in the last bit on some machines
+_SETTLE_HORIZONS = (
+    [pytest.param(s, n, 6000, id=f"{s}-{n}") for s, n in _SETTLE_CASES]
+    + [pytest.param(s, n, 20000, id=f"{s}-{n}-20000") for s, n in _SETTLE_CASES
+       if s == "step_norm"])
 
 
 @pytest.mark.parametrize("thinning", [0, 1, 7])
-@pytest.mark.parametrize("schedule,noise", _SETTLE_CASES)
+@pytest.mark.parametrize("schedule,noise,horizon", _SETTLE_HORIZONS)
 @pytest.mark.parametrize("name", ["quad_1d", "piecewise"])
-def test_settled_scalar_run_matches_lockstep_bitwise(name, schedule, noise, thinning):
+def test_settled_scalar_run_matches_lockstep_bitwise(name, schedule, noise, horizon, thinning):
     game = make_named_game(name)
-    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=6000, x0=(-0.8,),
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=horizon, x0=(-0.8,),
                          noise=_SETTLE_NOISE[noise], thinning=thinning)
     fast = run_trajectory(game, cfg, rng=31)
     slow = run_trajectory(_force_generic(game), cfg, rng=31)  # lock-step, never fast-forwards
@@ -622,3 +630,80 @@ def test_grad_norm_beta_and_eta_after_settling():
     _, eta, _, beta, _ = _affine2_by_steps(game, cfg, None)
     assert eta.tobytes() == rec.eta.tobytes()
     assert beta.tobytes() == rec.beta.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# settled tails as arrays
+# ---------------------------------------------------------------------------
+
+def _warm(schedule, t):
+    """Three real steps ending at step t - 1; returns the step size of step t."""
+    eta = schedule.first_step()
+    for k, (g_prev, g_next, step_sq) in enumerate([(1.0, 0.5, 0.04), (0.5, 0.7, 0.01),
+                                                    (0.7, 0.2, 0.09)]):
+        eta = schedule.next_step_fast(t - 3 + k, eta, g_prev, g_next, step_sq)
+    return eta
+
+
+def _tail_by_calls(schedule, t, eta, g, count):
+    """The reference: count per-step calls on a trial settled with gap g."""
+    etas = []
+    for k in range(count):
+        eta = schedule.next_step_fast(t + k, eta, g, g, 0.0)
+        etas.append(eta)
+    return np.array(etas, dtype=float)
+
+
+def _check_tail(make, t, g, horizon):
+    fast, slow = make(), make()
+    eta = _warm(fast, t)
+    assert eta == _warm(slow, t)
+    count = horizon - t - 1  # what _fill_settled asks for after settling at step t
+    tail = fast.settled_steps(t, eta, g, count)
+    assert tail.tobytes() == _tail_by_calls(slow, t, eta, g, count).tobytes()
+    assert vars(fast) == vars(slow)  # the state the per-step calls leave
+
+
+@pytest.mark.parametrize("make,g,t,horizon", [
+    (lambda: StepNormSchedule(1.0), 0.0, 1500, 30000),  # delta > 0; spans 9,168 and 19,141
+    (lambda: PowerSchedule(0.5, 0.0), 0.0, 100, 6000),
+    (lambda: PowerSchedule(0.5, 0.5), 0.0, 100, 30000),
+    (lambda: PowerSchedule(0.5, 0.75), 0.0, 100, 30000),
+    (lambda: PowerSchedule(0.5, 1.0), 0.0, 100, 30000),
+    (lambda: GradNormSchedule(1.0, 2.0), 0.0, 300, 12000),
+    (lambda: GradNormSchedule(1.0, 2.0), 2.5e-3, 300, 12000),  # the running sum grows
+    (lambda: ConstantSchedule(0.3), 0.0, 100, 6000),
+], ids=["step_norm", "power_0", "power_0.5", "power_0.75", "power_1",
+        "grad_norm_zero_gap", "grad_norm_gap", "constant"])
+def test_settled_steps_match_per_step_calls_bitwise(make, g, t, horizon):
+    _check_tail(make, t, g, horizon)
+
+
+@pytest.mark.parametrize("tail", [1, 2])
+@pytest.mark.parametrize("make", [lambda: StepNormSchedule(1.0), lambda: PowerSchedule(0.5, 0.5),
+                                  lambda: GradNormSchedule(1.0, 2.0)],
+                         ids=["step_norm", "power", "grad_norm"])
+def test_short_settled_tails_match_per_step_calls_bitwise(make, tail):
+    # a trial that settles at step T - tail fills `tail` steps
+    _check_tail(make, 5000 - tail, 1e-3, 5000)
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+@pytest.mark.parametrize("schedule", ["power", "grad_norm", "step_norm"])
+def test_trials_settling_at_the_last_steps_match_lockstep_bitwise(schedule, horizon):
+    # piecewise from 0.5 settles at step 1: a tail of length 1 at T = 2, of 2 at T = 3
+    game = make_named_game("piecewise")
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=horizon, x0=(0.5,), thinning=1)
+    rec = run_trajectory(game, cfg)
+    assert rec.settle_step == 1
+    assert _same_bits(rec, run_trajectory(_force_generic(game), cfg))
+
+
+def test_settled_step_tables_are_reused_across_horizons():
+    tables = {}
+    for horizon in (9000, 30000, 9000):
+        _check_tail(lambda: StepNormSchedule(1.0), 2000, 0.0, horizon)
+        _check_tail(lambda: PowerSchedule(0.5, 0.75), 2000, 0.0, horizon)
+        logs, powers = _log_table(horizon - 1), _pow_table(horizon - 1, 0.75)
+        assert tables.setdefault(horizon, (logs, powers)) == (logs, powers)
+    assert tables[9000][0] is _log_table(8999) and tables[9000][1] is _pow_table(8999, 0.75)

@@ -1,6 +1,11 @@
+import copy
+import importlib.util
+import itertools
 import json
 import math
 import os
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +210,40 @@ def test_experiment_config_named_game():
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.game.kind == "piecewise_scalar"
     assert cfg.game_name == "piecewise"
+
+
+def _load_bench_workloads() -> dict:
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {f"bench {name}": doc for name, (_, doc) in module.WORKLOADS.items()}
+
+
+def _experiment_docs(doc: dict) -> list[dict]:
+    """A run config, or every grid point of a sweep config."""
+    if "template" not in doc:
+        return [doc]
+    axes = list(doc["grid"])
+    points = []
+    for combo in itertools.product(*(doc["grid"][a] for a in axes)):
+        point = copy.deepcopy(doc["template"])
+        for path, value in zip(axes, combo):
+            set_by_path(point, path, value)
+        points.append(point)
+    return points
+
+
+def test_bundled_configs_and_benchmark_workloads_parse():
+    bundled = resources.files("gamegrad").joinpath("configs")
+    docs = {f.name: json.loads(f.read_text()) for f in bundled.iterdir() if f.name.endswith(".cfg")}
+    assert len(docs) == 12
+    docs.update(_load_bench_workloads())
+    assert len(docs) == 16
+    for name, doc in docs.items():
+        for point in _experiment_docs(doc):
+            cfg = ExperimentConfig.from_dict(point)
+            assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict(), name
 
 
 def test_trajectory_persistence_round_trip(tmp_path):
