@@ -20,9 +20,10 @@ from . import harness, metrics
 from ._version import __version__
 from .errors import ConfigError, IndeterminateResult
 from .games import (
-    GameSpec,
+    builtin_game_spec,
     builtin_game_specs,
     estimate_cocoercivity,
+    game_spec_from_dict,
     make_game,
     project_to_nash,
     verify_gradient,
@@ -202,22 +203,13 @@ def cmd_verify_game(config_path, game_name, pairs, seed):
         if (config_path is None) == (game_name is None):
             raise ConfigError("give exactly one of --config or --name")
         if game_name is not None:
-            specs = builtin_game_specs()
-            if game_name not in specs:
-                raise ConfigError(f"unknown built-in game {game_name!r}; available: {sorted(specs)}")
-            spec, label = specs[game_name], game_name
+            spec, label = builtin_game_spec(game_name), game_name
         else:
             doc = _load_json(resolve_config(config_path))
-            doc = doc.get("game", doc)  # accept a bare spec or a full experiment config
-            label = doc.pop("name", "") if isinstance(doc, dict) else ""
-            if "kind" not in doc:
-                specs = builtin_game_specs()
-                if label not in specs:
-                    raise ConfigError("game document needs a 'kind' spec or built-in 'name'")
-                spec = specs[label]
-            else:
-                spec = GameSpec.from_dict(doc)
-                label = label or spec.kind
+            if isinstance(doc, dict):
+                doc = doc.get("game", doc)  # accept a bare spec or a full experiment config
+            spec, label = game_spec_from_dict(doc)
+            label = label or spec.kind
 
         try:
             game = make_game(spec, name=label)

@@ -3,6 +3,11 @@
 The runner iterates x_{t+1} = x_t + eta_{t+1} (v(x_t) + xi_{t+1}) and records
 per-step diagnostics. Step order per iteration: obtain eta, evaluate the
 field, sample noise, step, then feed the schedule the post-step observations.
+The shared schedules (constant, power) ignore those observations, so their
+step sizes are computed once per block (step_sizes), as first_step()
+followed by settled_steps(0, ...), which gives what the per-step calls would
+return bit for bit; the loops read eta from that list and never call them.
+The adaptive schedules (step_norm, grad_norm) are called after every step.
 Hot loops come in three bodies that execute the identical recursion, and
 tests pin them against each other:
 
@@ -110,10 +115,25 @@ def _validate_feedback(fb: StepFeedback) -> None:
 
 
 class _SharedStep:
-    """Schedules whose step size is the same for every trial: nothing per trial."""
+    """Schedules whose step sizes ignore feedback: one sequence for every trial."""
 
-    def next_steps(self, t, eta, g_prev, g_next, step_sq):
-        return self.next_step_fast(t, eta, g_prev, g_next, step_sq)
+    shared = True
+    _steps = None  # (horizon, step sizes, the same as floats) of the last call
+
+    def step_sizes(self, horizon: int) -> tuple[Array, list]:
+        """The step sizes of steps 0..horizon-1, as a read-only array and as floats.
+
+        Element 0 is first_step() and element t + 1 what next_step_fast(t, ...)
+        returns, bit for bit. They are kept for the last horizon asked (about
+        40 B per step), so the trials of a block, which share its config's
+        schedule, compute them once.
+        """
+        if self._steps is None or self._steps[0] != horizon:
+            first = self.first_step()
+            steps = np.concatenate(([first], self.settled_steps(0, first, 0.0, horizon - 1)))
+            steps.flags.writeable = False
+            self._steps = (horizon, steps, steps.tolist())
+        return self._steps[1:]
 
     def keep(self, live) -> None:
         pass
@@ -201,6 +221,7 @@ class GradNormSchedule:
     kind = "grad_norm"
     needs_exact_gradients = True
     tracks_beta = True
+    shared = False
 
     def __init__(self, beta1: float, r: float):
         if beta1 <= 0:
@@ -273,6 +294,7 @@ class StepNormSchedule:
     kind = "step_norm"
     needs_exact_gradients = False
     tracks_beta = False
+    shared = False
 
     def __init__(self, beta: float):
         if beta <= 0:
@@ -666,10 +688,13 @@ def dyadic_steps(horizon: int) -> list[int]:
 
 
 def _log_steps(horizon: int, thinning: int) -> Array:
-    steps = {0, *dyadic_steps(horizon)}
-    if thinning >= 1:
-        steps.update(range(0, horizon + 1, thinning))
-    return np.array(sorted(steps), dtype=np.int64)
+    """Step 0, the dyadic steps and, for thinning k >= 1, every k-th step; sorted."""
+    extra = np.array([0, *dyadic_steps(horizon)], dtype=np.int64)
+    if thinning < 1:
+        return extra
+    grid = np.arange(0, horizon + 1, thinning, dtype=np.int64)
+    missing = extra[extra % thinning != 0]
+    return np.insert(grid, np.searchsorted(grid, missing), missing)
 
 
 def runner_body(game: Game) -> str:
@@ -682,12 +707,22 @@ def runner_body(game: Game) -> str:
 
 
 class _Log:
-    """Record arrays for m trials, row i belonging to the block's i-th trial."""
+    """Record arrays for m trials, row i belonging to the block's i-th trial.
+
+    For a shared schedule (constant, power) the eta rows are filled from the
+    step sizes its step_sizes gives, and ``etas`` holds them as floats for
+    the stepping loops. It is None for the adaptive schedules, whose loops
+    log each step size as they compute it.
+    """
 
     def __init__(self, m: int, n: int, config: DynamicsConfig, track_beta: bool):
         T = config.horizon
         self.gap = np.empty((m, T + 1))
         self.eta = np.empty((m, T))
+        self.etas = None
+        if config.schedule.shared:
+            steps, self.etas = config.schedule.step_sizes(T)
+            self.eta[:] = steps
         self.step = np.empty((m, T))
         self.beta = np.empty((m, T + 1)) if track_beta else None
         self.steps = _log_steps(T, config.thinning)
@@ -761,13 +796,14 @@ def run_trajectory(game: Game, config: DynamicsConfig,
     beta = None if log.beta is None else log.beta[0]
     if body == "scalar":
         t_stop, diverged, settle = _run_scalar(game.scalar_field, config.x0[0], config.horizon,
-                                               schedule, draws, radius, log.gap[0], log.eta[0],
-                                               log.step[0], beta, log.steps, log.states[0])
+                                               schedule, log.etas, draws, radius, log.gap[0],
+                                               log.eta[0], log.step[0], beta, log.steps,
+                                               log.states[0])
     else:
         A, b = game.affine
-        t_stop, diverged, settle = _run_affine2(A, b, config.x0, config.horizon, schedule, draws,
-                                                radius, log.gap[0], log.eta[0], log.step[0], beta,
-                                                log.steps, log.states[0])
+        t_stop, diverged, settle = _run_affine2(A, b, config.x0, config.horizon, schedule,
+                                                log.etas, draws, radius, log.gap[0], log.eta[0],
+                                                log.step[0], beta, log.steps, log.states[0])
     log.stop[0], log.diverged[0], log.settle[0] = t_stop, diverged, settle
     return log.record(0, game, config, seed)
 
@@ -833,6 +869,7 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
     live = np.arange(1 if flat else X.shape[0])
     rows = 0 if flat else slice(None)  # the log rows of the live trials
     gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states
+    etas = log.etas
     log_list = log.steps.tolist()
     r2 = radius * radius
     inf = math.inf
@@ -847,8 +884,8 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
     eta_next = schedule.first_step()
-    is_constant = isinstance(schedule, ConstantSchedule)
-    update = schedule.next_step_fast if flat else schedule.next_steps
+    if etas is None:
+        update = schedule.next_step_fast if flat else schedule.next_steps
     relative = draws is not None and draws.relative
     t = 0
     while t < T:
@@ -858,8 +895,11 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
             Z = z[0] if flat else z.transpose(1, 0, 2)  # Z[k]: the draws of step t0 + k
             amps = amp.tolist()
         for k in range(count):
-            eta = eta_next
-            eta_log[rows, t] = eta
+            if etas is None:
+                eta = eta_next
+                eta_log[rows, t] = eta
+            else:
+                eta = etas[t]
             step = eta if isinstance(eta, float) else col(eta)
             if draws is None:
                 X_new = X + step * V
@@ -895,7 +935,7 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
                 states[rows, log_ptr] = X_new
                 log_ptr += 1
                 next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
-            if not is_constant:
+            if etas is None:
                 eta_next = update(t, eta, G, G_new, S)
             if beta_log is not None:
                 beta_log[rows, t + 1] = schedule.beta
@@ -918,18 +958,20 @@ def _fill_settled(s, x, g, eta, schedule, gap, eta_arr, step_arr, beta_arr,
                   states, log_ptr) -> None:
     """Fill steps s..T-1 of a trial that settled in state x at the end of step s-1.
 
-    eta is the step size of step s, already computed by the stepping loop.
+    eta is the step size of step s, already computed by the stepping loop. A
+    shared schedule's step sizes are in eta_arr from the start.
     """
     gap[s + 1:] = g
     step_arr[s:] = 0.0
     if beta_arr is not None:
         beta_arr[s + 1:] = schedule.beta
     states[log_ptr:] = x
-    eta_arr[s] = eta
-    eta_arr[s + 1:] = schedule.settled_steps(s, eta, g, len(eta_arr) - s - 1)
+    if not schedule.shared:
+        eta_arr[s] = eta
+        eta_arr[s + 1:] = schedule.settled_steps(s, eta, g, len(eta_arr) - s - 1)
 
 
-def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
+def _run_scalar(f, x, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
                 beta_arr, log_steps, states):
     v = f(x)
     g = v * v
@@ -942,7 +984,6 @@ def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
     eta_next = schedule.first_step()
-    is_constant = isinstance(schedule, ConstantSchedule)
     next_fast = schedule.next_step_fast
     relative = draws.relative if draws is not None else False
     track_beta = beta_arr is not None
@@ -957,8 +998,11 @@ def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
             zs = z_chunk[0, :, 0].tolist()
             amps = amp_chunk.tolist()
         for k in range(count):
-            eta = eta_next
-            eta_arr[t] = eta
+            if etas is None:
+                eta = eta_next
+                eta_arr[t] = eta
+            else:
+                eta = etas[t]
             if draws is None:
                 x_new = x + eta * v
             else:
@@ -980,7 +1024,7 @@ def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
                 states[log_ptr, 0] = x_new
                 log_ptr += 1
                 next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
-            if not is_constant:
+            if etas is None:
                 eta_next = next_fast(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
@@ -993,7 +1037,7 @@ def _run_scalar(f, x, T, schedule, draws, radius, gap, eta_arr, step_arr,
     return T, False, None
 
 
-def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
+def _run_affine2(A, b, x0, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
                  beta_arr, log_steps, states):
     a00, a01 = float(A[0, 0]), float(A[0, 1])
     a10, a11 = float(A[1, 0]), float(A[1, 1])
@@ -1013,7 +1057,6 @@ def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
     eta_next = schedule.first_step()
-    is_constant = isinstance(schedule, ConstantSchedule)
     next_fast = schedule.next_step_fast
     relative = draws.relative if draws is not None else False
     track_beta = beta_arr is not None
@@ -1028,8 +1071,11 @@ def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
             zs = z_chunk[0].tolist()
             amps = amp_chunk.tolist()
         for k in range(count):
-            eta = eta_next
-            eta_arr[t] = eta
+            if etas is None:
+                eta = eta_next
+                eta_arr[t] = eta
+            else:
+                eta = etas[t]
             if draws is None:
                 y0 = x0_ + eta * v0
                 y1 = x1_ + eta * v1
@@ -1058,7 +1104,7 @@ def _run_affine2(A, b, x0, T, schedule, draws, radius, gap, eta_arr, step_arr,
                 states[log_ptr, 1] = y1
                 log_ptr += 1
                 next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
-            if not is_constant:
+            if etas is None:
                 eta_next = next_fast(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta

@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     IndeterminateResult,
     UnsupportedOperation,
+    config_dict,
     config_float,
     config_int,
     config_keys,
@@ -322,11 +323,31 @@ def builtin_game_specs() -> dict[str, GameSpec]:
     }
 
 
-def make_named_game(name: str) -> Game:
+def builtin_game_spec(name: str) -> GameSpec:
+    """The spec of a built-in game; the one place built-in names are resolved."""
     specs = builtin_game_specs()
     if name not in specs:
-        raise ConfigError(f"unknown game name {name!r}; available: {sorted(specs)}")
-    return make_game(specs[name], name=name)
+        raise ConfigError(f"unknown built-in game {name!r}; available: {sorted(specs)}")
+    return specs[name]
+
+
+def game_spec_from_dict(doc: dict) -> tuple[GameSpec, str]:
+    """A config's game entry: a 'kind' spec, or a built-in 'name' and no other key.
+
+    Returns the spec and the entry's name ('' when a spec has none).
+    """
+    doc = dict(config_dict(doc, "game"))
+    name = doc.pop("name", "")
+    if "kind" in doc:
+        return GameSpec.from_dict(doc), name
+    if not name:
+        raise ConfigError("game entry needs either a 'kind' spec or a built-in 'name'")
+    config_keys(doc, (), f"game {name!r} (built-in)")
+    return builtin_game_spec(name), name
+
+
+def make_named_game(name: str) -> Game:
+    return make_game(builtin_game_spec(name), name=name)
 
 
 def _as_flat(game: Game, x) -> Array:

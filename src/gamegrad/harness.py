@@ -43,7 +43,7 @@ from .errors import (
     config_int,
     config_keys,
 )
-from .games import Game, GameSpec, builtin_game_specs, make_game
+from .games import Game, GameSpec, game_spec_from_dict, make_game
 
 SCHEMA_VERSION = "1.0"
 
@@ -97,24 +97,14 @@ class ExperimentConfig:
         config_keys(doc, ("game", "dynamics", "trials", "master_seed", "checks", "trajectory_dir"),
                     "experiment config")
         try:
-            game_doc = dict(config_dict(doc["game"], "game"))
+            game_doc = config_dict(doc["game"], "game")
             dynamics = DynamicsConfig.from_dict(doc["dynamics"])
         except KeyError as exc:
             raise ConfigError(f"experiment config is missing field {exc}") from None
         checks = doc.get("checks", [])
         if not isinstance(checks, (list, tuple)):
             raise ConfigError(f"checks must be a list of check ids, got {checks!r}")
-        name = game_doc.pop("name", "")
-        if "kind" not in game_doc:
-            if not name:
-                raise ConfigError("game entry needs either a 'kind' spec or a built-in 'name'")
-            config_keys(game_doc, (), f"game {name!r} (built-in)")
-            specs = builtin_game_specs()
-            if name not in specs:
-                raise ConfigError(f"unknown built-in game {name!r}; available: {sorted(specs)}")
-            spec = specs[name]
-        else:
-            spec = GameSpec.from_dict(game_doc)
+        spec, name = game_spec_from_dict(game_doc)
         return ExperimentConfig(
             game=spec,
             dynamics=dynamics,
@@ -252,7 +242,8 @@ def read_report(path: str) -> ExperimentReport:
 # Trajectory persistence (newline-delimited records, header first)
 # ---------------------------------------------------------------------------
 
-def write_trajectory(record: TrajectoryRecord, path: str) -> None:
+def write_trajectory(record: TrajectoryRecord, path: str,
+                     eta_text: Optional[dict] = None) -> None:
     """Stream one trajectory to disk: a header line, then one line per step t.
 
     Every line is what ``json.dumps(row, sort_keys=True)`` writes for it.
@@ -263,6 +254,15 @@ def write_trajectory(record: TrajectoryRecord, path: str) -> None:
     ``null``, so the file is byte-deterministic for a fixed config and
     seed. The columns are formatted and written ``_WRITE_ROWS`` rows at a
     time: one repr pass over each column slice and one f-string per line.
+
+    ``eta_text`` is an optional cache of eta text shared by the records of
+    one block whose schedule gives every trial the same step sizes
+    (constant, power): chunk start -> (the chunk's raw bytes, its reprs). A
+    chunk reuses the cached text only if its bytes begin the cached chunk's,
+    so a record never gets text for values it does not hold; a diverged
+    record, a prefix, reuses its share. The cache holds one record's eta
+    column, about 85 B per step as text, list slot and raw bytes (2.8 MB
+    at 2^15 steps), until the block ends.
     """
     with open(path, "w", encoding="utf-8") as fh:
         header = {"type": "header", "game": record.game_name, "config": record.config,
@@ -270,13 +270,14 @@ def write_trajectory(record: TrajectoryRecord, path: str) -> None:
                   "diverged": record.diverged, "divergence_step": record.divergence_step}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for lo in range(0, len(record.gap), _WRITE_ROWS):
-            fh.write("".join(_step_lines(record, lo, min(lo + _WRITE_ROWS, len(record.gap)))))
+            hi = min(lo + _WRITE_ROWS, len(record.gap))
+            fh.write("".join(_step_lines(record, lo, hi, eta_text)))
 
 
-def _step_lines(record: TrajectoryRecord, lo: int, hi: int) -> list[str]:
+def _step_lines(record: TrajectoryRecord, lo: int, hi: int, eta_text: Optional[dict]) -> list[str]:
     """The lines of steps lo..hi-1 (hi <= len(record.gap))."""
     gap = _reprs(record.gap[lo:hi])
-    eta = _reprs(record.eta[lo:hi])
+    eta = _eta_reprs(record.eta[lo:hi], lo, eta_text)
     step = _reprs(record.step_norm_sq[lo:hi])
     if record.beta is None:
         beta = [""] * (hi - lo)
@@ -309,6 +310,19 @@ def _reprs(values: np.ndarray) -> list[str]:
     return out
 
 
+def _eta_reprs(values: np.ndarray, lo: int, cache: Optional[dict]) -> list[str]:
+    """_reprs(values), reusing the cached text of chunk start lo when it covers them."""
+    if cache is None:
+        return _reprs(values)
+    raw = values.tobytes()
+    hit = cache.get(lo)
+    if hit is not None and hit[0].startswith(raw):
+        return hit[1][:len(values)]
+    out = _reprs(values)
+    cache[lo] = (raw, out)
+    return out
+
+
 def iter_trajectory(path: str):
     """Yield the parsed header and step records of a trajectory file."""
     with open(path, encoding="utf-8") as fh:
@@ -332,30 +346,39 @@ def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
 
     The config is parsed and the game built once per block. Games with an
     unrolled runner body run one trial at a time; every other game steps the
-    block in lock-step, split only to bound the record memory.
+    block in lock-step, split only to bound the record memory. When the
+    block writes trajectories and its step sizes are shared by every trial,
+    their eta text is formatted once and reused (see write_trajectory).
     """
     config = ExperimentConfig.from_dict(config_doc)
     game = make_game(config.game, name=config.game_name or config.game.kind)
     seed = config.master_seed
+    eta_text = None
     if config.trajectory_dir:
         os.makedirs(config.trajectory_dir, exist_ok=True)
+        if config.dynamics.schedule.shared:
+            eta_text = {}
     if runner_body(game) != "lockstep":
         return [_trial_payload(config, game, i,
-                               run_trajectory(game, config.dynamics, rng=trial_rng(seed, i)))
+                               run_trajectory(game, config.dynamics, rng=trial_rng(seed, i)),
+                               eta_text)
                 for i in trials]
     payloads = []
     size = max(1, _BLOCK_BYTES // record_bytes(config.dynamics, game.n))
     for lo in range(trials.start, trials.stop, size):
         part = range(lo, min(lo + size, trials.stop))
         records = run_lockstep(game, config.dynamics, [trial_rng(seed, i) for i in part])
-        payloads.extend(_trial_payload(config, game, i, rec) for i, rec in zip(part, records))
+        payloads.extend(_trial_payload(config, game, i, rec, eta_text)
+                        for i, rec in zip(part, records))
     return payloads
 
 
-def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: TrajectoryRecord) -> dict:
+def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: TrajectoryRecord,
+                   eta_text: Optional[dict]) -> dict:
     """Reduce one trial to the small summary the aggregator needs."""
     if config.trajectory_dir:
-        write_trajectory(record, os.path.join(config.trajectory_dir, f"trial_{trial:04d}.jsonl"))
+        write_trajectory(record, os.path.join(config.trajectory_dir, f"trial_{trial:04d}.jsonl"),
+                         eta_text)
 
     steps = dyadic_steps(config.dynamics.horizon)
     has_oracle = game.nash_oracle is not None
@@ -527,7 +550,13 @@ def set_by_path(doc: dict, path: str, value) -> None:
 
 
 def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[SweepEntry]:
-    """One experiment per grid point (cartesian product, axis order preserved)."""
+    """One experiment per grid point (cartesian product, axis order preserved).
+
+    The template and every grid point are parsed before any point runs. A
+    template that does not parse as an experiment config raises ConfigError,
+    with nothing run; a grid value that makes its own point malformed, and
+    any failure at run time, is isolated to that point's entry.
+    """
     if not grid:
         raise ConfigError("sweep grid is empty")
     if workers < 1:
@@ -535,18 +564,27 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
     for path, values in grid.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise ConfigError(f"sweep axis {path!r} has no values")
-        set_by_path(copy.deepcopy(template), path, values[0])  # validates the path
+    ExperimentConfig.from_dict(template)
 
     axes = list(grid.keys())
-    entries: list[SweepEntry] = []
+    points = []
     for combo in itertools.product(*(grid[a] for a in axes)):
         point = dict(zip(axes, combo))
         doc = copy.deepcopy(template)
         for path, value in point.items():
             set_by_path(doc, path, value)
         try:
-            report = run_experiment(ExperimentConfig.from_dict(doc), workers=workers)
-            entries.append(SweepEntry(point=point, report=report, error=None))
-        except Exception as exc:  # isolate failures per grid point
-            entries.append(SweepEntry(point=point, report=None, error=str(exc)))
+            points.append((point, ExperimentConfig.from_dict(doc), None))
+        except ConfigError as exc:
+            points.append((point, None, str(exc)))
+
+    entries: list[SweepEntry] = []
+    for point, config, error in points:
+        report = None
+        if config is not None:
+            try:
+                report = run_experiment(config, workers=workers)
+            except Exception as exc:  # isolate failures per grid point
+                error = str(exc)
+        entries.append(SweepEntry(point=point, report=report, error=error))
     return entries

@@ -338,3 +338,24 @@ def test_run_rejects_unknown_top_level_key_before_any_dynamics(runner, tmp_path,
     assert result.exit_code == 2, result.output
     assert "experiment config has unknown key(s) 'trails'" in result.output
     assert not (tmp_path / "report.json").exists()
+
+
+def test_sweep_rejects_malformed_template_before_any_dynamics(runner, tmp_path, monkeypatch):
+    forbid_dynamics(monkeypatch)
+    template = quad1d_doc(checks=())
+    template["dynamics"]["thinnig"] = 2
+    cfg = write_cfg(tmp_path, {"template": template,
+                               "grid": {"dynamics.schedule.eta": [0.1, 0.5]}}, "sweep.cfg")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "dynamics has unknown key(s) 'thinnig'" in result.output
+    assert not out.exists()
+
+
+def test_verify_game_rejects_keys_beside_a_builtin_name(runner, tmp_path):
+    cfg = write_cfg(tmp_path, {"game": {"name": "quad_1d", "matrix": [[3.0]]}}, "game.json")
+    result = runner.invoke(main, ["verify-game", "--config", cfg, "--pairs", "100"])
+    assert result.exit_code == 2, result.output
+    assert "game 'quad_1d' (built-in) has unknown key(s) 'matrix'" in result.output
+    assert "verdict" not in result.output

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gamegrad.dynamics import (
+    _log_steps,
     _log_table,
     _pow_table,
     AbsoluteNoise,
@@ -17,6 +18,7 @@ from gamegrad.dynamics import (
     StepFeedback,
     StepNormSchedule,
     VarianceSchedule,
+    dyadic_steps,
     next_step_size,
     noise_from_dict,
     run_lockstep,
@@ -707,3 +709,109 @@ def test_settled_step_tables_are_reused_across_horizons():
         logs, powers = _log_table(horizon - 1), _pow_table(horizon - 1, 0.75)
         assert tables.setdefault(horizon, (logs, powers)) == (logs, powers)
     assert tables[9000][0] is _log_table(8999) and tables[9000][1] is _pow_table(8999, 0.75)
+
+
+# ---------------------------------------------------------------------------
+# shared step sizes, computed once per block
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("horizon", [1, 2, 65536])
+@pytest.mark.parametrize("make", [lambda: ConstantSchedule(0.3), lambda: PowerSchedule(0.5, 0.0),
+                                  lambda: PowerSchedule(0.5, 0.5), lambda: PowerSchedule(0.5, 0.75),
+                                  lambda: PowerSchedule(0.5, 1.0)],
+                         ids=["constant", "power_0", "power_0.5", "power_0.75", "power_1"])
+def test_shared_step_sizes_match_per_step_calls_bitwise(make, horizon):
+    schedule = make()
+    eta = schedule.first_step()
+    etas = [eta]
+    for t in range(horizon - 1):
+        eta = schedule.next_step_fast(t, eta, 1.0, 1.0, 0.0)
+        etas.append(eta)
+    steps, floats = schedule.step_sizes(horizon)
+    assert steps.shape == (horizon,)
+    assert steps.tobytes() == np.array(etas, dtype=float).tobytes()
+    assert floats == etas
+    assert schedule.step_sizes(horizon)[0] is steps  # kept for the trials of a block
+
+
+@pytest.mark.parametrize("make", [lambda: ConstantSchedule(0.3), lambda: PowerSchedule(0.5, 0.5)],
+                         ids=["constant", "power"])
+@pytest.mark.parametrize("game_name", ["quad_1d", "quad_2d", "rand_4d"])
+def test_shared_schedules_make_no_per_step_call(monkeypatch, make, game_name):
+    def per_step(*args):
+        raise AssertionError("a shared schedule was called per step")
+
+    schedule = make()
+    monkeypatch.setattr(type(schedule), "next_step_fast", per_step)
+    game = (make_game(GameSpec.random_cocoercive(4, seed=3), name=game_name)
+            if game_name == "rand_4d" else make_named_game(game_name))
+    cfg = DynamicsConfig(schedule, horizon=300, x0=(0.5,) * game.n,
+                         noise=AbsoluteNoise(VarianceSchedule("constant", 0.01)))
+    rec = run_trajectory(game, cfg, rng=3)
+    block = run_lockstep(game, cfg, [3, 4])
+    assert not rec.diverged and rec.eta.tobytes() == block[1].eta.tobytes()
+
+
+def _log_steps_by_set(horizon, thinning):
+    steps = {0, *dyadic_steps(horizon)}
+    if thinning >= 1:
+        steps.update(range(0, horizon + 1, thinning))
+    return np.array(sorted(steps), dtype=np.int64)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 64, 100, 50_000, 65_536])
+def test_log_steps_match_set_reference(horizon):
+    for thinning in (0, 1, 2, 3, 7, horizon, horizon + 1):
+        steps = _log_steps(horizon, thinning)
+        expected = _log_steps_by_set(horizon, thinning)
+        assert steps.dtype == np.int64
+        assert np.array_equal(steps, expected), (horizon, thinning)
+
+
+_GRID_SCHEDULES = {"constant": lambda: ConstantSchedule(0.3),
+                   "power": lambda: PowerSchedule(0.5, 0.5),
+                   "grad_norm": lambda: GradNormSchedule(1.0, 2.0),
+                   "step_norm": lambda: StepNormSchedule(1.0)}
+_GRID_NOISES = {"none": NoNoise(),
+                "relative": RelativeNoise(VarianceSchedule("power", 1.0, 0.5)),
+                "absolute": AbsoluteNoise(VarianceSchedule("constant", 0.01), "gaussian")}
+
+
+def _grid_cases():
+    for schedule in _GRID_SCHEDULES:
+        for noise in _GRID_NOISES:
+            if schedule != "grad_norm" or noise == "none":
+                yield _GRID_SCHEDULES[schedule](), _GRID_NOISES[noise]
+    for noise in ("none", "absolute"):
+        yield ConstantSchedule(5.0), _GRID_NOISES[noise]  # diverges on every game here
+
+
+def test_record_grid_matches_per_step_schedule_digest():
+    """Every record of a grid hashes as it did when each step called its schedule.
+
+    The digest was recorded with the per-step next_step_fast calls that the
+    shared step-size sequence replaced: 192 records (28 diverge, 26 settle)
+    over 4 built-in games and a 4-d lock-step game, run alone and as a block
+    of 3, x 4 schedules x 3 noise kinds x thinning 0/7, plus constant 5.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for name in ("quad_1d", "quad_2d", "piecewise", "rand_2d", "rand_4d"):
+        game = (make_game(GameSpec.random_cocoercive(4, seed=3), name=name) if name == "rand_4d"
+                else make_named_game(name))
+        for schedule, noise in _grid_cases():
+            for thinning in (0, 7):
+                cfg = DynamicsConfig(schedule, horizon=2000, noise=noise, thinning=thinning,
+                                     x0=tuple(0.8 - 0.5 * i for i in range(game.n)))
+                records = [run_trajectory(game, cfg, rng=11)]
+                if name == "rand_4d":
+                    records += run_lockstep(game, cfg, [12, 13, 14])
+                for rec in records:
+                    for arr in (rec.gap, rec.eta, rec.step_norm_sq, rec.beta, rec.state_steps,
+                                rec.states):
+                        if arr is not None:
+                            digest.update(arr.tobytes())
+                    digest.update(repr((rec.diverged, rec.divergence_step,
+                                        rec.settle_step)).encode())
+    assert digest.hexdigest() == "0996d2a03bac32c120dd30166bd9b2454d6d2cbca6f07292a377ffc1aedc5b08"

@@ -28,6 +28,7 @@ from gamegrad.harness import (
     _WRITE_ROWS,
     ExperimentConfig,
     _blocks,
+    _eta_reprs,
     dyadic_steps,
     iter_trajectory,
     read_report,
@@ -306,6 +307,44 @@ def reference_trajectory_text(record):
 def assert_writes_reference(record, path):
     write_trajectory(record, str(path))
     assert path.read_bytes() == reference_trajectory_text(record).encode()
+
+
+@pytest.mark.parametrize("master_seed,radius,diverged", [(2, 2.0, 0), (13, 2.2, 1)])
+def test_block_with_a_diverged_trial_shares_eta_text_exactly(tmp_path, master_seed, radius,
+                                                             diverged):
+    # one of the 3 trials leaves the blow-up ball past the first written chunk:
+    # the first trial of the block (seed 2) or the middle one (seed 13)
+    dynamics = DynamicsConfig(PowerSchedule(1.9, 0.01), horizon=6000, x0=(1.0,),
+                              noise=AbsoluteNoise(VarianceSchedule("constant", 0.04), "gaussian"),
+                              blow_up_radius=radius)
+    cfg = ExperimentConfig(game=GameSpec.quadratic([[1.0]], [0.0]), dynamics=dynamics, trials=3,
+                           master_seed=master_seed, game_name="quad_1d",
+                           trajectory_dir=str(tmp_path / "trajs"))
+    report = run_experiment(cfg)
+    assert [t.diverged for t in report.trials] == [i == diverged for i in range(3)]
+    assert report.trials[diverged].divergence_step > _WRITE_ROWS
+    game = make_named_game("quad_1d")
+    for i in range(3):
+        record = run_trajectory(game, dynamics, rng=trial_rng(master_seed, i))
+        path = tmp_path / "trajs" / f"trial_{i:04d}.jsonl"
+        assert path.read_bytes() == reference_trajectory_text(record).encode()
+
+
+def test_eta_text_is_reused_only_for_the_same_bytes():
+    etas = PowerSchedule(0.5, 0.5).step_sizes(10)[0]
+    cache = {}
+    first = _eta_reprs(etas, 0, cache)
+    assert first == [repr(v) for v in etas.tolist()]
+    again = _eta_reprs(etas.copy(), 0, cache)
+    assert again == first and all(a is b for a, b in zip(again, first))  # reused text
+    prefix = _eta_reprs(etas[:4].copy(), 0, cache)
+    assert prefix == first[:4] and prefix[0] is first[0]
+    for other in (etas * 1.0000001, np.where(np.arange(10) == 3, -etas, etas)):
+        assert _eta_reprs(other, 0, cache) == [repr(v) for v in other.tolist()]
+    signed = np.zeros(3)
+    assert _eta_reprs(signed, 8, cache) == ["0.0"] * 3
+    assert _eta_reprs(-signed, 8, cache) == ["-0.0"] * 3  # equal values, other bytes
+    assert _eta_reprs(etas[:3], 5, None) == first[:3]
 
 
 ORACLE_GAMES = ["quad_1d", "quad_2d", "piecewise", "rand_2d", "rand_4d"]
