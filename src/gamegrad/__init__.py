@@ -9,14 +9,10 @@ from .dynamics import (
     NoNoise,
     PowerSchedule,
     RelativeNoise,
-    StepFeedback,
     StepNormSchedule,
     TrajectoryRecord,
     VarianceSchedule,
-    next_step_size,
     run_trajectory,
-    sample_noise,
-    step_ogd,
 )
 from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
 from .games import (
@@ -55,9 +51,8 @@ from .metrics import (
 __all__ = [
     "__version__",
     "AbsoluteNoise", "ConstantSchedule", "DynamicsConfig", "GradNormSchedule",
-    "NoNoise", "PowerSchedule", "RelativeNoise", "StepFeedback", "StepNormSchedule",
-    "TrajectoryRecord", "VarianceSchedule", "next_step_size", "run_trajectory",
-    "sample_noise", "step_ogd",
+    "NoNoise", "PowerSchedule", "RelativeNoise", "StepNormSchedule",
+    "TrajectoryRecord", "VarianceSchedule", "run_trajectory",
     "ConfigError", "IndeterminateResult", "UnsupportedOperation",
     "Game", "GameSpec", "JointAction", "builtin_game_specs", "estimate_cocoercivity",
     "gradient_field", "make_game", "make_named_game", "project_to_nash", "verify_gradient",

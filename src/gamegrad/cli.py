@@ -1,7 +1,8 @@
 """Command-line harness: run / sweep / verify-game / fit-rate / list-games.
 
 Exit codes are stable for CI gating: 0 success, 1 check or verification
-failure, 2 config error, 3 I/O error. Reports are written as JSON plus a
+failure, 2 config error, 3 I/O error, 4 internal error (an unexpected
+exception, whose traceback goes to stderr). Reports are written as JSON plus a
 plot-ready CSV with fixed columns
 ``t,mean_gap,stderr_gap,mean_time_avg_gap,mean_distance``.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 from importlib import resources
 
 import click
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 CSV_HEADER = "t,mean_gap,stderr_gap,mean_time_avg_gap,mean_distance"
 
@@ -100,6 +103,9 @@ def _guard(fn):
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         _exit(EXIT_IO_ERROR)
+    except Exception:  # a fault in the program, not a failed check
+        traceback.print_exc()
+        _exit(EXIT_INTERNAL_ERROR)
     _exit(code)
 
 

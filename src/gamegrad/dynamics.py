@@ -4,10 +4,11 @@ The runner iterates x_{t+1} = x_t + eta_{t+1} (v(x_t) + xi_{t+1}) and records
 per-step diagnostics. Step order per iteration: obtain eta, evaluate the
 field, sample noise, step, then feed the schedule the post-step observations.
 The shared schedules (constant, power) ignore those observations, so their
-step sizes are computed once per block (step_sizes), as first_step()
-followed by settled_steps(0, ...), which gives what the per-step calls would
-return bit for bit; the loops read eta from that list and never call them.
-The adaptive schedules (step_norm, grad_norm) are called after every step.
+only step-size method is step_sizes(T): the whole sequence as an array,
+computed once per block, which the loops read from as a list of floats.
+The adaptive schedules (step_norm, grad_norm) keep per-run state from
+fresh(): the loops call next_step on Python floats after every step (or
+next_steps on the (trials,) vectors of a lock-step block).
 Hot loops come in three bodies that execute the identical recursion, and
 tests pin them against each other:
 
@@ -30,27 +31,28 @@ stepping there. A trial is settled at the end of step t when
   sqrt(tau_t) * sqrt(0). Absolute noise never settles.
 
 The rest of the record is then filled instead of stepped: the same state,
-gap and beta, step norm 0.0, and the step sizes from the schedule's
-settled_steps, which gives as one array what next_step_fast(t, eta, g, g, 0.0)
-would return step by step. Why this is exact: every later step starts from
-the same bits, so it sees the same field and gap and a noise term of +-0,
-which leaves a nonzero field as it is and a zero one zero. With equal gaps
-and a zero step norm, beta no longer grows and every schedule's eta is
+gap and beta, and step norm 0.0. A shared schedule's step sizes are in the
+record from the start; an adaptive one's tail comes from its settled_steps,
+which gives as one array what next_step(t, eta, g, g, 0.0) would return
+step by step. Why this is exact: every later step starts from the same
+bits, so it sees the same field and gap and a noise term of +-0, which
+leaves a nonzero field as it is and a zero one zero. With equal gaps and a
+zero step norm, beta no longer grows and every schedule's eta is
 nonincreasing (eta_monotone checks it). Rounding is monotone (IEEE 754): the
 increment eta * v vanished against the state at step t, so the no larger
 increment of any smaller eta vanishes too. The lock-step body does not
 fast-forward.
 
-The settled step sizes are computed as arrays, with the same bits as the
-per-step calls. The transcendental values, log(t + 2) for step_norm and
-(t + 2) ** p for power, come from tables of the same libm functions that
-next_step_fast calls (math.log and float.__pow__) on the same doubles,
-built once per horizon (and p) and shared by every trial that settles. The
-rest is +, /, sqrt and a left-to-right running sum (np.add.accumulate), which
-numpy rounds correctly elementwise, as Python's float arithmetic does.
-numpy's own log and power are not used: they are not the libm functions,
-and on an AVX512F machine (numpy 2.4.6) np.log(t + 2) differs from math.log
-in the last bit for 111 of t < 2,000,000, first at t = 9,168.
+The step-size arrays have the same bits as Python's float arithmetic step
+by step. The transcendental values, log(t + 2) for step_norm and
+(t + 1) ** p for power, come from tables of the libm functions that float
+code calls (math.log and float.__pow__) on the same doubles, built once per
+horizon (and p) and shared by every trial that reads them. The rest is +,
+/, sqrt and a left-to-right running sum (np.add.accumulate), which numpy
+rounds correctly elementwise, as Python's float arithmetic does. numpy's
+own log and power are not used: they are not the libm functions, and on an
+AVX512F machine (numpy 2.4.6) np.log(t + 2) differs from math.log in the
+last bit for 111 of t < 2,000,000, first at t = 9,168.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, config_dict, config_float, config_int, config_keys
-from .games import Game, JointAction
+from .games import Game
 
 Array = np.ndarray
 
@@ -88,31 +90,13 @@ def _log_table(n: int) -> Array:
 
 @functools.lru_cache(maxsize=_TABLES)
 def _pow_table(n: int, p: float) -> Array:
-    """(t + 2.0) ** p (float.__pow__) for t = 0..n-1."""
-    return _table(map(float.__pow__, map(float, range(2, n + 2)), itertools.repeat(p)))
+    """(t + 1.0) ** p (float.__pow__) for t = 0..n-1."""
+    return _table(map(float.__pow__, map(float, range(1, n + 1)), itertools.repeat(p)))
 
 
 # ---------------------------------------------------------------------------
 # Step-size schedules
 # ---------------------------------------------------------------------------
-
-@dataclass
-class StepFeedback:
-    """Observations available to a schedule after one step has been taken."""
-
-    t: int                    # 0-based index of the step just completed
-    eta: float                # step size used for that step
-    grad_norm_sq: float       # ||v(x_t)||^2 (or its noisy observation)
-    next_grad_norm_sq: float  # ||v(x_{t+1})||^2
-    step_norm_sq: float       # ||x_{t+1} - x_t||^2
-
-
-def _validate_feedback(fb: StepFeedback) -> None:
-    if fb.grad_norm_sq < 0 or fb.next_grad_norm_sq < 0 or fb.step_norm_sq < 0:
-        raise ValueError("feedback norms must be nonnegative")
-    if fb.eta <= 0:
-        raise ValueError("feedback step size must be positive")
-
 
 class _SharedStep:
     """Schedules whose step sizes ignore feedback: one sequence for every trial."""
@@ -123,20 +107,15 @@ class _SharedStep:
     def step_sizes(self, horizon: int) -> tuple[Array, list]:
         """The step sizes of steps 0..horizon-1, as a read-only array and as floats.
 
-        Element 0 is first_step() and element t + 1 what next_step_fast(t, ...)
-        returns, bit for bit. They are kept for the last horizon asked (about
-        40 B per step), so the trials of a block, which share its config's
-        schedule, compute them once.
+        They are kept for the last horizon asked (about 40 B per step), so
+        the trials of a block, which share its config's schedule, compute
+        them once.
         """
         if self._steps is None or self._steps[0] != horizon:
-            first = self.first_step()
-            steps = np.concatenate(([first], self.settled_steps(0, first, 0.0, horizon - 1)))
+            steps, floats = self._sizes(horizon)
             steps.flags.writeable = False
-            self._steps = (horizon, steps, steps.tolist())
+            self._steps = (horizon, steps, floats)
         return self._steps[1:]
-
-    def keep(self, live) -> None:
-        pass
 
 
 class ConstantSchedule(_SharedStep):
@@ -151,22 +130,8 @@ class ConstantSchedule(_SharedStep):
             raise ConfigError("constant step size must be positive")
         self.eta = float(eta)
 
-    def fresh(self, trials: Optional[int] = None) -> "ConstantSchedule":
-        return ConstantSchedule(self.eta)
-
-    def first_step(self) -> float:
-        return self.eta
-
-    def next_step_fast(self, t, eta, g_prev, g_next, step_sq) -> float:
-        return self.eta
-
-    def settled_steps(self, t, eta, g, count) -> Array:
-        """What next_step_fast returns over a settled tail; see StepNormSchedule's."""
-        return np.broadcast_to(self.eta, count)  # no buffer: one value repeated
-
-    def next_step(self, fb: StepFeedback) -> float:
-        _validate_feedback(fb)
-        return self.eta
+    def _sizes(self, horizon: int) -> tuple[Array, list]:
+        return np.full(horizon, self.eta), [self.eta] * horizon
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "eta": self.eta}
@@ -187,23 +152,9 @@ class PowerSchedule(_SharedStep):
         self.c = float(c)
         self.p = float(p)
 
-    def fresh(self, trials: Optional[int] = None) -> "PowerSchedule":
-        return PowerSchedule(self.c, self.p)
-
-    def first_step(self) -> float:
-        return self.c
-
-    def next_step_fast(self, t, eta, g_prev, g_next, step_sq) -> float:
-        # step t (0-based) just finished; the next one is the (t+2)-th.
-        return self.c / (t + 2.0) ** self.p
-
-    def settled_steps(self, t, eta, g, count) -> Array:
-        """What next_step_fast returns over a settled tail; see StepNormSchedule's."""
-        return self.c / _pow_table(t + count, self.p)[t:]
-
-    def next_step(self, fb: StepFeedback) -> float:
-        _validate_feedback(fb)
-        return self.next_step_fast(fb.t, fb.eta, fb.grad_norm_sq, fb.next_grad_norm_sq, fb.step_norm_sq)
+    def _sizes(self, horizon: int) -> tuple[Array, list]:
+        steps = self.c / _pow_table(horizon, self.p)  # element 0 is c / 1.0 = c
+        return steps, steps.tolist()
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "c": self.c, "p": self.p}
@@ -230,35 +181,32 @@ class GradNormSchedule:
             raise ConfigError("growth factor r must exceed 1")
         self.beta1 = float(beta1)
         self.r = float(r)
-        self.reset()
-
-    def reset(self, trials: Optional[int] = None) -> None:
-        """Scalar state, or one entry per trial for a lock-step block."""
-        self.beta = self.beta1 if trials is None else np.full(trials, self.beta1)
-        self.grad_sq_sum = 0.0 if trials is None else np.zeros(trials)
 
     def fresh(self, trials: Optional[int] = None) -> "GradNormSchedule":
+        """A copy in its starting state: scalar, or one entry per trial of a lock-step block."""
         sched = GradNormSchedule(self.beta1, self.r)
-        sched.reset(trials)
+        sched.beta = self.beta1 if trials is None else np.full(trials, self.beta1)
+        sched.grad_sq_sum = 0.0 if trials is None else np.zeros(trials)
         return sched
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta1)
 
-    def next_step_fast(self, t, eta, g_prev, g_next, step_sq) -> float:
+    def next_step(self, t, eta, g_prev, g_next, step_sq) -> float:
+        """The step size of step t + 1, after step t moved the gap from g_prev to g_next."""
         if g_next > g_prev:
             self.beta *= self.r
         self.grad_sq_sum += g_prev
         return 1.0 / math.sqrt(self.beta + self.grad_sq_sum)
 
     def next_steps(self, t, eta, g_prev, g_next, step_sq):
-        """next_step_fast over the trials of a lock-step block (state from fresh(trials))."""
+        """next_step over the trials of a lock-step block (state from fresh(trials))."""
         self.beta = np.where(g_next > g_prev, self.beta * self.r, self.beta)
         self.grad_sq_sum = self.grad_sq_sum + g_prev
         return self._steps(self.grad_sq_sum)
 
     def settled_steps(self, t, eta, g, count) -> Array:
-        """What next_step_fast returns over a settled tail; see StepNormSchedule's.
+        """What next_step returns over a settled tail; see StepNormSchedule's.
 
         With equal gaps beta holds, and the running sum takes in g once per
         step, summed left to right as the per-step calls sum it.
@@ -274,10 +222,6 @@ class GradNormSchedule:
         """Drop the state of the trials that left a lock-step block."""
         self.beta = self.beta[live]
         self.grad_sq_sum = self.grad_sq_sum[live]
-
-    def next_step(self, fb: StepFeedback) -> float:
-        _validate_feedback(fb)
-        return self.next_step_fast(fb.t, fb.eta, fb.grad_norm_sq, fb.next_grad_norm_sq, fb.step_norm_sq)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "beta1": self.beta1, "r": self.r}
@@ -300,36 +244,33 @@ class StepNormSchedule:
         if beta <= 0:
             raise ConfigError("beta must be positive")
         self.beta = float(beta)
-        self.reset()
-
-    def reset(self, trials: Optional[int] = None) -> None:
-        """Scalar state, or one entry per trial for a lock-step block."""
-        self.delta = 0.0 if trials is None else np.zeros(trials)
 
     def fresh(self, trials: Optional[int] = None) -> "StepNormSchedule":
+        """A copy in its starting state: scalar, or one entry per trial of a lock-step block."""
         sched = StepNormSchedule(self.beta)
-        sched.reset(trials)
+        sched.delta = 0.0 if trials is None else np.zeros(trials)
         return sched
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta)
 
-    def next_step_fast(self, t, eta, g_prev, g_next, step_sq) -> float:
+    def next_step(self, t, eta, g_prev, g_next, step_sq) -> float:
+        """The step size of step t + 1, after step t of size eta moved x by sqrt(step_sq)."""
         self.delta += step_sq / (eta * eta)
         return 1.0 / math.sqrt(self.beta + math.log(t + 2.0) + self.delta)
 
     def next_steps(self, t, eta, g_prev, g_next, step_sq):
-        """next_step_fast over the trials of a lock-step block (state from fresh(trials))."""
+        """next_step over the trials of a lock-step block (state from fresh(trials))."""
         self.delta = self.delta + step_sq / (eta * eta)
         return self._steps(math.log(t + 2.0))
 
     def settled_steps(self, t, eta, g, count) -> Array:
         """The step sizes of a settled tail as one array.
 
-        Element k is what the k-th of the calls next_step_fast(t + k, eta_k,
-        g, g, 0.0), k = 0..count-1, returns, bit for bit, where eta_0 = eta
-        and eta_{k+1} is the k-th result; the schedule's state is left as
-        those calls would leave it. Only the first call can change delta
+        Element k is what the k-th of the calls next_step(t + k, eta_k, g, g,
+        0.0), k = 0..count-1, returns, bit for bit, where eta_0 = eta and
+        eta_{k+1} is the k-th result; the schedule's state is left as those
+        calls would leave it. Only the first call can change delta
         (0.0 / eta**2 is +0.0 for every later eta unless delta is NaN).
         """
         if count:
@@ -342,10 +283,6 @@ class StepNormSchedule:
     def keep(self, live) -> None:
         """Drop the state of the trials that left a lock-step block."""
         self.delta = self.delta[live]
-
-    def next_step(self, fb: StepFeedback) -> float:
-        _validate_feedback(fb)
-        return self.next_step_fast(fb.t, fb.eta, fb.grad_norm_sq, fb.next_grad_norm_sq, fb.step_norm_sq)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "beta": self.beta}
@@ -374,11 +311,6 @@ def schedule_from_dict(doc: dict) -> Schedule:
         raise ConfigError(f"schedule {kind!r} is missing parameter {exc}") from None
 
 
-def next_step_size(schedule: Schedule, feedback: StepFeedback) -> float:
-    """Advance the schedule one step and return the step size for the next one."""
-    return schedule.next_step(feedback)
-
-
 # ---------------------------------------------------------------------------
 # Noise models
 # ---------------------------------------------------------------------------
@@ -402,9 +334,6 @@ class VarianceSchedule:
             raise ConfigError("variance scale must be finite and nonnegative")
         if self.kind == "power" and not 0 <= self.q < math.inf:
             raise ConfigError("variance decay exponent must be finite and nonnegative")
-
-    def value(self, t: int) -> float:
-        return float(self.values(t, 1)[0])
 
     def values(self, t0: int, count: int) -> Array:
         t = np.arange(t0, t0 + count, dtype=float)
@@ -537,43 +466,9 @@ class _NoiseDraws:
         self.rngs = [rng for rng, k in zip(self.rngs, live) if k]
 
 
-def sample_noise(model: NoiseModel, t: int, v, rng: np.random.Generator):
-    """Draw one noise vector for step t given the current gradient v.
-
-    Returns the same container type it was given (JointAction in, JointAction
-    out). Sphere shape has exactly the specified squared norm per draw;
-    gaussian shape matches it in expectation. This is a one-row call into the
-    runner's chunked draws, so it advances the generator by exactly n normals.
-    """
-    joint = isinstance(v, JointAction)
-    vec = v.flat if joint else np.asarray(v, dtype=float).reshape(-1)
-    if isinstance(model, NoNoise):
-        out = np.zeros(vec.size)
-    else:
-        draws = _NoiseDraws(model, vec.size, [rng], horizon=1)
-        z, amp = draws.chunk(t, 1)
-        scale = amp[0] * math.sqrt(float(vec @ vec)) if draws.relative else amp[0]
-        out = scale * z[0, 0]
-    return JointAction.from_flat(out, v.dims) if joint else out
-
-
 # ---------------------------------------------------------------------------
-# Single update and trajectory configuration
+# Trajectory configuration
 # ---------------------------------------------------------------------------
-
-def step_ogd(x: JointAction, v_hat: JointAction, eta: float) -> JointAction:
-    """One ascent step x + eta * v_hat, blockwise; pure function."""
-    if x.dims != v_hat.dims:
-        raise ValueError(f"action blocks {x.dims} do not match gradient blocks {v_hat.dims}")
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = tuple(xb + eta * vb for xb, vb in zip(x.blocks, v_hat.blocks))
-    for i, b in enumerate(blocks):
-        if not np.all(np.isfinite(b)):
-            raise ValueError(f"step diverged: non-finite result in player block {i}")
-    return JointAction(blocks)
-
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -791,7 +686,7 @@ def run_trajectory(game: Game, config: DynamicsConfig,
     if body == "lockstep":
         return run_lockstep(game, config, [rng])[0]
     (seed,), radius, draws = _start(game, config, [rng])
-    schedule = config.schedule.fresh()
+    schedule = config.schedule if config.schedule.shared else config.schedule.fresh()
     log = _Log(1, game.n, config, schedule.tracks_beta)
     beta = None if log.beta is None else log.beta[0]
     if body == "scalar":
@@ -821,7 +716,9 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> list[Traject
     m = len(rngs)
     seeds, radius, draws = _start(game, config, rngs)
     flat = m == 1
-    schedule = config.schedule.fresh(None if flat else m)
+    schedule = config.schedule
+    if not schedule.shared:
+        schedule = schedule.fresh(None if flat else m)
     log = _Log(m, game.n, config, schedule.tracks_beta)
     x0 = np.array(config.x0, dtype=float)
     if game.affine is not None:
@@ -883,9 +780,9 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
     log_ptr = 1
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
-    eta_next = schedule.first_step()
     if etas is None:
-        update = schedule.next_step_fast if flat else schedule.next_steps
+        eta_next = schedule.first_step()
+        update = schedule.next_step if flat else schedule.next_steps
     relative = draws is not None and draws.relative
     t = 0
     while t < T:
@@ -927,7 +824,8 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
                 X_new, V_new, G, G_new, S = X_new[ok], V_new[ok], G[ok], G_new[ok], S[ok]
                 if not isinstance(eta, float):
                     eta = eta[ok]
-                schedule.keep(ok)
+                if etas is None:
+                    schedule.keep(ok)
                 if draws is not None:
                     draws.keep(ok)
                     Z = Z[:, ok]
@@ -983,8 +881,9 @@ def _run_scalar(f, x, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
     log_ptr = 1
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
-    eta_next = schedule.first_step()
-    next_fast = schedule.next_step_fast
+    eta_next = next_step = None  # a shared schedule's step sizes are all in etas
+    if etas is None:
+        eta_next, next_step = schedule.first_step(), schedule.next_step
     relative = draws.relative if draws is not None else False
     track_beta = beta_arr is not None
     sqrt = math.sqrt
@@ -1025,7 +924,7 @@ def _run_scalar(f, x, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
                 log_ptr += 1
                 next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
             if etas is None:
-                eta_next = next_fast(t, eta, g, g_new, step_sq)
+                eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
             if step_sq == 0.0 and x_new == x and t + 1 < T and _settled((x,), draws, g_new):
@@ -1056,8 +955,9 @@ def _run_affine2(A, b, x0, T, schedule, etas, draws, radius, gap, eta_arr, step_
     log_ptr = 1
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
-    eta_next = schedule.first_step()
-    next_fast = schedule.next_step_fast
+    eta_next = next_step = None  # a shared schedule's step sizes are all in etas
+    if etas is None:
+        eta_next, next_step = schedule.first_step(), schedule.next_step
     relative = draws.relative if draws is not None else False
     track_beta = beta_arr is not None
     sqrt = math.sqrt
@@ -1105,7 +1005,7 @@ def _run_affine2(A, b, x0, T, schedule, etas, draws, radius, gap, eta_arr, step_
                 log_ptr += 1
                 next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
             if etas is None:
-                eta_next = next_fast(t, eta, g, g_new, step_sq)
+                eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
             if (step_sq == 0.0 and y0 == x0_ and y1 == x1_ and t + 1 < T

@@ -553,9 +553,9 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
     """One experiment per grid point (cartesian product, axis order preserved).
 
     The template and every grid point are parsed before any point runs. A
-    template that does not parse as an experiment config raises ConfigError,
-    with nothing run; a grid value that makes its own point malformed, and
-    any failure at run time, is isolated to that point's entry.
+    template or a point that does not parse as an experiment config raises
+    ConfigError, naming the point, with nothing run; a failure at run time
+    is isolated to that point's entry.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")
@@ -574,17 +574,15 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
         for path, value in point.items():
             set_by_path(doc, path, value)
         try:
-            points.append((point, ExperimentConfig.from_dict(doc), None))
+            points.append((point, ExperimentConfig.from_dict(doc)))
         except ConfigError as exc:
-            points.append((point, None, str(exc)))
+            tag = ", ".join(f"{k}={v}" for k, v in point.items())
+            raise ConfigError(f"sweep point {tag}: {exc}") from None
 
     entries: list[SweepEntry] = []
-    for point, config, error in points:
-        report = None
-        if config is not None:
-            try:
-                report = run_experiment(config, workers=workers)
-            except Exception as exc:  # isolate failures per grid point
-                error = str(exc)
-        entries.append(SweepEntry(point=point, report=report, error=error))
+    for point, config in points:
+        try:
+            entries.append(SweepEntry(point, run_experiment(config, workers=workers), None))
+        except Exception as exc:  # isolate failures per grid point
+            entries.append(SweepEntry(point, None, str(exc)))
     return entries

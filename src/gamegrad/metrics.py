@@ -54,16 +54,14 @@ class TailSeries(NamedTuple):
 def tail_product(traj, doublings: Optional[int] = None) -> TailSeries:
     """The series T * gap_{2T-1} over dyadic T; tends to 0 on conforming runs."""
     gap = _gap_series(traj)
-    ts, vals = [], []
-    T = 1
-    while 2 * T - 1 < gap.size and (doublings is None or len(ts) < doublings):
-        ts.append(T)
-        vals.append(T * gap[2 * T - 1])
-        T *= 2
-    if not ts:
+    points = (gap.size // 2).bit_length()  # the T = 2^k with 2T - 1 < gap.size
+    truncated = doublings is not None and points < doublings
+    if doublings is not None:
+        points = min(points, doublings)
+    if points < 1:
         raise ValueError("trajectory too short for any dyadic tail point")
-    truncated = doublings is not None and len(ts) < doublings
-    return TailSeries(np.array(ts, dtype=float), np.array(vals), truncated)
+    T = np.left_shift(1, np.arange(points))
+    return TailSeries(T.astype(float), T * gap[2 * T - 1], truncated)
 
 
 def vanishes_monotonically(values: Sequence[float], burnin: int = 0,

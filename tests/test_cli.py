@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -359,3 +362,44 @@ def test_verify_game_rejects_keys_beside_a_builtin_name(runner, tmp_path):
     assert result.exit_code == 2, result.output
     assert "game 'quad_1d' (built-in) has unknown key(s) 'matrix'" in result.output
     assert "verdict" not in result.output
+
+
+def test_sweep_rejects_a_malformed_grid_point_before_any_dynamics(runner, tmp_path, monkeypatch):
+    forbid_dynamics(monkeypatch)
+    cfg = write_cfg(tmp_path, {"template": quad1d_doc(),
+                               "grid": {"dynamics.schedule.eta": [0.5, -1.0]}}, "sweep.cfg")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "sweep point dynamics.schedule.eta=-1.0" in result.output
+    assert "constant step size must be positive" in result.output
+    assert not out.exists()
+
+
+def test_unexpected_exception_is_an_internal_error(runner, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr("gamegrad.harness.run_experiment", broken)
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path)])
+    assert result.exit_code == 4, result.output  # not 1: no check failed
+    assert "Traceback" in result.stderr and "RuntimeError: simulated fault" in result.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_traced_benchmark_child_runs_a_command(tmp_path):
+    # bench/spans.py rebinds names in gamegrad at run time; this fails when one goes away
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "src" / "gamegrad" / "configs" / "quadratic_1d.cfg").read_text())
+    cfg = write_cfg(tmp_path, {**doc, "trajectory_dir": None})
+    result_path = tmp_path / "result.json"
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run(
+        [sys.executable, "bench/child.py", str(result_path), "1", "run", "--config", cfg,
+         "--out", str(tmp_path / "out"), "--set", f"trajectory_dir={tmp_path / 'traj'}"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text())
+    assert result["exit"] == 0, result
+    names = {span["name"] for span in result["spans"]}
+    assert {"dynamics.run_trajectory", "harness.write_trajectory", "metrics.run_check"} <= names

@@ -7,6 +7,7 @@ import pytest
 from gamegrad.dynamics import (
     _log_steps,
     _log_table,
+    _NoiseDraws,
     _pow_table,
     AbsoluteNoise,
     ConstantSchedule,
@@ -15,21 +16,17 @@ from gamegrad.dynamics import (
     NoNoise,
     PowerSchedule,
     RelativeNoise,
-    StepFeedback,
     StepNormSchedule,
     VarianceSchedule,
     dyadic_steps,
-    next_step_size,
     noise_from_dict,
     run_lockstep,
     run_trajectory,
     runner_body,
-    sample_noise,
     schedule_from_dict,
-    step_ogd,
 )
 from gamegrad.errors import ConfigError
-from gamegrad.games import GameSpec, JointAction, make_game, make_named_game
+from gamegrad.games import GameSpec, make_game, make_named_game
 from gamegrad.harness import trial_rng
 
 
@@ -38,82 +35,37 @@ def philox(seed):
 
 
 # ---------------------------------------------------------------------------
-# step_ogd
-# ---------------------------------------------------------------------------
-
-def test_step_ogd_one_step_fixed_point():
-    out = step_ogd(JointAction.from_flat([1.0], (1,)), JointAction.from_flat([-1.0], (1,)), 1.0)
-    assert out.flat[0] == 0.0
-
-
-def test_step_ogd_linear():
-    out = step_ogd(JointAction.from_flat([1.0], (1,)), JointAction.from_flat([-1.0], (1,)), 0.5)
-    assert out.flat[0] == 0.5
-
-
-def test_step_ogd_two_player_hand_value():
-    x = JointAction.from_flat([1.0, 1.0], (1, 1))
-    v = JointAction.from_flat([-3.0, -3.0], (1, 1))
-    out = step_ogd(x, v, 1.0 / 3.0)
-    assert np.allclose(out.flat, [0.0, 0.0], atol=1e-15)
-
-
-def test_step_ogd_rejections():
-    x = JointAction.from_flat([1.0], (1,))
-    v2 = JointAction.from_flat([1.0, 2.0], (1, 1))
-    with pytest.raises(ValueError):
-        step_ogd(x, v2, 1.0)
-    with pytest.raises(ValueError):
-        step_ogd(x, x, 0.0)
-    big = JointAction.from_flat([1e308], (1,))
-    with pytest.raises(ValueError, match="non-finite"):
-        step_ogd(big, big, 2.0)
-
-
-# ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------
 
 def test_grad_norm_schedule_hand_trace():
     # v(x) = -x from x0 = 1: eta_1 = 1, x_1 = 0, gradient norm drops to 0.
-    sched = GradNormSchedule(beta1=1.0, r=2.0)
+    sched = GradNormSchedule(beta1=1.0, r=2.0).fresh()
     assert sched.first_step() == 1.0
-    eta2 = next_step_size(sched, StepFeedback(t=0, eta=1.0, grad_norm_sq=1.0,
-                                              next_grad_norm_sq=0.0, step_norm_sq=1.0))
+    eta2 = sched.next_step(0, 1.0, 1.0, 0.0, 1.0)  # t, eta, g_prev, g_next, step_sq
     assert eta2 == pytest.approx(0.7071067811865475, abs=1e-15)
     assert sched.beta == 1.0
 
 
 def test_grad_norm_schedule_growth_branch():
-    sched = GradNormSchedule(beta1=1.0, r=2.0)
-    eta2 = next_step_size(sched, StepFeedback(t=0, eta=1.0, grad_norm_sq=1.0,
-                                              next_grad_norm_sq=4.0, step_norm_sq=1.0))
+    sched = GradNormSchedule(beta1=1.0, r=2.0).fresh()
+    eta2 = sched.next_step(0, 1.0, 1.0, 4.0, 1.0)
     assert sched.beta == 2.0
     assert eta2 == pytest.approx(0.5773502691896258, abs=1e-15)
 
 
 def test_step_norm_schedule_hand_trace():
-    sched = StepNormSchedule(beta=1.0)
+    sched = StepNormSchedule(beta=1.0).fresh()
     assert sched.first_step() == 1.0
-    eta2 = next_step_size(sched, StepFeedback(t=0, eta=1.0, grad_norm_sq=1.0,
-                                              next_grad_norm_sq=0.5, step_norm_sq=1.0))
+    eta2 = sched.next_step(0, 1.0, 1.0, 0.5, 1.0)
     assert eta2 == pytest.approx(0.6093, abs=1e-4)
     assert eta2 == pytest.approx(1.0 / math.sqrt(2.0 + math.log(2.0)), rel=1e-15)
 
 
 def test_power_schedule_indexing():
-    sched = PowerSchedule(c=0.5, p=0.5)
-    assert sched.first_step() == 0.5
-    eta2 = next_step_size(sched, StepFeedback(t=0, eta=0.5, grad_norm_sq=1.0,
-                                              next_grad_norm_sq=1.0, step_norm_sq=0.1))
-    assert eta2 == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-15)
-
-
-def test_schedule_rejects_negative_feedback():
-    sched = ConstantSchedule(1.0)
-    with pytest.raises(ValueError):
-        next_step_size(sched, StepFeedback(t=0, eta=1.0, grad_norm_sq=-1.0,
-                                           next_grad_norm_sq=0.0, step_norm_sq=0.0))
+    steps, _ = PowerSchedule(c=0.5, p=0.5).step_sizes(2)
+    assert steps[0] == 0.5
+    assert steps[1] == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-15)
 
 
 def test_schedule_param_validation():
@@ -141,15 +93,30 @@ def test_schedule_serialization_round_trip():
 # noise
 # ---------------------------------------------------------------------------
 
+def noise_draws(model, v, rng, t0=0, count=1):
+    """count noise vectors for steps t0.. at a fixed gradient v, from the runner's sampler."""
+    draws = _NoiseDraws(model, v.size, [rng], horizon=count)
+    out = []
+    for t in range(t0, t0 + count, draws.rows):
+        z, amp = draws.chunk(t, min(draws.rows, t0 + count - t))
+        scale = amp * math.sqrt(float(v @ v)) if draws.relative else amp
+        out.append(scale[:, None] * z[0])
+    return np.concatenate(out)
+
+
 def test_no_noise_is_zero():
-    xi = sample_noise(NoNoise(), 0, np.array([3.0, -1.0]), philox(0))
-    assert np.array_equal(xi, [0.0, 0.0])
+    # a noiseless run has no sampler: it steps x + eta v and draws nothing
+    game, x0, rng = make_named_game("quad_2d"), np.array([3.0, -1.0]), philox(0)
+    cfg = DynamicsConfig(ConstantSchedule(0.2), horizon=5, x0=tuple(x0), thinning=1)
+    rec = run_trajectory(game, cfg, rng=rng)
+    assert np.array_equal(rng.standard_normal(4), philox(0).standard_normal(4))
+    assert np.allclose(rec.states[1], x0 + 0.2 * game.field(x0), rtol=1e-14, atol=0.0)
 
 
 def test_relative_sphere_1d_is_sign_flip():
     model = RelativeNoise(VarianceSchedule("constant", 0.25), shape="sphere")
     rng = philox(1)
-    draws = np.array([sample_noise(model, 0, np.array([-2.0]), rng)[0] for _ in range(4000)])
+    draws = noise_draws(model, np.array([-2.0]), rng, count=4000)[:, 0]
     assert set(np.unique(np.abs(draws))) == {1.0}  # ||xi|| = sqrt(0.25)*2 = 1 exactly
     frac = float(np.mean(draws > 0))
     assert abs(frac - 0.5) <= 4.0 * 0.5 / math.sqrt(4000)
@@ -158,8 +125,7 @@ def test_relative_sphere_1d_is_sign_flip():
 def test_relative_noise_vanishes_at_nash():
     model = RelativeNoise(VarianceSchedule("constant", 0.25))
     rng = philox(2)
-    for _ in range(100):
-        xi = sample_noise(model, 0, np.zeros(3), rng)
+    for xi in noise_draws(model, np.zeros(3), rng, count=100):
         assert np.array_equal(xi, np.zeros(3))
 
 
@@ -168,7 +134,7 @@ def test_sphere_second_moment_exact_per_draw():
     rng = philox(3)
     v = np.array([0.3, -1.2, 0.7])
     for t in (0, 5, 99):
-        xi = sample_noise(model, t, v, rng)
+        xi = noise_draws(model, v, rng, t0=t)[0]
         target = (1.0 / math.sqrt(t + 1.0)) * float(v @ v)
         assert float(xi @ xi) == pytest.approx(target, rel=1e-12)
 
@@ -178,7 +144,7 @@ def test_gaussian_noise_calibration():
     model = RelativeNoise(VarianceSchedule("constant", tau), shape="gaussian")
     rng = philox(4)
     v = np.array([2.0, -1.0])
-    draws = np.stack([sample_noise(model, 0, v, rng) for _ in range(100_000)])
+    draws = noise_draws(model, v, rng, count=100_000)
     target_sq = tau * float(v @ v)
     # conditional mean zero within 4 standard errors, second moment within 5
     per_coord_sd = math.sqrt(target_sq / v.size)
@@ -191,14 +157,14 @@ def test_gaussian_noise_calibration():
 def test_absolute_noise_second_moment():
     model = AbsoluteNoise(VarianceSchedule("constant", 0.04), shape="sphere")
     rng = philox(5)
-    xi = sample_noise(model, 0, np.zeros(2), rng)
+    xi = noise_draws(model, np.zeros(2), rng)[0]
     assert float(xi @ xi) == pytest.approx(0.04, rel=1e-12)
 
 
 def test_variance_schedule_values_and_validation():
     sched = VarianceSchedule("power", 1.0, 0.5)
-    assert sched.value(0) == 1.0
-    assert sched.value(3) == pytest.approx(0.5, rel=1e-15)
+    assert sched.values(0, 1)[0] == 1.0
+    assert sched.values(3, 1)[0] == pytest.approx(0.5, rel=1e-15)
     vals = sched.values(0, 100)
     assert np.all(np.diff(vals) <= 0)
     for kind in ("constant", "inv_t_log", "inv_loglog"):
@@ -260,11 +226,10 @@ def test_trajectory_matches_step_ogd():
     game = make_named_game("quad_2d")
     cfg = DynamicsConfig(ConstantSchedule(0.2), horizon=3, x0=(1.0, -2.0), thinning=1)
     rec = run_trajectory(game, cfg)
-    x = JointAction.from_flat([1.0, -2.0], game.dims)
+    x = np.array([1.0, -2.0])
     for t in range(3):
-        v = JointAction.from_flat(game.field(x.flat), game.dims)
-        x = step_ogd(x, v, 0.2)
-        assert np.allclose(rec.states[t + 1], x.flat, rtol=1e-14, atol=0.0)
+        x = x + 0.2 * game.field(x)
+        assert np.allclose(rec.states[t + 1], x, rtol=1e-14, atol=0.0)
 
 
 def test_trajectory_step_gap_self_consistency():
@@ -385,22 +350,32 @@ def test_fast_paths_match_generic_noisy(name, shape):
 
 
 def test_runner_noise_matches_per_step_sampling():
-    """The chunked pre-draws must consume the stream exactly like sample_noise."""
-    game = make_named_game("quad_2d")
-    noise = AbsoluteNoise(VarianceSchedule("power", 0.01, 1.0), shape="gaussian")
-    cfg = DynamicsConfig(ConstantSchedule(0.15), horizon=300, x0=(1.0, -1.0), thinning=1)
-    cfg = dataclasses.replace(cfg, noise=noise)
-    rec = run_trajectory(game, cfg, rng=123)
+    """The chunked pre-draws consume the stream as n normals per step would.
 
-    rng = philox(123)
-    x = np.array([1.0, -1.0])
-    states = [x.copy()]
-    for t in range(300):
-        v = game.field(x)
-        xi = sample_noise(noise, t, v, rng)
-        x = x + 0.15 * (v + xi)
-        states.append(x.copy())
-    assert np.allclose(rec.states, np.stack(states), rtol=1e-12, atol=1e-300)
+    The reference draws z = rng.standard_normal(n) each step and scales it as
+    documented: sigma_t z / ||z|| (sphere) or sqrt(sigma_t^2 / n) z (gaussian).
+    """
+    game = make_named_game("quad_2d")
+    for shape in ("gaussian", "sphere"):
+        noise = AbsoluteNoise(VarianceSchedule("power", 0.01, 1.0), shape=shape)
+        cfg = DynamicsConfig(ConstantSchedule(0.15), horizon=300, x0=(1.0, -1.0), thinning=1,
+                             noise=noise)
+        rec = run_trajectory(game, cfg, rng=123)
+
+        rng = philox(123)
+        x = np.array([1.0, -1.0])
+        states = [x.copy()]
+        for t in range(300):
+            v = game.field(x)
+            z = rng.standard_normal(2)
+            sigma_sq = 0.01 / (t + 1.0)
+            if shape == "sphere":
+                xi = math.sqrt(sigma_sq) * z / np.linalg.norm(z)
+            else:
+                xi = math.sqrt(sigma_sq / 2) * z
+            x = x + 0.15 * (v + xi)
+            states.append(x.copy())
+        assert np.allclose(rec.states, np.stack(states), rtol=1e-12, atol=1e-300), shape
 
 
 def test_diverged_adaptive_run_has_finite_beta_tail():
@@ -519,19 +494,36 @@ def test_settled_scalar_run_matches_lockstep_bitwise(name, schedule, noise, hori
     assert _same_bits(fast, slow)
 
 
+def _plain_steps(schedule, t0, count):
+    """A shared schedule's step sizes as a plain loop: c / (t + 2.0) ** p after step t.
+
+    These are steps t0 + 1..t0 + count; t = -1 gives step 0, c / 1.0 = c. A
+    constant schedule is the case c = eta, p = 0.
+    """
+    c, p = (schedule.eta, 0.0) if schedule.kind == "constant" else (schedule.c, schedule.p)
+    return [c / (t + 2.0) ** p for t in range(t0, t0 + count)]
+
+
+def _per_step(schedule):
+    """A per-step rule: (its state, step 0's size, next(t, eta, g_prev, g_next, step_sq))."""
+    if schedule.shared:
+        return None, _plain_steps(schedule, -1, 1)[0], lambda t, *_: _plain_steps(schedule, t, 1)[0]
+    sched = schedule.fresh()
+    return sched, sched.first_step(), sched.next_step
+
+
 def _affine2_by_steps(game, cfg, seed):
     """Step every step of the unrolled 2-d body's arithmetic; no fast-forward."""
     (a00, a01), (a10, a11) = game.affine[0].tolist()
     b0, b1 = game.affine[1].tolist()
     rng = philox(seed)
     amp = math.sqrt(cfg.noise.tau.c / 2) if isinstance(cfg.noise, RelativeNoise) else None
-    sched = cfg.schedule.fresh()
+    sched, eta, next_step = _per_step(cfg.schedule)
     x0, x1 = cfg.x0
     v0 = b0 - (a00 * x0 + a01 * x1)
     v1 = b1 - (a10 * x0 + a11 * x1)
     g = v0 * v0 + v1 * v1
     gap, etas, steps, betas, states = [g], [], [], [getattr(sched, "beta", 0.0)], [(x0, x1)]
-    eta = sched.first_step()
     for t in range(cfg.horizon):
         etas.append(eta)
         if amp is None:
@@ -548,7 +540,7 @@ def _affine2_by_steps(game, cfg, seed):
         d0 = y0 - x0
         d1 = y1 - x1
         step_sq = d0 * d0 + d1 * d1
-        eta = sched.next_step_fast(t, eta, g, g_new, step_sq)
+        eta = next_step(t, eta, g, g_new, step_sq)
         gap.append(g_new)
         steps.append(step_sq)
         betas.append(getattr(sched, "beta", 0.0))
@@ -643,7 +635,7 @@ def _warm(schedule, t):
     eta = schedule.first_step()
     for k, (g_prev, g_next, step_sq) in enumerate([(1.0, 0.5, 0.04), (0.5, 0.7, 0.01),
                                                     (0.7, 0.2, 0.09)]):
-        eta = schedule.next_step_fast(t - 3 + k, eta, g_prev, g_next, step_sq)
+        eta = schedule.next_step(t - 3 + k, eta, g_prev, g_next, step_sq)
     return eta
 
 
@@ -651,16 +643,20 @@ def _tail_by_calls(schedule, t, eta, g, count):
     """The reference: count per-step calls on a trial settled with gap g."""
     etas = []
     for k in range(count):
-        eta = schedule.next_step_fast(t + k, eta, g, g, 0.0)
+        eta = schedule.next_step(t + k, eta, g, g, 0.0)
         etas.append(eta)
     return np.array(etas, dtype=float)
 
 
 def _check_tail(make, t, g, horizon):
-    fast, slow = make(), make()
+    count = horizon - t - 1  # what _fill_settled asks for after settling at step t
+    if make().shared:  # the record holds every step size from the start
+        tail = make().step_sizes(horizon)[0][t + 1:]
+        assert tail.tobytes() == np.array(_plain_steps(make(), t, count)).tobytes()
+        return
+    fast, slow = make().fresh(), make().fresh()
     eta = _warm(fast, t)
     assert eta == _warm(slow, t)
-    count = horizon - t - 1  # what _fill_settled asks for after settling at step t
     tail = fast.settled_steps(t, eta, g, count)
     assert tail.tobytes() == _tail_by_calls(slow, t, eta, g, count).tobytes()
     assert vars(fast) == vars(slow)  # the state the per-step calls leave
@@ -706,9 +702,9 @@ def test_settled_step_tables_are_reused_across_horizons():
     for horizon in (9000, 30000, 9000):
         _check_tail(lambda: StepNormSchedule(1.0), 2000, 0.0, horizon)
         _check_tail(lambda: PowerSchedule(0.5, 0.75), 2000, 0.0, horizon)
-        logs, powers = _log_table(horizon - 1), _pow_table(horizon - 1, 0.75)
+        logs, powers = _log_table(horizon - 1), _pow_table(horizon, 0.75)
         assert tables.setdefault(horizon, (logs, powers)) == (logs, powers)
-    assert tables[9000][0] is _log_table(8999) and tables[9000][1] is _pow_table(8999, 0.75)
+    assert tables[9000][0] is _log_table(8999) and tables[9000][1] is _pow_table(9000, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -722,11 +718,7 @@ def test_settled_step_tables_are_reused_across_horizons():
                          ids=["constant", "power_0", "power_0.5", "power_0.75", "power_1"])
 def test_shared_step_sizes_match_per_step_calls_bitwise(make, horizon):
     schedule = make()
-    eta = schedule.first_step()
-    etas = [eta]
-    for t in range(horizon - 1):
-        eta = schedule.next_step_fast(t, eta, 1.0, 1.0, 0.0)
-        etas.append(eta)
+    etas = _plain_steps(schedule, -1, horizon)
     steps, floats = schedule.step_sizes(horizon)
     assert steps.shape == (horizon,)
     assert steps.tobytes() == np.array(etas, dtype=float).tobytes()
@@ -737,12 +729,10 @@ def test_shared_step_sizes_match_per_step_calls_bitwise(make, horizon):
 @pytest.mark.parametrize("make", [lambda: ConstantSchedule(0.3), lambda: PowerSchedule(0.5, 0.5)],
                          ids=["constant", "power"])
 @pytest.mark.parametrize("game_name", ["quad_1d", "quad_2d", "rand_4d"])
-def test_shared_schedules_make_no_per_step_call(monkeypatch, make, game_name):
-    def per_step(*args):
-        raise AssertionError("a shared schedule was called per step")
-
+def test_shared_schedules_make_no_per_step_call(make, game_name):
     schedule = make()
-    monkeypatch.setattr(type(schedule), "next_step_fast", per_step)
+    for per_step in ("first_step", "next_step", "next_steps", "settled_steps", "fresh"):
+        assert not hasattr(schedule, per_step)  # step_sizes is the only way in
     game = (make_game(GameSpec.random_cocoercive(4, seed=3), name=game_name)
             if game_name == "rand_4d" else make_named_game(game_name))
     cfg = DynamicsConfig(schedule, horizon=300, x0=(0.5,) * game.n,
@@ -750,6 +740,7 @@ def test_shared_schedules_make_no_per_step_call(monkeypatch, make, game_name):
     rec = run_trajectory(game, cfg, rng=3)
     block = run_lockstep(game, cfg, [3, 4])
     assert not rec.diverged and rec.eta.tobytes() == block[1].eta.tobytes()
+    assert rec.eta.tobytes() == schedule.step_sizes(300)[0].tobytes()
 
 
 def _log_steps_by_set(horizon, thinning):
@@ -789,7 +780,7 @@ def _grid_cases():
 def test_record_grid_matches_per_step_schedule_digest():
     """Every record of a grid hashes as it did when each step called its schedule.
 
-    The digest was recorded with the per-step next_step_fast calls that the
+    The digest was recorded with the per-step schedule calls that the
     shared step-size sequence replaced: 192 records (28 diverge, 26 settle)
     over 4 built-in games and a 4-d lock-step game, run alone and as a block
     of 3, x 4 schedules x 3 noise kinds x thinning 0/7, plus constant 5.

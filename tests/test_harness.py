@@ -459,10 +459,19 @@ def test_sweep_rejects_empty_grid_and_bad_axis():
 
 
 def test_sweep_isolates_failures():
-    entries = sweep(sweep_template(), {"dynamics.schedule.eta": [0.5, -1.0]})
-    assert entries[0].error is None
+    # a malformed point stops the sweep before any point runs
+    with pytest.raises(ConfigError, match="sweep point dynamics.schedule.eta=-1.0: .*positive"):
+        sweep(sweep_template(), {"dynamics.schedule.eta": [0.5, -1.0]})
+
+
+def test_sweep_isolates_failures_at_run_time():
+    # descent_invariants parses with any noise but applies only to noiseless runs
+    template = quad1d_config(horizon=16, checks=("descent_invariants",)).to_dict()
+    relative = {"kind": "relative", "tau": {"kind": "constant", "c": 0.25}, "shape": "sphere"}
+    entries = sweep(template, {"dynamics.noise": [{"kind": "none"}, relative]})
+    assert entries[0].error is None and not entries[0].report.failed_checks()
     assert entries[1].report is None
-    assert "positive" in entries[1].error
+    assert "does not apply" in entries[1].error
 
 
 def test_set_by_path_leaf_must_exist():

@@ -116,6 +116,24 @@ def test_tail_product_truncation_flag():
     assert len(series.T) == 3  # T in {1, 2, 4} needs gap indices 1, 3, 7
 
 
+def test_tail_product_points_match_dyadic_loop():
+    gap = np.linspace(1.0, 0.0, 70) ** 2
+    for size in range(1, 71):
+        for doublings in (None, 0, 1, 3, 6, 7):
+            ts, T = [], 1  # the reference: T = 1, 2, 4, ... while gap[2T - 1] exists
+            while 2 * T - 1 < size and (doublings is None or len(ts) < doublings):
+                ts.append(T)
+                T *= 2
+            if not ts:
+                with pytest.raises(ValueError):
+                    tail_product(gap[:size], doublings)
+                continue
+            series = tail_product(gap[:size], doublings)
+            assert series.T.tolist() == ts
+            assert series.value.tolist() == [t * gap[2 * t - 1] for t in ts]
+            assert series.truncated == (doublings is not None and len(ts) < doublings)
+
+
 def test_vanishes_monotonically_rules():
     assert vanishes_monotonically([8.0, 4.0, 2.0, 1.0], drop_factor=0.5)
     assert vanishes_monotonically([8.0, 4.0, 0.0, 0.0])          # exact convergence
