@@ -36,12 +36,14 @@ from .harness import (
     write_report,
 )
 from .metrics import (
+    CheckSpec,
     ConvergenceVerdict,
     RateFit,
     check_descent_invariants,
     distance_to_nash,
     fit_rate,
     optimality_gap,
+    parse_check,
     run_check,
     tail_product,
     time_average_gap,
@@ -58,6 +60,7 @@ __all__ = [
     "gradient_field", "make_game", "make_named_game", "project_to_nash", "verify_gradient",
     "ExperimentConfig", "ExperimentReport", "read_report", "run_experiment", "sweep",
     "write_report",
-    "ConvergenceVerdict", "RateFit", "check_descent_invariants", "distance_to_nash", "fit_rate",
-    "optimality_gap", "run_check", "tail_product", "time_average_gap", "variance_budget",
+    "CheckSpec", "ConvergenceVerdict", "RateFit", "check_descent_invariants", "distance_to_nash",
+    "fit_rate", "optimality_gap", "parse_check", "run_check", "tail_product", "time_average_gap",
+    "variance_budget",
 ]

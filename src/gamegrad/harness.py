@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     IndeterminateResult,
-    UnsupportedOperation,
     config_dict,
     config_int,
     config_keys,
@@ -67,6 +66,7 @@ class ExperimentConfig:
     checks: tuple[str, ...] = ()
     game_name: str = ""
     trajectory_dir: Optional[str] = None
+    check_specs: tuple[metrics.CheckSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -75,8 +75,8 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.trajectory_dir is not None and not isinstance(self.trajectory_dir, str):
             raise ConfigError(f"trajectory_dir must be a string or null, got {self.trajectory_dir!r}")
-        for cid in self.checks:
-            metrics.validate_check_id(cid)
+        object.__setattr__(self, "check_specs",
+                           tuple(metrics.parse_check(cid, self.dynamics) for cid in self.checks))
 
     def to_dict(self) -> dict:
         game = self.game.to_dict()
@@ -209,11 +209,8 @@ class ExperimentReport:
 
     def curve(self, name: str) -> list[tuple[float, float]]:
         """Dyadic (step, value) points of a named mean curve, skipping gaps."""
-        series = {
-            "last_iterate": self.mean_gap,
-            "time_average": self.mean_time_avg_gap,
-            "distance": self.mean_distance,
-        }
+        series = dict(zip(metrics.CURVES,
+                          (self.mean_gap, self.mean_time_avg_gap, self.mean_distance)))
         if name not in series or series[name] is None:
             available = [k for k, v in series.items() if v is not None]
             raise ConfigError(f"report has no curve {name!r}; available: {available}")
@@ -344,7 +341,8 @@ def _json_float(v) -> Optional[float]:
 def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
     """Run a contiguous block of trials and reduce each to its payload.
 
-    The config is parsed and the game built once per block. Games with an
+    The config is parsed and the game built once per block, and the game is
+    checked for what each check reads before any trial steps. Games with an
     unrolled runner body run one trial at a time; every other game steps the
     block in lock-step, split only to bound the record memory. When the
     block writes trajectories and its step sizes are shared by every trial,
@@ -352,6 +350,8 @@ def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
     """
     config = ExperimentConfig.from_dict(config_doc)
     game = make_game(config.game, name=config.game_name or config.game.kind)
+    for spec in config.check_specs:
+        spec.require_game(game)
     seed = config.master_seed
     eta_text = None
     if config.trajectory_dir:
@@ -404,15 +404,10 @@ def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: Tra
             proj = np.stack([np.asarray(game.nash_oracle(record.states[p]), dtype=float)
                              for p in pos])
             payload["dist_dyadic"] = np.linalg.norm(record.states[pos] - proj, axis=1).tolist()
-    for cid in config.checks:
-        name, _ = metrics.parse_check_id(cid)
-        if name in metrics.REPORT_CHECKS:
-            continue
-        try:
-            for verdict in metrics.run_check(cid, record, game):
-                payload["verdicts"].append({"trial": trial, **verdict.to_dict()})
-        except UnsupportedOperation as exc:
-            raise ConfigError(f"check {cid!r} does not apply to this configuration: {exc}") from None
+    for spec in config.check_specs:
+        if not spec.report_level:
+            payload["verdicts"].extend({"trial": trial, **verdict.to_dict()}
+                                       for verdict in metrics.run_check(spec, record, game))
     return payload
 
 
@@ -426,18 +421,6 @@ def _mean_stderr(columns: list[list[float]]) -> tuple[list[Optional[float]], lis
     else:
         stderr = np.zeros(arr.shape[1])
     return [_json_float(v) for v in mean], [_json_float(v) for v in stderr]
-
-
-def _slope_check_verdict(check_id: str, curves: dict) -> dict:
-    """Evaluate 'slope_below:<curve>:<bound>[:Tmin:Tmax]' on a mean curve."""
-    curve_name, bound, window = metrics.parse_slope_check(check_id)
-    points = curves.get(curve_name)
-    if points is None:
-        available = [k for k, v in curves.items() if v is not None]
-        raise ConfigError(f"slope check references curve {curve_name!r}, which is not "
-                          f"available in this run; available: {available}")
-    verdict = metrics.slope_verdict(points, bound, check_id, window=window)
-    return {"trial": None, **verdict.to_dict()}
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -461,38 +444,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         mean_gap = stderr_gap = mean_tavg = [None] * len(steps)
         mean_dist = None
 
-    curves = {
-        "last_iterate": [(float(t), v) for t, v in zip(steps, mean_gap) if v is not None],
-        "time_average": [(float(t), v) for t, v in zip(steps, mean_tavg) if v is not None],
-        "distance": ([(float(t), v) for t, v in zip(steps, mean_dist) if v is not None]
-                     if mean_dist is not None else None),
-    }
-
-    burn = metrics.burnin_count(len(steps))
-    fits: dict[str, Optional[dict]] = {}
-    for name in ("last_iterate", "time_average"):
-        try:
-            fits[name] = metrics.fit_rate(curves[name][burn:]).to_dict()
-        except IndeterminateResult:
-            fits[name] = None
-    if not isinstance(config.dynamics.noise, NoNoise):
-        budget = metrics.budget_curve(config.dynamics.noise, steps)
-        try:
-            fits["noise_budget"] = metrics.fit_rate(budget[burn:]).to_dict()
-        except IndeterminateResult:
-            fits["noise_budget"] = None
-    else:
-        fits["noise_budget"] = None
-
-    checks: list[dict] = []
-    for p in payloads:
-        checks.extend(p["verdicts"])
-    for cid in config.checks:
-        name, _ = metrics.parse_check_id(cid)
-        if name == "slope_below":
-            checks.append(_slope_check_verdict(cid, curves))
-
-    return ExperimentReport(
+    report = ExperimentReport(
         schema_version=SCHEMA_VERSION,
         provenance={"config_hash": config_hash(doc), "master_seed": config.master_seed,
                     "code_version": f"gamegrad {__version__}"},
@@ -503,10 +455,29 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         stderr_gap=stderr_gap,
         mean_time_avg_gap=mean_tavg,
         mean_distance=mean_dist,
-        fits=fits,
-        checks=checks,
+        fits={},
+        checks=[v for p in payloads for v in p["verdicts"]],
         all_diverged=all_diverged,
     )
+    burn = metrics.burnin_count(len(steps))
+    for name in ("last_iterate", "time_average"):
+        report.fits[name] = _fit_or_none(report.curve(name)[burn:])
+    noise = config.dynamics.noise
+    report.fits["noise_budget"] = (None if isinstance(noise, NoNoise)
+                                   else _fit_or_none(metrics.budget_curve(noise, steps)[burn:]))
+    for spec in config.check_specs:
+        if spec.report_level:  # the distance curve is absent only when every trial diverged
+            points = [] if all_diverged else report.curve(spec.curve)
+            verdict = metrics.slope_verdict(points, spec.value, spec.check_id, window=spec.window)
+            report.checks.append({"trial": None, **verdict.to_dict()})
+    return report
+
+
+def _fit_or_none(points: list[tuple[float, float]]) -> Optional[dict]:
+    try:
+        return metrics.fit_rate(points).to_dict()
+    except IndeterminateResult:
+        return None
 
 
 def _blocks(trials: int, workers: int) -> list[range]:
@@ -554,8 +525,8 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
 
     The template and every grid point are parsed before any point runs. A
     template or a point that does not parse as an experiment config raises
-    ConfigError, naming the point, with nothing run; a failure at run time
-    is isolated to that point's entry.
+    ConfigError, naming the point, with nothing run. Only a failure found
+    while a point runs (say, a matrix make_game rejects) is its entry's error.
     """
     if not grid:
         raise ConfigError("sweep grid is empty")

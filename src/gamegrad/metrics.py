@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import AbsoluteNoise, NoiseModel, NoNoise, RelativeNoise, TrajectoryRecord
+from .dynamics import (AbsoluteNoise, DynamicsConfig, NoiseModel, NoNoise, RelativeNoise,
+                       TrajectoryRecord)
 from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
 from .games import Game, project_to_nash
 
@@ -167,19 +168,13 @@ class ConvergenceVerdict:
                                   doc.get("first_violation_step"))
 
 
-def _require_noiseless_constant(record: TrajectoryRecord, what: str) -> float:
-    sched = record.config.get("schedule", {})
-    noise = record.config.get("noise", {})
-    if sched.get("kind") != "constant" or noise.get("kind", "none") != "none":
-        raise UnsupportedOperation(f"{what} applies to noiseless constant-step runs only")
-    return float(sched["eta"])
-
-
 def check_descent_invariants(record: TrajectoryRecord, game: Game, eta: float, lam: float) -> list[ConvergenceVerdict]:
     """Gradient-norm monotonicity, iterate boundedness and gap summability
     for a noiseless constant-step run with eta in (0, lambda].
     """
-    _require_noiseless_constant(record, "the descent-invariants check")
+    if (record.config.get("schedule", {}).get("kind") != "constant"
+            or record.config.get("noise", {}).get("kind", "none") != "none"):
+        raise UnsupportedOperation("descent invariants apply to noiseless constant-step runs only")
     verdicts = []
 
     norms = np.sqrt(record.gap)
@@ -261,17 +256,44 @@ def slope_verdict(points: Sequence[tuple[float, float]], bound: float, check_id:
 
 
 # ---------------------------------------------------------------------------
-# Named per-trial checks (config `checks` entries; "name:arg" parameterized)
+# Named checks (config `checks` entries, "name[:arg]")
 # ---------------------------------------------------------------------------
 
-def _check_descent_invariants_entry(record: TrajectoryRecord, game: Game, arg: Optional[str]) -> list[ConvergenceVerdict]:
-    eta = _require_noiseless_constant(record, "the descent-invariants check")
-    if game.cocoercivity is None or game.nash_oracle is None:
-        raise UnsupportedOperation("descent-invariants check needs a game with known cocoercivity and Nash oracle")
-    return check_descent_invariants(record, game, eta, game.cocoercivity)
+# The mean curves a report carries, in report order; a slope check names one.
+CURVES = ("last_iterate", "time_average", "distance")
 
 
-def _check_eta_monotone(record, game, arg) -> list[ConvergenceVerdict]:
+@dataclass(frozen=True)
+class CheckSpec:
+    """A parsed check id. ``value`` is the tail_to_zero factor, distance_below
+    threshold, slope_below bound, or descent_invariants' constant step size;
+    ``curve`` and ``window`` belong to slope_below, the one report-level check.
+    """
+
+    check_id: str
+    name: str
+    value: Optional[float] = None
+    curve: Optional[str] = None
+    window: Optional[tuple[float, float]] = None
+
+    @property
+    def report_level(self) -> bool:
+        return self.curve is not None
+
+    def require_game(self, game: Game) -> None:
+        """Raise ConfigError unless the game carries what this check reads."""
+        needs = CHECKS[self.name]
+        if (needs.oracle or self.curve == "distance") and game.nash_oracle is None:
+            raise ConfigError(f"check {self.check_id!r} needs a game with a Nash oracle")
+        if needs.cocoercivity and game.cocoercivity is None:
+            raise ConfigError(f"check {self.check_id!r} needs a game with a known cocoercivity")
+
+
+def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
+    return check_descent_invariants(record, game, spec.value, game.cocoercivity)
+
+
+def _check_eta_monotone(spec, record, game) -> list[ConvergenceVerdict]:
     diffs = np.diff(record.eta)
     worst = float(diffs.max()) if diffs.size else -math.inf
     bad = np.nonzero(diffs > 0)[0]
@@ -279,18 +301,13 @@ def _check_eta_monotone(record, game, arg) -> list[ConvergenceVerdict]:
                                first_violation_step=int(bad[0]) + 1 if bad.size else None)]
 
 
-def _check_beta_stable(record, game, arg) -> list[ConvergenceVerdict]:
-    if record.beta is None:
-        raise UnsupportedOperation("beta_stable applies to grad_norm schedule runs only")
+def _check_beta_stable(spec, record, game) -> list[ConvergenceVerdict]:
     T = len(record.beta) - 1
     worst = float(record.beta[T] - record.beta[T // 2])
     return [ConvergenceVerdict("beta_stable", passed=worst == 0.0, worst_violation=worst)]
 
 
-def _check_gap_step_consistency(record, game, arg) -> list[ConvergenceVerdict]:
-    noise = record.config.get("noise", {})
-    if noise.get("kind", "none") != "none":
-        raise UnsupportedOperation("gap_step_consistency applies to noiseless runs only")
+def _check_gap_step_consistency(spec, record, game) -> list[ConvergenceVerdict]:
     expected = record.eta ** 2 * record.gap[:-1]
     scale = np.maximum(np.abs(expected), 1e-300)
     rel = np.abs(record.step_norm_sq - expected) / scale
@@ -300,46 +317,48 @@ def _check_gap_step_consistency(record, game, arg) -> list[ConvergenceVerdict]:
                                first_violation_step=int(bad[0]) if bad.size else None)]
 
 
-def _check_no_divergence(record, game, arg) -> list[ConvergenceVerdict]:
+def _check_no_divergence(spec, record, game) -> list[ConvergenceVerdict]:
     return [ConvergenceVerdict("no_divergence", passed=not record.diverged,
                                worst_violation=1.0 if record.diverged else 0.0,
                                first_violation_step=record.divergence_step)]
 
 
-def _check_tail_to_zero(record, game, arg) -> list[ConvergenceVerdict]:
-    factor = _tail_factor(arg)
+def _check_tail_to_zero(spec, record, game) -> list[ConvergenceVerdict]:
     series = tail_product(record)
     burn = burnin_count(len(series.value))
-    ok = vanishes_monotonically(series.value, burnin=burn, drop_factor=factor)
+    ok = vanishes_monotonically(series.value, burnin=burn, drop_factor=spec.value)
     final, first = series.value[-1], series.value[burn]
     worst = 0.0 if first == 0.0 else float(final / max(first, 1e-300))
-    return [ConvergenceVerdict(f"tail_to_zero:{factor:g}", passed=ok, worst_violation=worst)]
+    return [ConvergenceVerdict(f"tail_to_zero:{spec.value:g}", passed=ok, worst_violation=worst)]
 
 
-def _check_distance_below(record, game, arg) -> list[ConvergenceVerdict]:
-    thresh = _distance_threshold(arg)
+def _check_distance_below(spec, record, game) -> list[ConvergenceVerdict]:
     dist = distance_to_nash(game, record.final_state)
-    return [ConvergenceVerdict(f"distance_below:{thresh:g}", passed=dist < thresh,
-                               worst_violation=dist - thresh)]
+    return [ConvergenceVerdict(f"distance_below:{spec.value:g}", passed=dist < spec.value,
+                               worst_violation=dist - spec.value)]
 
 
+class _Needs(NamedTuple):
+    run: Optional[Callable]                      # per-trial check; None: report-level
+    schedules: Optional[tuple[str, ...]] = None  # schedule kinds it applies to; None: any
+    noiseless: bool = False                      # applies to noiseless runs only
+    oracle: bool = False                         # the game must have a Nash oracle
+    cocoercivity: bool = False                   # the game must know its cocoercivity
+
+
+# Every check and what it needs: parse_check rejects dynamics without the
+# schedule or noise it needs, CheckSpec.require_game a game without the rest.
 CHECKS = {
-    "descent_invariants": _check_descent_invariants_entry,
-    "eta_monotone": _check_eta_monotone,
-    "beta_stable": _check_beta_stable,
-    "gap_step_consistency": _check_gap_step_consistency,
-    "no_divergence": _check_no_divergence,
-    "tail_to_zero": _check_tail_to_zero,
-    "distance_below": _check_distance_below,
+    "descent_invariants": _Needs(_check_descent_invariants, ("constant",), noiseless=True,
+                                 oracle=True, cocoercivity=True),
+    "eta_monotone": _Needs(_check_eta_monotone),
+    "beta_stable": _Needs(_check_beta_stable, ("grad_norm",)),
+    "gap_step_consistency": _Needs(_check_gap_step_consistency, noiseless=True),
+    "no_divergence": _Needs(_check_no_divergence),
+    "tail_to_zero": _Needs(_check_tail_to_zero),
+    "distance_below": _Needs(_check_distance_below, oracle=True),
+    "slope_below": _Needs(None),  # needs an oracle only on the distance curve
 }
-
-# Report-level checks evaluated on cross-trial curves rather than single runs.
-REPORT_CHECKS = ("slope_below",)
-
-
-def parse_check_id(check_id: str) -> tuple[str, Optional[str]]:
-    name, sep, arg = check_id.partition(":")
-    return name, (arg if sep else None)
 
 
 def _number(text: str, what: str) -> float:
@@ -349,49 +368,55 @@ def _number(text: str, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {text!r}") from None
 
 
-def _tail_factor(arg: Optional[str]) -> float:
-    return _number(arg, "tail_to_zero factor") if arg else 1e-3
+def parse_check(check_id, dynamics: DynamicsConfig) -> CheckSpec:
+    """Parse a config check id for runs with these dynamics.
 
-
-def _distance_threshold(arg: Optional[str]) -> float:
-    if arg is None:
-        raise ConfigError("distance_below needs a threshold, e.g. distance_below:1e-3")
-    return _number(arg, "distance_below threshold")
-
-
-def parse_slope_check(check_id: str) -> tuple[str, float, Optional[tuple[float, float]]]:
-    """Split 'slope_below:<curve>:<bound>[:Tmin:Tmax]' into curve, bound and window."""
-    parts = check_id.split(":")
-    if len(parts) not in (3, 5):
-        raise ConfigError(f"malformed slope check {check_id!r}; "
-                          "expected slope_below:<curve>:<bound>[:Tmin:Tmax]")
-    window = None
-    if len(parts) == 5:
-        window = (_number(parts[3], "slope_below Tmin"), _number(parts[4], "slope_below Tmax"))
-    return parts[1], _number(parts[2], "slope_below bound"), window
-
-
-def validate_check_id(check_id) -> None:
-    """Reject an unknown check or a malformed check argument, before any trial runs."""
+    The one place check ids are split. An unknown check, a malformed
+    argument, an unknown slope curve, and a check whose schedule or noise
+    needs (CHECKS) the dynamics lack are each a ConfigError.
+    """
     if not isinstance(check_id, str):
         raise ConfigError(f"check ids must be strings, got {check_id!r}")
-    name, arg = parse_check_id(check_id)
-    if name not in CHECKS and name not in REPORT_CHECKS:
-        raise ConfigError(f"unknown check id {check_id!r}")
-    if name == "tail_to_zero":
-        _tail_factor(arg)
+    name, sep, arg = check_id.partition(":")
+    needs = CHECKS.get(name)
+    if needs is None:
+        raise ConfigError(f"unknown check id {check_id!r}; available: {sorted(CHECKS)}")
+    spec = CheckSpec(check_id, name)
+    if name == "slope_below":  # slope_below:<curve>:<bound>[:Tmin:Tmax]
+        parts = check_id.split(":")
+        if len(parts) not in (3, 5):
+            raise ConfigError(f"malformed slope check {check_id!r}; "
+                              "expected slope_below:<curve>:<bound>[:Tmin:Tmax]")
+        if parts[1] not in CURVES:
+            raise ConfigError(f"slope check {check_id!r} names unknown curve {parts[1]!r}; "
+                              f"available: {list(CURVES)}")
+        window = (None if len(parts) == 3 else
+                  (_number(parts[3], "slope_below Tmin"), _number(parts[4], "slope_below Tmax")))
+        spec = CheckSpec(check_id, name, _number(parts[2], "slope_below bound"), parts[1], window)
+    elif name == "tail_to_zero":
+        spec = CheckSpec(check_id, name, _number(arg, "tail_to_zero factor") if arg else 1e-3)
     elif name == "distance_below":
-        _distance_threshold(arg)
-    elif name == "slope_below":
-        parse_slope_check(check_id)
-    elif arg is not None:
+        if not sep:
+            raise ConfigError("distance_below needs a threshold, e.g. distance_below:1e-3")
+        spec = CheckSpec(check_id, name, _number(arg, "distance_below threshold"))
+    elif sep:
         raise ConfigError(f"check {name!r} takes no argument, got {check_id!r}")
 
+    schedule, noise = dynamics.schedule.kind, dynamics.noise.kind
+    if needs.schedules is not None and schedule not in needs.schedules:
+        raise ConfigError(f"check {check_id!r} does not apply to this configuration: it needs "
+                          f"the {' or '.join(needs.schedules)} schedule, got {schedule}")
+    if needs.noiseless and noise != "none":
+        raise ConfigError(f"check {check_id!r} does not apply to this configuration: it needs "
+                          f"noiseless runs, got {noise} noise")
+    if name == "descent_invariants":
+        spec = CheckSpec(check_id, name, dynamics.schedule.eta)
+    return spec
 
-def run_check(check_id: str, record: TrajectoryRecord, game: Game) -> list[ConvergenceVerdict]:
-    """Run one named per-trial check; unknown names are rejected."""
-    name, arg = parse_check_id(check_id)
-    if name not in CHECKS:
-        raise ValueError(f"unknown check id {check_id!r}; available: {sorted(CHECKS)} "
-                         f"plus report-level {sorted(REPORT_CHECKS)}")
-    return CHECKS[name](record, game, arg)
+
+def run_check(spec: CheckSpec, record: TrajectoryRecord, game: Game) -> list[ConvergenceVerdict]:
+    """Run one parsed per-trial check on a trial's record."""
+    run = CHECKS[spec.name].run
+    if run is None:
+        raise ValueError(f"{spec.check_id!r} is a report-level check")
+    return run(spec, record, game)

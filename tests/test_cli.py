@@ -356,6 +356,50 @@ def test_sweep_rejects_malformed_template_before_any_dynamics(runner, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (['checks=["gap_step_consistency"]',
+      'dynamics.noise={"kind": "relative", "tau": {"kind": "constant", "c": 0.25}}'],
+     "check 'gap_step_consistency' does not apply to this configuration: it needs noiseless runs"),
+    (['checks=["slope_below:wiggle:-1"]'], "names unknown curve 'wiggle'"),
+    (['checks=["distance_below:1e-3"]', "dynamics.x0=[1, 1]",
+      'game={"kind": "quadratic", "matrix": [[1, 0], [0, 0]], "offset": [0, 1]}'],
+     "check 'distance_below:1e-3' needs a game with a Nash oracle"),
+], ids=["noisy_gap_step_consistency", "unknown_slope_curve", "distance_without_oracle"])
+def test_run_rejects_a_check_that_cannot_apply_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                                   overrides, message):
+    forbid_dynamics(monkeypatch)
+    args = ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path)]
+    for override in overrides:
+        args += ["--set", override]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_sweep_rejects_a_check_that_cannot_apply_before_any_dynamics(runner, tmp_path,
+                                                                     monkeypatch):
+    forbid_dynamics(monkeypatch)
+    relative = {"kind": "relative", "tau": {"kind": "constant", "c": 0.25}}
+    cfg = write_cfg(tmp_path, {"template": quad1d_doc(),
+                               "grid": {"dynamics.noise": [{"kind": "none"}, relative]}},
+                    "sweep.cfg")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "sweep point dynamics.noise={'kind': 'relative'" in result.output
+    assert "check 'descent_invariants' does not apply" in result.output
+    assert not out.exists()
+
+
+def test_run_set_trajectory_dir_on_a_bundled_config(runner, tmp_path):
+    traj = tmp_path / "traj"
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", f"trajectory_dir={traj}"])
+    assert result.exit_code == 0, result.output
+    assert [f.name for f in traj.iterdir()] == ["trial_0000.jsonl"]
+
+
 def test_verify_game_rejects_keys_beside_a_builtin_name(runner, tmp_path):
     cfg = write_cfg(tmp_path, {"game": {"name": "quad_1d", "matrix": [[3.0]]}}, "game.json")
     result = runner.invoke(main, ["verify-game", "--config", cfg, "--pairs", "100"])

@@ -15,6 +15,7 @@ from gamegrad.dynamics import (
     ConstantSchedule,
     DynamicsConfig,
     GradNormSchedule,
+    NoNoise,
     PowerSchedule,
     RelativeNoise,
     StepNormSchedule,
@@ -39,6 +40,7 @@ from gamegrad.harness import (
     write_report,
     write_trajectory,
 )
+from gamegrad.metrics import parse_check
 
 
 def quad1d_config(horizon=64, trials=1, eta=0.5, checks=(), **kw):
@@ -132,10 +134,12 @@ def test_run_experiment_divergence_isolated():
         game=GameSpec.quadratic([[1.0]], [0.0]),
         dynamics=DynamicsConfig(ConstantSchedule(3.0), horizon=50, x0=(1.0,),
                                 blow_up_radius=100.0),
-        trials=2, master_seed=0, checks=("no_divergence",), game_name="quad_1d")
+        trials=2, master_seed=0, checks=("no_divergence", "slope_below:distance:-1"),
+        game_name="quad_1d")
     report = run_experiment(cfg)
     assert report.all_diverged
     assert all(t.diverged for t in report.trials)
+    assert [c["trial"] for c in report.checks] == [0, 1, None]  # no curve left to fit
     assert not any(c["passed"] for c in report.checks)
     assert all(v is None for v in report.mean_gap)
 
@@ -193,9 +197,11 @@ def test_report_curve_selector():
 
 
 def test_experiment_config_round_trip_and_validation():
-    cfg = noisy_config(checks=("descent_invariants",))
+    cfg = noisy_config(checks=("eta_monotone",))
     doc = cfg.to_dict()
     assert ExperimentConfig.from_dict(doc).to_dict() == doc
+    with pytest.raises(ConfigError, match="does not apply"):
+        ExperimentConfig.from_dict({**doc, "checks": ["descent_invariants"]})
     with pytest.raises(ConfigError, match="unknown check"):
         ExperimentConfig.from_dict({**doc, "checks": ["nope"]})
     with pytest.raises(ConfigError):
@@ -245,6 +251,8 @@ def test_bundled_configs_and_benchmark_workloads_parse():
         for point in _experiment_docs(doc):
             cfg = ExperimentConfig.from_dict(point)
             assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict(), name
+            if not name.startswith("bench "):  # so `--set KEY=VALUE` reaches every key
+                assert set(doc.get("template", doc)) == set(cfg.to_dict()), name
 
 
 def test_trajectory_persistence_round_trip(tmp_path):
@@ -465,13 +473,25 @@ def test_sweep_isolates_failures():
 
 
 def test_sweep_isolates_failures_at_run_time():
-    # descent_invariants parses with any noise but applies only to noiseless runs
+    # the second matrix parses, but only make_game finds it is not monotone
     template = quad1d_config(horizon=16, checks=("descent_invariants",)).to_dict()
-    relative = {"kind": "relative", "tau": {"kind": "constant", "c": 0.25}, "shape": "sphere"}
-    entries = sweep(template, {"dynamics.noise": [{"kind": "none"}, relative]})
+    bad = {"kind": "quadratic", "matrix": [[-1.0]], "offset": [0.0]}
+    entries = sweep(template, {"game": [template["game"], bad]})
     assert entries[0].error is None and not entries[0].report.failed_checks()
     assert entries[1].report is None
-    assert "does not apply" in entries[1].error
+    assert "negative eigenvalue" in entries[1].error
+
+
+def test_sweep_rejects_a_check_that_does_not_apply_before_any_point_runs(monkeypatch):
+    # descent_invariants applies only to noiseless runs: the relative point is malformed
+    ran = []
+    monkeypatch.setattr("gamegrad.harness.run_trajectory", lambda *a, **k: ran.append(a))
+    template = quad1d_config(horizon=16, checks=("descent_invariants",)).to_dict()
+    relative = {"kind": "relative", "tau": {"kind": "constant", "c": 0.25}, "shape": "sphere"}
+    with pytest.raises(ConfigError, match=r"sweep point dynamics.noise=\{'kind': 'relative'.*"
+                                          r"does not apply"):
+        sweep(template, {"dynamics.noise": [{"kind": "none"}, relative]})
+    assert ran == []
 
 
 def test_set_by_path_leaf_must_exist():
@@ -512,9 +532,49 @@ def test_sweep_over_noise_schedules_reports_budget_slopes():
 
 
 def test_incompatible_check_is_config_error():
-    cfg = noisy_config(checks=("descent_invariants",))  # needs a noiseless run
     with pytest.raises(ConfigError, match="does not apply"):
-        run_experiment(cfg)
+        noisy_config(checks=("descent_invariants",))  # needs a noiseless run
+
+
+_SCHEDULES = {
+    "constant": ConstantSchedule(0.5),
+    "power": PowerSchedule(0.5, 0.5),
+    "grad_norm": GradNormSchedule(1.0, 2.0),
+    "step_norm": StepNormSchedule(1.0),
+}
+_NOISES = {
+    "none": NoNoise(),
+    "relative": RelativeNoise(VarianceSchedule("constant", 0.25)),
+    "absolute": AbsoluteNoise(VarianceSchedule("constant", 0.01)),
+}
+_PER_TRIAL_CHECKS = ("descent_invariants", "eta_monotone", "beta_stable", "gap_step_consistency",
+                     "no_divergence", "tail_to_zero", "distance_below:1e-3")
+
+
+@pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
+@pytest.mark.parametrize("noise", sorted(_NOISES))
+def test_checks_that_parse_run_and_the_rest_are_config_errors(schedule, noise):
+    # the needs table in metrics.CHECKS is what stands between a check and a
+    # record it cannot read; an accepted check must not fail as it runs
+    try:
+        dynamics = DynamicsConfig(_SCHEDULES[schedule], horizon=16, x0=(1.0,),
+                                  noise=_NOISES[noise])
+    except ConfigError:
+        assert schedule == "grad_norm" and noise != "none"  # exact gradients only
+        return
+    game = GameSpec.quadratic([[1.0]], [0.0])
+    accepted = []
+    for cid in _PER_TRIAL_CHECKS:
+        try:
+            parse_check(cid, dynamics)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="does not apply"):
+                ExperimentConfig(game, dynamics, checks=(cid,))
+            continue
+        accepted.append(cid)
+        config = ExperimentConfig(game, dynamics, trials=2, checks=(cid,), game_name="quad_1d")
+        assert {c["trial"] for c in run_experiment(config).checks} == {0, 1}, cid
+    assert {"eta_monotone", "no_divergence", "tail_to_zero", "distance_below:1e-3"} <= set(accepted)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gamegrad.dynamics import (
     VarianceSchedule,
     run_trajectory,
 )
-from gamegrad.errors import IndeterminateResult, UnsupportedOperation
+from gamegrad.errors import ConfigError, IndeterminateResult, UnsupportedOperation
 from gamegrad.games import GameSpec, make_game, make_named_game
 from gamegrad.metrics import (
     ConvergenceVerdict,
@@ -22,6 +22,7 @@ from gamegrad.metrics import (
     distance_to_nash,
     fit_rate,
     optimality_gap,
+    parse_check,
     run_check,
     slope_verdict,
     tail_product,
@@ -266,6 +267,11 @@ def test_check_descent_invariants_rejects_wrong_kind():
 # named checks
 # ---------------------------------------------------------------------------
 
+def run_named_check(check_id, rec, game):
+    """run_check on the spec parsed against the record's own dynamics."""
+    return run_check(parse_check(check_id, DynamicsConfig.from_dict(rec.config)), rec, game)
+
+
 def test_run_check_descent_invariants_matrix():
     for name in ("quad_1d", "quad_2d", "piecewise", "rand_2d"):
         game = make_named_game(name)
@@ -274,33 +280,33 @@ def test_run_check_descent_invariants_matrix():
             cfg = DynamicsConfig(ConstantSchedule(frac * lam), horizon=500,
                                  x0=(0.8,) * game.n, thinning=1)
             rec = run_trajectory(game, cfg)
-            assert all(v.passed for v in run_check("descent_invariants", rec, game))
+            assert all(v.passed for v in run_named_check("descent_invariants", rec, game))
 
 
 def test_run_check_eta_monotone_and_beta_stable():
     game = make_named_game("quad_2d")
     cfg = DynamicsConfig(GradNormSchedule(1.0, 2.0), horizon=2048, x0=(3.0, -2.0))
     rec = run_trajectory(game, cfg)
-    assert run_check("eta_monotone", rec, game)[0].passed
-    assert run_check("beta_stable", rec, game)[0].passed
+    assert run_named_check("eta_monotone", rec, game)[0].passed
+    assert run_named_check("beta_stable", rec, game)[0].passed
 
 
 def test_run_check_gap_step_consistency_and_negative_control():
     game = make_named_game("quad_1d")
     cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,))
     rec = run_trajectory(game, cfg)
-    assert run_check("gap_step_consistency", rec, game)[0].passed
+    assert run_named_check("gap_step_consistency", rec, game)[0].passed
     bad = fabricate([1.0, 0.25, 0.0625], step_norm_sq=np.array([0.25, 0.9]))
-    assert not run_check("gap_step_consistency", bad, game)[0].passed
+    assert not run_named_check("gap_step_consistency", bad, game)[0].passed
 
 
 def test_run_check_distance_and_divergence():
     game = make_named_game("quad_1d")
     cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,))
     rec = run_trajectory(game, cfg)
-    assert run_check("no_divergence", rec, game)[0].passed
-    assert run_check("distance_below:1e-3", rec, game)[0].passed
-    assert not run_check("distance_below:1e-30", rec, game)[0].passed
+    assert run_named_check("no_divergence", rec, game)[0].passed
+    assert run_named_check("distance_below:1e-3", rec, game)[0].passed
+    assert not run_named_check("distance_below:1e-30", rec, game)[0].passed
 
 
 def test_run_check_tail_to_zero():
@@ -308,14 +314,13 @@ def test_run_check_tail_to_zero():
     lam = game.cocoercivity
     cfg = DynamicsConfig(ConstantSchedule(lam), horizon=1 << 13, x0=(1.3, 0.4))
     rec = run_trajectory(game, cfg)
-    assert run_check("tail_to_zero", rec, game)[0].passed
+    assert run_named_check("tail_to_zero", rec, game)[0].passed
 
 
-def test_run_check_unknown_id():
-    game = make_named_game("quad_1d")
+def test_parse_check_unknown_id():
     rec = fabricate([1.0, 0.5])
-    with pytest.raises(ValueError, match="unknown check id"):
-        run_check("mystery", rec, game)
+    with pytest.raises(ConfigError, match="unknown check id"):
+        parse_check("mystery", DynamicsConfig.from_dict(rec.config))
 
 
 def test_verdict_round_trip():
