@@ -18,7 +18,6 @@ from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
 from .games import (
     Game,
     GameSpec,
-    JointAction,
     builtin_game_specs,
     estimate_cocoercivity,
     gradient_field,
@@ -56,7 +55,7 @@ __all__ = [
     "NoNoise", "PowerSchedule", "RelativeNoise", "StepNormSchedule",
     "TrajectoryRecord", "VarianceSchedule", "run_trajectory",
     "ConfigError", "IndeterminateResult", "UnsupportedOperation",
-    "Game", "GameSpec", "JointAction", "builtin_game_specs", "estimate_cocoercivity",
+    "Game", "GameSpec", "builtin_game_specs", "estimate_cocoercivity",
     "gradient_field", "make_game", "make_named_game", "project_to_nash", "verify_gradient",
     "ExperimentConfig", "ExperimentReport", "read_report", "run_experiment", "sweep",
     "write_report",

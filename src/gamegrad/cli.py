@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, metrics
 from ._version import __version__
-from .errors import ConfigError, IndeterminateResult
+from .errors import ConfigError, IndeterminateResult, config_dict
 from .games import (
     builtin_game_spec,
     builtin_game_specs,
@@ -126,7 +126,7 @@ def main():
 def cmd_run(config_path, overrides, out_dir, workers, seed):
     """Run one experiment; write report.json and curves.csv; gate on checks."""
     def body():
-        doc = _load_json(resolve_config(config_path))
+        doc = config_dict(_load_json(resolve_config(config_path)), "experiment config")
         _apply_overrides(doc, overrides)
         if seed is not None:
             doc["master_seed"] = seed
@@ -171,10 +171,10 @@ def cmd_run(config_path, overrides, out_dir, workers, seed):
 def cmd_sweep(config_path, overrides, out_dir, workers, seed):
     """Run a parameter grid; one report per grid point."""
     def body():
-        doc = _load_json(resolve_config(config_path))
+        doc = config_dict(_load_json(resolve_config(config_path)), "sweep config")
         if "template" not in doc or "grid" not in doc:
             raise ConfigError("sweep config needs 'template' and 'grid' entries")
-        template = doc["template"]
+        template = config_dict(doc["template"], "sweep template")
         _apply_overrides(template, overrides)
         if seed is not None:
             template["master_seed"] = seed
@@ -246,9 +246,9 @@ def cmd_verify_game(config_path, game_name, pairs, seed):
         if game.nash_oracle is not None:
             worst_v = worst_idem = 0.0
             for x in rng.uniform(-10.0, 10.0, size=(50, game.n)):
-                p = project_to_nash(game, x).flat
+                p = project_to_nash(game, x)
                 worst_v = max(worst_v, float(np.linalg.norm(game.field(p))))
-                p2 = project_to_nash(game, p).flat
+                p2 = project_to_nash(game, p)
                 worst_idem = max(worst_idem, float(np.linalg.norm(p2 - p)))
             oracle_ok = worst_v <= 1e-9 and worst_idem <= 1e-12
             ok &= oracle_ok

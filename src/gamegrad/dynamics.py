@@ -15,7 +15,9 @@ tests pin them against each other:
 - scalar: one-dimensional games, on Python floats;
 - unrolled 2-d: affine two-dimensional games, on Python floats;
 - lock-step: every other game, stepping a block of trials together as
-  (trials, n) arrays, each trial with its own noise stream.
+  (trials, n) arrays, each trial with its own noise stream. It calls the
+  game's own field on the whole block, which gives each row the bits it
+  gives that row alone (see Game).
 
 The unrolled bodies run one trial at a time; measured on a one-dimensional
 quadratic, a lock-step block only overtakes them from about 32 trials up.
@@ -707,11 +709,12 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> list[Traject
     """Run one trial per generator in ``rngs``, all stepping together.
 
     This is the body for every game without an unrolled one. Trial i draws
-    its noise from rngs[i] alone, and every per-row operation (the row-form
-    matvec, np.vecdot, elementwise arithmetic) gives the same bits whatever
-    the number of rows, so a trial's record does not depend on which block
-    it ran in. A single trial runs on 1-D arrays through the same code,
-    which was checked bit-equal to its row of a block.
+    its noise from rngs[i] alone, and every per-row operation (the game's
+    own field, called on the whole block as it is, np.vecdot, elementwise
+    arithmetic) gives the same bits whatever the number of rows, so a
+    trial's record does not depend on which block it ran in. A single trial
+    runs on 1-D arrays through the same code, which was checked bit-equal to
+    its row of a block.
     """
     m = len(rngs)
     seeds, radius, draws = _start(game, config, rngs)
@@ -721,22 +724,10 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> list[Traject
         schedule = schedule.fresh(None if flat else m)
     log = _Log(m, game.n, config, schedule.tracks_beta)
     x0 = np.array(config.x0, dtype=float)
-    if game.affine is not None:
-        A, b = game.affine
-        AT = A.T
-
-        def field(x):  # one matvec per row: X @ A.T would sum in a row-count-dependent order
-            return b - (x[..., None, :] @ AT)[..., 0, :]
-    elif flat:
-        def field(x):
-            return np.asarray(game.field(x), dtype=float)
-    else:
-        def field(x):
-            return np.stack([np.asarray(game.field(row), dtype=float) for row in x])
     if not flat:
         x0 = np.tile(x0, (m, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        _run_lockstep(field, x0, config.horizon, schedule, draws, radius, log)
+        _run_lockstep(game.field, x0, config.horizon, schedule, draws, radius, log)
     return [log.record(i, game, config, seeds[i]) for i in range(m)]
 
 

@@ -32,55 +32,20 @@ RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class JointAction:
-    """Stacked action profile, one real vector block per player."""
-
-    blocks: tuple[Array, ...]
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float).reshape(-1) for b in self.blocks)
-        if not blocks:
-            raise ValueError("joint action needs at least one player block")
-        for i, b in enumerate(blocks):
-            if b.size == 0:
-                raise ValueError(f"player block {i} is empty")
-            if not np.all(np.isfinite(b)):
-                raise ValueError(f"player block {i} has non-finite entries")
-        object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def from_flat(cls, vec, dims: Sequence[int]) -> "JointAction":
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.size != sum(dims):
-            raise ValueError(f"vector of length {vec.size} does not split into blocks {tuple(dims)}")
-        out, k = [], 0
-        for d in dims:
-            out.append(vec[k:k + d])
-            k += d
-        return cls(tuple(out))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
-
-    @property
-    def n(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    @property
-    def flat(self) -> Array:
-        return np.concatenate(self.blocks)
-
-
-@dataclass(frozen=True)
 class Game:
     """A continuous game: player dimensions plus the stacked gradient field.
 
-    ``field`` maps a flat joint-action vector to the flat stacked gradient.
-    ``payoffs``, ``nash_oracle`` and ``cocoercivity`` are optional extras that
-    built-in instances provide; ``affine`` is set to (A, b) when the field is
-    x -> b - A @ x, and ``scalar_field`` mirrors ``field`` for one-dimensional
-    games. Games are immutable and safe to share across workers.
+    ``field`` maps a flat joint action, shape (n,), to the flat stacked
+    gradient, and a batch of joint actions, shape (rows, n), to their
+    gradients row by row. A row's result has the same bits at any number of
+    rows, so the lock-step runner and ``estimate_cocoercivity`` call it on
+    whole blocks. Both take and give float arrays. ``payoffs``,
+    ``nash_oracle`` (one joint action at a time) and ``cocoercivity`` are
+    optional extras that built-in instances provide; ``affine`` is set to
+    (A, b) when the field is x -> b - A x, and ``scalar_field`` mirrors
+    ``field`` on Python floats for one-dimensional games. The unrolled runner
+    bodies read those two. Games are immutable and safe to share across
+    workers.
     """
 
     dims: tuple[int, ...]
@@ -142,7 +107,7 @@ class GameSpec:
 
 
 def _quadratic_parts(A: Array, b: Array, name: str):
-    """Nash oracle, payoffs and cocoercivity for the field x -> b - A x."""
+    """Field, Nash oracle, payoffs and cocoercivity for the field x -> b - A x."""
     eigvals, eigvecs = np.linalg.eigh(A)
     lam_max = float(eigvals[-1])
     tol = 1e-9 * max(1.0, abs(lam_max))
@@ -151,10 +116,14 @@ def _quadratic_parts(A: Array, b: Array, name: str):
             f"{name or 'quadratic'}: matrix has negative eigenvalue {eigvals[0]:.3e}; "
             "the induced field would not be cocoercive"
         )
+    AT = A.T
+
+    def field(x: Array) -> Array:
+        # One matvec per row: X @ A.T would sum in a row-count-dependent order.
+        return b - (x[..., None, :] @ AT)[..., 0, :]
 
     if lam_max <= tol:
         # Constant field b; a Nash set exists only when b == 0 (everything).
-        field = lambda x: b - A @ x  # noqa: E731
         oracle = (lambda x: np.array(x, dtype=float)) if not np.any(b) else None
         return field, oracle, None, None
 
@@ -164,9 +133,6 @@ def _quadratic_parts(A: Array, b: Array, name: str):
     # Particular solution of A x = b via the spectral pseudo-inverse.
     x_part = eigvecs[:, keep] @ ((eigvecs[:, keep].T @ b) / eigvals[keep])
     consistent = bool(np.linalg.norm(A @ x_part - b) <= 1e-9 * (1.0 + np.linalg.norm(b)))
-
-    def field(x: Array) -> Array:
-        return b - A @ x
 
     oracle = None
     if consistent:
@@ -351,20 +317,15 @@ def make_named_game(name: str) -> Game:
 
 
 def _as_flat(game: Game, x) -> Array:
-    if isinstance(x, JointAction):
-        if x.dims != game.dims:
-            raise ValueError(f"action blocks {x.dims} do not match game dims {game.dims}")
-        return x.flat
     vec = np.asarray(x, dtype=float).reshape(-1)
     if vec.size != game.n:
         raise ValueError(f"action of length {vec.size} does not match game dimension {game.n}")
     return vec
 
 
-def gradient_field(game: Game, x) -> JointAction:
+def gradient_field(game: Game, x) -> Array:
     """Evaluate the stacked gradient v(x); rejects dimension mismatch and non-finite output."""
-    vec = _as_flat(game, x)
-    out = np.asarray(game.field(vec), dtype=float).reshape(-1)
+    out = np.asarray(game.field(_as_flat(game, x)), dtype=float).reshape(-1)
     if out.size != game.n:
         raise ValueError(f"field returned length {out.size}, expected {game.n}")
     if not np.all(np.isfinite(out)):
@@ -374,7 +335,7 @@ def gradient_field(game: Game, x) -> JointAction:
                 bad.append(i)
             k += d
         raise ValueError(f"gradient field is non-finite in player block(s) {bad}")
-    return JointAction.from_flat(out, game.dims)
+    return out
 
 
 @dataclass(frozen=True)
@@ -389,7 +350,7 @@ def verify_gradient(game: Game, x, h: float = 1e-5) -> GradientCheck:
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     base = _as_flat(game, x)
-    v = gradient_field(game, base).flat
+    v = gradient_field(game, base)
     worst = 0.0
     k = 0
     for i, d in enumerate(game.dims):
@@ -419,6 +380,7 @@ def estimate_cocoercivity(game: Game, low: float = -5.0, high: float = 5.0,
     Draws ``pairs`` point pairs uniformly from [low, high]^n and minimizes
     -(x'-x)^T (v(x')-v(x)) / ||v(x')-v(x)||^2 over pairs with distinct field
     values. A negative numerator on any pair flags a monotonicity violation.
+    The field is evaluated on all the pairs' points in two batched calls.
     """
     if pairs < 2:
         raise ValueError("need at least 2 sampled pairs")
@@ -429,29 +391,27 @@ def estimate_cocoercivity(game: Game, low: float = -5.0, high: float = 5.0,
     xs = rng.uniform(low, high, size=(pairs, n))
     ys = rng.uniform(low, high, size=(pairs, n))
 
-    best = np.inf
-    violated = False
-    used = 0
-    for x, y in zip(xs, ys):
-        dv = game.field(y) - game.field(x)
-        denom = float(dv @ dv)
-        if denom == 0.0:
-            continue
-        num = float(-(y - x) @ dv)
-        if num < -1e-12 * (1.0 + float((y - x) @ (y - x)) + denom):
-            violated = True
-        used += 1
-        ratio = num / denom
-        if ratio < best:
-            best = ratio
-    if used == 0:
+    d = ys - xs
+    dv = game.field(ys) - game.field(xs)
+    denom = np.vecdot(dv, dv)
+    used = denom != 0.0
+    if not used.any():
         raise IndeterminateResult("all sampled pairs had identical field values")
-    return CocoercivityEstimate(lambda_hat=float(best), monotone_violation=violated, pairs_used=used)
+    d, dv, denom = d[used], dv[used], denom[used]
+    num = np.vecdot(-d, dv)
+    violated = bool(np.any(num < -1e-12 * (1.0 + np.vecdot(d, d) + denom)))
+    best = np.fmin.reduce(num / denom, initial=np.inf)  # skips NaN ratios, as `<` would
+    return CocoercivityEstimate(lambda_hat=float(best), monotone_violation=violated,
+                                pairs_used=int(used.sum()))
 
 
-def project_to_nash(game: Game, x) -> JointAction:
+def project_to_nash(game: Game, x) -> Array:
     """Euclidean projection onto the game's Nash set via its oracle."""
     if game.nash_oracle is None:
         raise UnsupportedOperation("game has no Nash oracle")
-    vec = _as_flat(game, x)
-    return JointAction.from_flat(game.nash_oracle(vec), game.dims)
+    out = np.asarray(game.nash_oracle(_as_flat(game, x)), dtype=float).reshape(-1)
+    if out.size != game.n:
+        raise ValueError(f"Nash oracle returned length {out.size}, expected {game.n}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("Nash oracle returned non-finite values")
+    return out

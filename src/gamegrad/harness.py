@@ -338,20 +338,34 @@ def _json_float(v) -> Optional[float]:
 # Execution
 # ---------------------------------------------------------------------------
 
+def build_game(config: ExperimentConfig) -> Game:
+    """The config's game, checked for what its dynamics and checks read of it.
+
+    Raises ConfigError when make_game rejects the spec, when x0's length
+    differs from the game's dimension, or when the game lacks what a check
+    reads (a Nash oracle, a known cocoercivity).
+    """
+    game = make_game(config.game, name=config.game_name or config.game.kind)
+    if len(config.dynamics.x0) != game.n:
+        raise ConfigError(f"x0 has length {len(config.dynamics.x0)}, game dimension is {game.n}")
+    for spec in config.check_specs:
+        spec.require_game(game)
+    return game
+
+
 def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
     """Run a contiguous block of trials and reduce each to its payload.
 
-    The config is parsed and the game built once per block, and the game is
-    checked for what each check reads before any trial steps. Games with an
-    unrolled runner body run one trial at a time; every other game steps the
-    block in lock-step, split only to bound the record memory. When the
+    The config is parsed and the game built and checked (build_game) once
+    per block, before any trial steps. Games with an unrolled runner body
+    run one trial at a time; every other game steps the block in lock-step,
+    whose rows call the game's field together, split only to bound the
+    record memory. When the
     block writes trajectories and its step sizes are shared by every trial,
     their eta text is formatted once and reused (see write_trajectory).
     """
     config = ExperimentConfig.from_dict(config_doc)
-    game = make_game(config.game, name=config.game_name or config.game.kind)
-    for spec in config.check_specs:
-        spec.require_game(game)
+    game = build_game(config)
     seed = config.master_seed
     eta_text = None
     if config.trajectory_dir:
@@ -523,11 +537,13 @@ def set_by_path(doc: dict, path: str, value) -> None:
 def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[SweepEntry]:
     """One experiment per grid point (cartesian product, axis order preserved).
 
-    The template and every grid point are parsed before any point runs. A
-    template or a point that does not parse as an experiment config raises
-    ConfigError, naming the point, with nothing run. Only a failure found
-    while a point runs (say, a matrix make_game rejects) is its entry's error.
+    The template and every grid point are parsed, and each point's game
+    built and checked (build_game), before any point runs. A template or a
+    point that fails either raises ConfigError, naming the point, with
+    nothing run. Only a failure found while a point runs (say, a trajectory
+    directory that cannot be made) is its entry's error.
     """
+    config_dict(grid, "sweep grid")
     if not grid:
         raise ConfigError("sweep grid is empty")
     if workers < 1:
@@ -545,10 +561,12 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
         for path, value in point.items():
             set_by_path(doc, path, value)
         try:
-            points.append((point, ExperimentConfig.from_dict(doc)))
+            config = ExperimentConfig.from_dict(doc)
+            build_game(config)
         except ConfigError as exc:
             tag = ", ".join(f"{k}={v}" for k, v in point.items())
             raise ConfigError(f"sweep point {tag}: {exc}") from None
+        points.append((point, config))
 
     entries: list[SweepEntry] = []
     for point, config in points:

@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import (AbsoluteNoise, DynamicsConfig, NoiseModel, NoNoise, RelativeNoise,
                        TrajectoryRecord)
 from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
-from .games import Game, project_to_nash
+from .games import Game, _as_flat, gradient_field, project_to_nash
 
 Array = np.ndarray
 
@@ -26,8 +26,7 @@ Array = np.ndarray
 
 def optimality_gap(game: Game, x) -> float:
     """Squared norm of the joint gradient; zero exactly on the Nash set."""
-    from .games import gradient_field
-    v = gradient_field(game, x).flat
+    v = gradient_field(game, x)
     return float(v @ v)
 
 
@@ -187,7 +186,7 @@ def check_descent_invariants(record: TrajectoryRecord, game: Game, eta: float, l
         first_violation_step=int(bad[0]) + 1 if bad.size else None))
 
     x0 = record.states[0]
-    p0 = project_to_nash(game, x0).flat
+    p0 = project_to_nash(game, x0)
     d0 = float(np.linalg.norm(x0 - p0))
     dists = np.linalg.norm(record.states - p0, axis=1)
     worst = float((dists - d0).max())
@@ -206,10 +205,8 @@ def check_descent_invariants(record: TrajectoryRecord, game: Game, eta: float, l
 
 def distance_to_nash(game: Game, x) -> float:
     """Euclidean distance from x to the game's Nash set, via its oracle."""
-    from .games import _as_flat
     vec = _as_flat(game, x)
-    proj = project_to_nash(game, vec).flat
-    return float(np.linalg.norm(vec - proj))
+    return float(np.linalg.norm(vec - project_to_nash(game, vec)))
 
 
 def variance_budget(noise: NoiseModel, T: int) -> float:

@@ -240,8 +240,8 @@ def test_criterion_9_oracle_and_property_suite():
     for name in BUILTINS:
         game = make_named_game(name)
         for x in rng.uniform(-10.0, 10.0, size=(50, game.n)):
-            once = project_to_nash(game, x).flat
-            twice = project_to_nash(game, once).flat
+            once = project_to_nash(game, x)
+            twice = project_to_nash(game, once)
             idem_ok &= float(np.linalg.norm(twice - once)) <= 1e-12
 
     # rate-fit exactness on synthetic power laws

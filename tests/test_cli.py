@@ -420,6 +420,49 @@ def test_sweep_rejects_a_malformed_grid_point_before_any_dynamics(runner, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("checks,x0,grid,message", [
+    ((), [1.0], {"dynamics.x0": [[1.0], [1.0, 1.0]]},
+     "sweep point dynamics.x0=[1.0, 1.0]: x0 has length 2, game dimension is 1"),
+    (("distance_below:1e-3",), [1.0, 1.0],
+     {"game": [{"name": "quad_2d"},
+               {"kind": "quadratic", "matrix": [[1, 0], [0, 0]], "offset": [0, 1]}]},
+     "check 'distance_below:1e-3' needs a game with a Nash oracle"),
+], ids=["x0_length", "no_nash_oracle"])
+def test_sweep_checks_every_points_game_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                            checks, x0, grid, message):
+    forbid_dynamics(monkeypatch)
+    template = quad1d_doc(checks=checks)
+    template["dynamics"]["x0"] = x0
+    cfg = write_cfg(tmp_path, {"template": template, "grid": grid}, "sweep.cfg")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "[000]" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    (["sweep"], {"template": quad1d_doc(), "grid": [1, 2]}, "sweep grid must be an object"),
+    (["run", "--seed", "3"], [quad1d_doc()], "experiment config must be an object"),
+    (["run"], [quad1d_doc()], "experiment config must be an object"),
+    (["sweep", "--seed", "3"], {"template": [quad1d_doc()], "grid": {"trials": [1]}},
+     "sweep template must be an object"),
+    (["sweep"], [{"template": quad1d_doc(), "grid": {"trials": [1]}}],
+     "sweep config must be an object"),
+], ids=["sweep_grid_list", "run_seed_array", "run_array", "sweep_seed_template_array",
+        "sweep_array"])
+def test_malformed_documents_are_config_errors_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                                   command, doc, message):
+    forbid_dynamics(monkeypatch)
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*command, "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_unexpected_exception_is_an_internal_error(runner, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("simulated fault")

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gamegrad.errors import ConfigError, IndeterminateResult, UnsupportedOperation
 from gamegrad.games import (
     GameSpec,
-    JointAction,
     builtin_game_specs,
     estimate_cocoercivity,
     gradient_field,
@@ -18,40 +19,21 @@ from gamegrad.games import (
 QUAD_2D = GameSpec.quadratic([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0])
 
 
-def test_joint_action_blocks_and_flat():
-    a = JointAction((np.array([1.0, 2.0]), np.array([3.0])))
-    assert a.dims == (2, 1)
-    assert a.n == 3
-    assert np.array_equal(a.flat, [1.0, 2.0, 3.0])
-    b = JointAction.from_flat([1.0, 2.0, 3.0], (2, 1))
-    assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
-
-
-def test_joint_action_rejects_non_finite():
-    with pytest.raises(ValueError, match="block 1"):
-        JointAction((np.array([1.0]), np.array([np.nan])))
-
-
-def test_joint_action_bad_split():
-    with pytest.raises(ValueError):
-        JointAction.from_flat([1.0, 2.0], (3,))
-
-
 def test_make_game_identity_1d():
     game = make_game(GameSpec.quadratic([[1.0]], [0.0]))
     assert game.cocoercivity == 1.0
-    assert gradient_field(game, [3.0]).flat[0] == -3.0
-    assert project_to_nash(game, [5.0]).flat[0] == 0.0
+    assert gradient_field(game, [3.0])[0] == -3.0
+    assert project_to_nash(game, [5.0])[0] == 0.0
 
 
 def test_make_game_piecewise_values():
     game = make_game(GameSpec.piecewise_scalar())
     assert game.cocoercivity == 0.5
-    assert gradient_field(game, [-1.0]).flat[0] == 2.0
-    assert gradient_field(game, [0.5]).flat[0] == 0.0
-    assert gradient_field(game, [-2.0]).flat[0] == 4.0
-    assert project_to_nash(game, [-3.0]).flat[0] == 0.0
-    assert project_to_nash(game, [7.0]).flat[0] == 7.0
+    assert gradient_field(game, [-1.0])[0] == 2.0
+    assert gradient_field(game, [0.5])[0] == 0.0
+    assert gradient_field(game, [-2.0])[0] == 4.0
+    assert project_to_nash(game, [-3.0])[0] == 0.0
+    assert project_to_nash(game, [7.0])[0] == 7.0
 
 
 def test_make_game_quad_2d_lambda_matches_eigen_oracle():
@@ -61,8 +43,8 @@ def test_make_game_quad_2d_lambda_matches_eigen_oracle():
     game = make_game(QUAD_2D)
     assert game.cocoercivity == pytest.approx(1.0 / lam_max, abs=1e-12)
     # v([1,1]) = -A [1,1] = [-3,-3], checked by hand.
-    assert np.allclose(gradient_field(game, [1.0, 1.0]).flat, [-3.0, -3.0])
-    assert np.allclose(project_to_nash(game, [5.0, -7.0]).flat, [0.0, 0.0], atol=1e-12)
+    assert np.allclose(gradient_field(game, [1.0, 1.0]), [-3.0, -3.0])
+    assert np.allclose(project_to_nash(game, [5.0, -7.0]), [0.0, 0.0], atol=1e-12)
 
 
 def test_make_game_rejects_indefinite_matrix():
@@ -153,13 +135,23 @@ def test_estimate_cocoercivity_flags_non_monotone():
 
 def test_project_to_nash_rank_deficient_matches_grid_oracle():
     game = make_game(GameSpec.quadratic([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0]))
-    proj = project_to_nash(game, [3.0, 4.0]).flat
+    proj = project_to_nash(game, [3.0, 4.0])
     assert np.allclose(proj, [0.0, 4.0], atol=1e-9)
     # Independent oracle: grid minimization of distance subject to A x = 0.
     grid = np.linspace(-10.0, 10.0, 4001)
     candidates = np.stack([np.zeros_like(grid), grid], axis=1)  # Nash set is the x2-axis
     d2 = ((candidates - np.array([3.0, 4.0])) ** 2).sum(axis=1)
     assert np.allclose(candidates[d2.argmin()], proj, atol=5e-3)
+
+
+@pytest.mark.parametrize("oracle,message", [
+    (lambda x: np.zeros(3), "length 3, expected 2"),
+    (lambda x: np.array([0.0, np.nan]), "non-finite"),
+], ids=["wrong_length", "nan"])
+def test_project_to_nash_rejects_a_bad_oracle_result(oracle, message):
+    game = dataclasses.replace(make_named_game("quad_2d"), nash_oracle=oracle)
+    with pytest.raises(ValueError, match=message):
+        project_to_nash(game, [1.0, 2.0])
 
 
 def test_project_requires_oracle():
@@ -179,7 +171,7 @@ def test_random_cocoercive_properties():
     assert est.lambda_hat > 0
     assert not est.monotone_violation
     assert verify_gradient(game, [0.3, -0.2, 1.1]).max_abs_error <= 1e-6
-    x_star = project_to_nash(game, [1.0, 1.0, 1.0]).flat
+    x_star = project_to_nash(game, [1.0, 1.0, 1.0])
     assert np.linalg.norm(game.field(x_star)) <= 1e-8
 
 
@@ -230,7 +222,7 @@ def test_builtin_nash_characterization(builtin):
     name, game = builtin
     rng = np.random.default_rng(2)
     for x in rng.uniform(-10.0, 10.0, size=(200, game.n)):
-        proj = project_to_nash(game, x).flat
+        proj = project_to_nash(game, x)
         assert np.linalg.norm(game.field(proj)) <= 1e-9
 
 
@@ -238,8 +230,8 @@ def test_builtin_projection_idempotent(builtin):
     name, game = builtin
     rng = np.random.default_rng(3)
     for x in rng.uniform(-10.0, 10.0, size=(200, game.n)):
-        once = project_to_nash(game, x).flat
-        twice = project_to_nash(game, once).flat
+        once = project_to_nash(game, x)
+        twice = project_to_nash(game, once)
         assert np.linalg.norm(twice - once) <= 1e-12
 
 
@@ -250,3 +242,60 @@ def test_builtin_gradient_check(builtin):
         if name == "piecewise":
             x = x if abs(x[0]) > 1e-3 else x + 0.1  # stay away from the kink
         assert verify_gradient(game, x).max_abs_error <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The batched field contract, on the built-ins and larger random games.
+# ---------------------------------------------------------------------------
+
+_RANDOM_GAMES = {"rand_16d": GameSpec.random_cocoercive(16, seed=3),
+                 "rand_64d": GameSpec.random_cocoercive(64, seed=3)}
+_FIELD_GAMES = sorted(builtin_game_specs()) + sorted(_RANDOM_GAMES)
+
+
+def _field_game(name):
+    if name in _RANDOM_GAMES:
+        return make_game(_RANDOM_GAMES[name], name=name)
+    return make_named_game(name)
+
+
+@pytest.mark.parametrize("name", _FIELD_GAMES)
+def test_field_rows_do_not_depend_on_the_batch(name):
+    game = _field_game(name)
+    X = np.random.default_rng(6).uniform(-5.0, 5.0, size=(37, game.n))
+    batch = game.field(X)
+    assert batch.shape == X.shape
+    rows = np.stack([game.field(x) for x in X])
+    assert batch.tobytes() == rows.tobytes()
+    for lo, hi in ((0, 1), (3, 11), (11, 37)):
+        assert game.field(X[lo:hi]).tobytes() == batch[lo:hi].tobytes()
+
+
+def _estimate_by_pairs(game, low, high, pairs, seed):
+    """estimate_cocoercivity as a per-pair loop of 1-D field calls."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(low, high, size=(pairs, game.n))
+    ys = rng.uniform(low, high, size=(pairs, game.n))
+    best, violated, used = np.inf, False, 0
+    for x, y in zip(xs, ys):
+        dv = game.field(y) - game.field(x)
+        denom = float(dv @ dv)
+        if denom == 0.0:
+            continue
+        num = float(-(y - x) @ dv)
+        if num < -1e-12 * (1.0 + float((y - x) @ (y - x)) + denom):
+            violated = True
+        used += 1
+        if num / denom < best:
+            best = num / denom
+    return float(best), violated, used
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", _FIELD_GAMES)
+def test_estimate_cocoercivity_matches_a_per_pair_loop(name, seed):
+    game = _field_game(name)
+    est = estimate_cocoercivity(game, -5.0, 5.0, pairs=2000, seed=seed)
+    best, violated, used = _estimate_by_pairs(game, -5.0, 5.0, 2000, seed)
+    assert np.float64(est.lambda_hat).tobytes() == np.float64(best).tobytes()
+    assert (est.monotone_violation, est.pairs_used) == (violated, used)

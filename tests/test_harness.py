@@ -472,14 +472,23 @@ def test_sweep_isolates_failures():
         sweep(sweep_template(), {"dynamics.schedule.eta": [0.5, -1.0]})
 
 
-def test_sweep_isolates_failures_at_run_time():
-    # the second matrix parses, but only make_game finds it is not monotone
+def test_sweep_isolates_failures_at_run_time(tmp_path, monkeypatch):
+    # the second matrix parses, but make_game finds it is not monotone: no point runs
+    ran = []
+    monkeypatch.setattr("gamegrad.harness.run_trajectory", lambda *a, **k: ran.append(a))
     template = quad1d_config(horizon=16, checks=("descent_invariants",)).to_dict()
     bad = {"kind": "quadratic", "matrix": [[-1.0]], "offset": [0.0]}
-    entries = sweep(template, {"game": [template["game"], bad]})
+    with pytest.raises(ConfigError, match="sweep point game=.*negative eigenvalue"):
+        sweep(template, {"game": [template["game"], bad]})
+    assert ran == []
+    monkeypatch.undo()
+    # a failure that shows only while a point runs stays that point's error
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    entries = sweep(template, {"trajectory_dir": [str(tmp_path / "traj"), str(blocker / "traj")]})
     assert entries[0].error is None and not entries[0].report.failed_checks()
-    assert entries[1].report is None
-    assert "negative eigenvalue" in entries[1].error
+    assert entries[1].report is None and entries[1].error
+    assert (tmp_path / "traj" / "trial_0000.jsonl").exists()
 
 
 def test_sweep_rejects_a_check_that_does_not_apply_before_any_point_runs(monkeypatch):
