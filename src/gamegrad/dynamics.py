@@ -21,6 +21,10 @@ tests pin them against each other:
 
 The unrolled bodies run one trial at a time; measured on a one-dimensional
 quadratic, a lock-step block only overtakes them from about 32 trials up.
+run_trajectory and run_lockstep share one set-up, and all three bodies take
+the same arguments. Each writes its per-step entries in its loop and the
+rest of the record through _Log: begin writes step 0, end stops the trials
+that diverged, and fill fast-forwards a settled trial.
 
 Settled trials. In double precision the runs reach an exact fixed point: a
 state the update maps to itself bit for bit. The unrolled bodies stop
@@ -32,18 +36,18 @@ stepping there. A trial is settled at the end of step t when
   relative noise with the new gap exactly 0.0, whose amplitude is
   sqrt(tau_t) * sqrt(0). Absolute noise never settles.
 
-The rest of the record is then filled instead of stepped: the same state,
-gap and beta, and step norm 0.0. A shared schedule's step sizes are in the
-record from the start; an adaptive one's tail comes from its settled_steps,
-which gives as one array what next_step(t, eta, g, g, 0.0) would return
-step by step. Why this is exact: every later step starts from the same
-bits, so it sees the same field and gap and a noise term of +-0, which
-leaves a nonzero field as it is and a zero one zero. With equal gaps and a
-zero step norm, beta no longer grows and every schedule's eta is
-nonincreasing (eta_monotone checks it). Rounding is monotone (IEEE 754): the
-increment eta * v vanished against the state at step t, so the no larger
-increment of any smaller eta vanishes too. The lock-step body does not
-fast-forward.
+_Log.fill then fills the rest of the record instead of stepping it: the
+same state, gap and beta, and step norm 0.0. A shared schedule's step sizes
+are in the record from the start; an adaptive one's tail comes from its
+settled_steps, which gives as one array what next_step(t, eta, g, g, 0.0)
+would return step by step. Why this is exact: every later step starts from
+the same bits, so it sees the same field and gap and a noise term of +-0,
+which leaves a nonzero field as it is and a zero one zero. With equal gaps
+and a zero step norm, beta no longer grows and every schedule's eta is
+nonincreasing (eta_monotone checks it). Rounding is monotone (IEEE 754):
+the increment eta * v vanished against the state at step t, so the no
+larger increment of any smaller eta vanishes too. The lock-step body does
+not fast-forward.
 
 The step-size arrays have the same bits as Python's float arithmetic step
 by step. The transcendental values, log(t + 2) for step_norm and
@@ -604,29 +608,69 @@ def runner_body(game: Game) -> str:
 
 
 class _Log:
-    """Record arrays for m trials, row i belonging to the block's i-th trial.
+    """The record of m trials, row i belonging to the block's i-th trial.
 
-    For a shared schedule (constant, power) the eta rows are filled from the
-    step sizes its step_sizes gives, and ``etas`` holds them as floats for
-    the stepping loops. It is None for the adaptive schedules, whose loops
-    log each step size as they compute it.
+    It is the only writer of a trial's record outside the stepping loops:
+    begin writes step 0, end stops diverged trials and fill fast-forwards a
+    settled one. For a shared schedule (constant, power) the eta rows are
+    filled from the step sizes its step_sizes gives, and ``etas`` holds them
+    as floats for the stepping loops. It is None for the adaptive schedules,
+    whose loops log each step size as they compute it.
     """
 
-    def __init__(self, m: int, n: int, config: DynamicsConfig, track_beta: bool):
+    def __init__(self, m: int, n: int, config: DynamicsConfig, schedule: Schedule):
         T = config.horizon
+        self.schedule = schedule
         self.gap = np.empty((m, T + 1))
         self.eta = np.empty((m, T))
         self.etas = None
-        if config.schedule.shared:
-            steps, self.etas = config.schedule.step_sizes(T)
+        if schedule.shared:
+            steps, self.etas = schedule.step_sizes(T)
             self.eta[:] = steps
         self.step = np.empty((m, T))
-        self.beta = np.empty((m, T + 1)) if track_beta else None
+        self.beta = np.empty((m, T + 1)) if schedule.tracks_beta else None
         self.steps = _log_steps(T, config.thinning)
         self.states = np.empty((m, len(self.steps), n))
         self.stop = [T] * m
         self.diverged = [False] * m
         self.settle = [None] * m
+
+    def begin(self, g, x) -> None:
+        """Step 0 of every trial: gap g (a float or one per trial), beta and state x."""
+        self.gap[:, 0] = g
+        if self.beta is not None:
+            self.beta[:, 0] = self.schedule.beta
+        self.states[:, 0] = x
+
+    def end(self, rows, t: int, x, beta, log_ptr: int) -> None:
+        """Stop the trials in ``rows``, which left the blow-up ball at step t.
+
+        x holds their states after step t and beta the offsets entering step
+        t + 1 (ignored unless beta is tracked); log_ptr is the index of the
+        first state not yet logged, which is step t's if t is a logged step.
+        """
+        for i in rows:
+            self.stop[i], self.diverged[i] = t, True
+        if self.beta is not None:
+            self.beta[rows, t] = beta
+        if log_ptr < len(self.steps) and self.steps[log_ptr] == t:
+            self.states[rows, log_ptr] = x
+
+    def fill(self, s: int, x, g: float, eta: float, log_ptr: int) -> None:
+        """Fill steps s..T-1 of trial 0, settled in state x at the end of step s-1.
+
+        eta is the step size of step s, already computed by the stepping loop. A
+        shared schedule's step sizes are in the record from the start.
+        """
+        self.settle[0] = s
+        self.gap[0, s + 1:] = g
+        self.step[0, s:] = 0.0
+        if self.beta is not None:
+            self.beta[0, s + 1:] = self.schedule.beta
+        self.states[0, log_ptr:] = x
+        if not self.schedule.shared:
+            self.eta[0, s] = eta
+            self.eta[0, s + 1:] = self.schedule.settled_steps(s, eta, g, self.eta.shape[1] - s - 1)
 
     def record(self, i: int, game: Game, config: DynamicsConfig, seed) -> TrajectoryRecord:
         t_stop = self.stop[i]
@@ -661,10 +705,11 @@ def _generator(rng: int | np.random.Generator | None):
     return rng, seed
 
 
-def _start(game: Game, config: DynamicsConfig, rngs: list):
-    """Checks and set-up shared by both entry points: generators, seeds, radius."""
+def _run(body, game: Game, config: DynamicsConfig, rngs: list) -> list[TrajectoryRecord]:
+    """The set-up both entry points share: checks, generators, schedule state, records."""
     if len(config.x0) != game.n:
         raise ConfigError(f"x0 has length {len(config.x0)}, game dimension is {game.n}")
+    m = len(rngs)
     gens, seeds = zip(*(_generator(rng) for rng in rngs))
     radius = config.blow_up_radius
     if radius is None:
@@ -672,7 +717,13 @@ def _start(game: Game, config: DynamicsConfig, rngs: list):
     draws = None
     if not isinstance(config.noise, NoNoise):
         draws = _NoiseDraws(config.noise, game.n, list(gens), config.horizon)
-    return seeds, radius, draws
+    schedule = config.schedule
+    if not schedule.shared:
+        schedule = schedule.fresh(None if m == 1 else m)
+    log = _Log(m, game.n, config, schedule)
+    with np.errstate(over="ignore", invalid="ignore"):  # diverging rows overflow in numpy
+        body(game, config.x0, config.horizon, schedule, draws, radius, log)
+    return [log.record(i, game, config, seed) for i, seed in enumerate(seeds)]
 
 
 def run_trajectory(game: Game, config: DynamicsConfig,
@@ -684,25 +735,7 @@ def run_trajectory(game: Game, config: DynamicsConfig,
     failures. A settled trial skips its remaining noise draws, so the
     position of a generator passed in is unspecified after the run.
     """
-    body = runner_body(game)
-    if body == "lockstep":
-        return run_lockstep(game, config, [rng])[0]
-    (seed,), radius, draws = _start(game, config, [rng])
-    schedule = config.schedule if config.schedule.shared else config.schedule.fresh()
-    log = _Log(1, game.n, config, schedule.tracks_beta)
-    beta = None if log.beta is None else log.beta[0]
-    if body == "scalar":
-        t_stop, diverged, settle = _run_scalar(game.scalar_field, config.x0[0], config.horizon,
-                                               schedule, log.etas, draws, radius, log.gap[0],
-                                               log.eta[0], log.step[0], beta, log.steps,
-                                               log.states[0])
-    else:
-        A, b = game.affine
-        t_stop, diverged, settle = _run_affine2(A, b, config.x0, config.horizon, schedule,
-                                                log.etas, draws, radius, log.gap[0], log.eta[0],
-                                                log.step[0], beta, log.steps, log.states[0])
-    log.stop[0], log.diverged[0], log.settle[0] = t_stop, diverged, settle
-    return log.record(0, game, config, seed)
+    return _run(_BODIES[runner_body(game)], game, config, [rng])[0]
 
 
 def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> list[TrajectoryRecord]:
@@ -716,19 +749,7 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> list[Traject
     runs on 1-D arrays through the same code, which was checked bit-equal to
     its row of a block.
     """
-    m = len(rngs)
-    seeds, radius, draws = _start(game, config, rngs)
-    flat = m == 1
-    schedule = config.schedule
-    if not schedule.shared:
-        schedule = schedule.fresh(None if flat else m)
-    log = _Log(m, game.n, config, schedule.tracks_beta)
-    x0 = np.array(config.x0, dtype=float)
-    if not flat:
-        x0 = np.tile(x0, (m, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _run_lockstep(game.field, x0, config.horizon, schedule, draws, radius, log)
-    return [log.record(i, game, config, seeds[i]) for i in range(m)]
+    return _run(_run_lockstep, game, config, rngs)
 
 
 def _dot(a, b) -> float:
@@ -743,8 +764,8 @@ def _same(v):
     return v
 
 
-def _run_lockstep(field, X, T, schedule, draws, radius, log):
-    """Step a block of trials together: X is (m, n), or (n,) for one trial.
+def _run_lockstep(game, x0, T, schedule, draws, radius, log):
+    """Step a block of m trials together from x0: X is (m, n), or (n,) for one trial.
 
     Per-trial values (gap, step norm, adaptive step size, noise amplitude)
     are (m,) vectors, or floats for one trial, so each line below is the
@@ -752,9 +773,11 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
     diverges leaves the block: its log row stops there and its row is
     dropped from every live array.
     """
-    flat = X.ndim == 1
+    field, m = game.field, len(log.stop)
+    flat = m == 1
+    X = np.array(x0, dtype=float) if flat else np.tile(x0, (m, 1))
     dot, col, sqrt = (_dot, _same, math.sqrt) if flat else (np.vecdot, _column, np.sqrt)
-    live = np.arange(1 if flat else X.shape[0])
+    live = np.arange(m)
     rows = 0 if flat else slice(None)  # the log rows of the live trials
     gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states
     etas = log.etas
@@ -764,10 +787,7 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
 
     V = field(X)
     G = dot(V, V)
-    gap[rows, 0] = G
-    if beta_log is not None:
-        beta_log[rows, 0] = schedule.beta
-    states[rows, 0] = X
+    log.begin(G, X)
     log_ptr = 1
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
@@ -802,13 +822,9 @@ def _run_lockstep(field, X, T, schedule, draws, radius, log):
             step_log[rows, t] = S
             ok = (G_new < inf) & (dot(X_new, X_new) <= r2)
             if not (ok if flat else ok.all()):
-                gone = live if flat else live[~ok]
-                for i in gone.tolist():
-                    log.stop[i], log.diverged[i] = t + 1, True
-                if beta_log is not None:
-                    beta_log[gone, t + 1] = schedule.beta if flat else schedule.beta[~ok]
-                if t + 1 == next_log:
-                    states[gone, log_ptr] = X_new if flat else X_new[~ok]
+                gone = slice(None) if flat else ~ok
+                beta = None if beta_log is None else schedule.beta if flat else schedule.beta[gone]
+                log.end(live[gone].tolist(), t + 1, X_new[gone], beta, log_ptr)
                 if flat or not ok.any():
                     return
                 live = rows = live[ok]
@@ -843,32 +859,14 @@ def _settled(old: tuple, draws, g_new: float) -> bool:
     return not any(a == 0.0 and math.copysign(1.0, a) < 0.0 for a in old)
 
 
-def _fill_settled(s, x, g, eta, schedule, gap, eta_arr, step_arr, beta_arr,
-                  states, log_ptr) -> None:
-    """Fill steps s..T-1 of a trial that settled in state x at the end of step s-1.
-
-    eta is the step size of step s, already computed by the stepping loop. A
-    shared schedule's step sizes are in eta_arr from the start.
-    """
-    gap[s + 1:] = g
-    step_arr[s:] = 0.0
-    if beta_arr is not None:
-        beta_arr[s + 1:] = schedule.beta
-    states[log_ptr:] = x
-    if not schedule.shared:
-        eta_arr[s] = eta
-        eta_arr[s + 1:] = schedule.settled_steps(s, eta, g, len(eta_arr) - s - 1)
-
-
-def _run_scalar(f, x, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
-                beta_arr, log_steps, states):
+def _run_scalar(game, x0, T, schedule, draws, radius, log):
+    f, x = game.scalar_field, x0[0]
+    gap, eta_arr, step_arr, states = log.gap[0], log.eta[0], log.step[0], log.states[0]
+    beta_arr, etas = None if log.beta is None else log.beta[0], log.etas
     v = f(x)
     g = v * v
-    gap[0] = g
-    if beta_arr is not None:
-        beta_arr[0] = schedule.beta
-    states[0, 0] = x
-    log_list = log_steps.tolist()
+    log.begin(g, x)
+    log_list = log.steps.tolist()
     log_ptr = 1
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
@@ -905,11 +903,8 @@ def _run_scalar(f, x, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
             step_sq = d * d
             step_arr[t] = step_sq
             if not (g_new < inf) or not (x_new * x_new <= r2):
-                if t + 1 == next_log:
-                    states[log_ptr, 0] = x_new
-                if track_beta:
-                    beta_arr[t + 1] = schedule.beta
-                return t + 1, True, None
+                log.end([0], t + 1, x_new, schedule.beta if track_beta else None, log_ptr)
+                return
             if t + 1 == next_log:
                 states[log_ptr, 0] = x_new
                 log_ptr += 1
@@ -919,16 +914,16 @@ def _run_scalar(f, x, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
             if step_sq == 0.0 and x_new == x and t + 1 < T and _settled((x,), draws, g_new):
-                _fill_settled(t + 1, x_new, g_new, eta_next, schedule, gap, eta_arr, step_arr,
-                              beta_arr, states, log_ptr)
-                return T, False, t + 1
+                log.fill(t + 1, x_new, g_new, eta_next, log_ptr)
+                return
             x, v, g = x_new, v_new, g_new
             t += 1
-    return T, False, None
 
 
-def _run_affine2(A, b, x0, T, schedule, etas, draws, radius, gap, eta_arr, step_arr,
-                 beta_arr, log_steps, states):
+def _run_affine2(game, x0, T, schedule, draws, radius, log):
+    A, b = game.affine
+    gap, eta_arr, step_arr, states = log.gap[0], log.eta[0], log.step[0], log.states[0]
+    beta_arr, etas = None if log.beta is None else log.beta[0], log.etas
     a00, a01 = float(A[0, 0]), float(A[0, 1])
     a10, a11 = float(A[1, 0]), float(A[1, 1])
     b0, b1 = float(b[0]), float(b[1])
@@ -937,12 +932,8 @@ def _run_affine2(A, b, x0, T, schedule, etas, draws, radius, gap, eta_arr, step_
     v0 = b0 - (a00 * x0_ + a01 * x1_)
     v1 = b1 - (a10 * x0_ + a11 * x1_)
     g = v0 * v0 + v1 * v1
-    gap[0] = g
-    if beta_arr is not None:
-        beta_arr[0] = schedule.beta
-    states[0, 0] = x0_
-    states[0, 1] = x1_
-    log_list = log_steps.tolist()
+    log.begin(g, (x0_, x1_))
+    log_list = log.steps.tolist()
     log_ptr = 1
     next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
 
@@ -984,12 +975,8 @@ def _run_affine2(A, b, x0, T, schedule, etas, draws, radius, gap, eta_arr, step_
             step_sq = d0 * d0 + d1 * d1
             step_arr[t] = step_sq
             if not (g_new < inf) or not (y0 * y0 + y1 * y1 <= r2):
-                if t + 1 == next_log:
-                    states[log_ptr, 0] = y0
-                    states[log_ptr, 1] = y1
-                if track_beta:
-                    beta_arr[t + 1] = schedule.beta
-                return t + 1, True, None
+                log.end([0], t + 1, (y0, y1), schedule.beta if track_beta else None, log_ptr)
+                return
             if t + 1 == next_log:
                 states[log_ptr, 0] = y0
                 states[log_ptr, 1] = y1
@@ -1001,9 +988,10 @@ def _run_affine2(A, b, x0, T, schedule, etas, draws, radius, gap, eta_arr, step_
                 beta_arr[t + 1] = schedule.beta
             if (step_sq == 0.0 and y0 == x0_ and y1 == x1_ and t + 1 < T
                     and _settled((x0_, x1_), draws, g_new)):
-                _fill_settled(t + 1, (y0, y1), g_new, eta_next, schedule, gap, eta_arr, step_arr,
-                              beta_arr, states, log_ptr)
-                return T, False, t + 1
+                log.fill(t + 1, (y0, y1), g_new, eta_next, log_ptr)
+                return
             x0_, x1_, v0, v1, g = y0, y1, w0, w1, g_new
             t += 1
-    return T, False, None
+
+
+_BODIES = {"scalar": _run_scalar, "affine2": _run_affine2, "lockstep": _run_lockstep}

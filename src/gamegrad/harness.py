@@ -2,8 +2,9 @@
 
 Trials draw independent Philox streams keyed by (master_seed, trial index),
 so results do not depend on execution order or worker count; aggregation is
-a fixed-order reduction over trial indices. Trials run in contiguous blocks,
-one per worker, each with one config parse and one game build; games
+a fixed-order reduction over trial indices. An experiment builds its game
+once, and its trials run in contiguous blocks, one per worker; a pool worker
+builds its own copy of the game, whose closures do not pickle. Games
 without an unrolled runner body step a whole block in lock-step, whose rows
 are block-independent. Reports serialize to JSON with sorted keys, making
 repeated runs of the same config byte-identical.
@@ -184,17 +185,21 @@ class ExperimentReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentReport":
+        config_dict(doc, "report")
         try:
             version = doc["schema_version"]
-            major = int(str(version).split(".")[0])
-            if major != int(SCHEMA_VERSION.split(".")[0]):
+            if str(version).split(".")[0] != SCHEMA_VERSION.split(".")[0]:
                 raise ConfigError(f"unsupported report schema major version {version!r}")
-            curves = doc["curves"]
+            curves = config_dict(doc["curves"], "report curves")
+            trials = doc["trials"]
+            if not isinstance(trials, list):
+                raise ConfigError(f"report trials must be a list, got {trials!r}")
             return ExperimentReport(
                 schema_version=version,
                 provenance=doc["provenance"],
                 config=doc["config"],
-                trials=[TrialSummary.from_dict(t) for t in doc["trials"]],
+                trials=[TrialSummary.from_dict(config_dict(t, f"report trials[{i}]"))
+                        for i, t in enumerate(trials)],
                 curve_steps=curves["steps"],
                 mean_gap=curves["mean_gap"],
                 stderr_gap=curves["stderr_gap"],
@@ -353,19 +358,16 @@ def build_game(config: ExperimentConfig) -> Game:
     return game
 
 
-def _block_payloads(config_doc: dict, trials: range) -> list[dict]:
-    """Run a contiguous block of trials and reduce each to its payload.
+def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list[dict]:
+    """Run a contiguous block of trials on the config's game (from build_game).
 
-    The config is parsed and the game built and checked (build_game) once
-    per block, before any trial steps. Games with an unrolled runner body
+    Each trial is reduced to its payload. Games with an unrolled runner body
     run one trial at a time; every other game steps the block in lock-step,
     whose rows call the game's field together, split only to bound the
-    record memory. When the
-    block writes trajectories and its step sizes are shared by every trial,
-    their eta text is formatted once and reused (see write_trajectory).
+    record memory. When the block writes trajectories and its step sizes
+    are shared by every trial, their eta text is formatted once and reused
+    (see write_trajectory).
     """
-    config = ExperimentConfig.from_dict(config_doc)
-    game = build_game(config)
     seed = config.master_seed
     eta_text = None
     if config.trajectory_dir:
@@ -441,8 +443,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     """Run all trials, aggregate at dyadic steps, evaluate checks, fit rates."""
     if workers < 1:
         raise ConfigError("workers must be at least 1")
+    return _experiment(config, build_game(config), workers)
+
+
+def _experiment(config: ExperimentConfig, game: Game, workers: int) -> ExperimentReport:
+    """run_experiment on the config's game, already built by build_game."""
     doc = config.to_dict()
-    payloads = _run_trials(doc, config.trials, workers)
+    payloads = _run_trials(config, game, workers)
 
     steps = dyadic_steps(config.dynamics.horizon)
     summaries = [TrialSummary(p["trial"], p["final_gap"], p["final_distance"],
@@ -501,13 +508,18 @@ def _blocks(trials: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_trials(doc: dict, trials: int, workers: int) -> list[dict]:
-    blocks = _blocks(trials, workers)
+def _run_trials(config: ExperimentConfig, game: Game, workers: int) -> list[dict]:
+    blocks = _blocks(config.trials, workers)
     if len(blocks) == 1:
-        return _block_payloads(doc, blocks[0])
+        return _block_payloads(config, game, blocks[0])
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        return [p for payloads in pool.map(_block_payloads, [doc] * len(blocks), blocks)
+        return [p for payloads in pool.map(_pool_block, [config] * len(blocks), blocks)
                 for p in payloads]  # trial order preserved
+
+
+def _pool_block(config: ExperimentConfig, trials: range) -> list[dict]:
+    """A pool worker's block: a game's closures do not pickle, so it builds its own."""
+    return _block_payloads(config, build_game(config), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +550,11 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
     """One experiment per grid point (cartesian product, axis order preserved).
 
     The template and every grid point are parsed, and each point's game
-    built and checked (build_game), before any point runs. A template or a
-    point that fails either raises ConfigError, naming the point, with
-    nothing run. Only a failure found while a point runs (say, a trajectory
-    directory that cannot be made) is its entry's error.
+    built and checked (build_game), before any point runs; each point then
+    runs on the game built for it. A template or a point that fails either
+    raises ConfigError, naming the point, with nothing run. Only a failure
+    found while a point runs (say, a trajectory directory that cannot be
+    made) is its entry's error.
     """
     config_dict(grid, "sweep grid")
     if not grid:
@@ -562,16 +575,15 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
             set_by_path(doc, path, value)
         try:
             config = ExperimentConfig.from_dict(doc)
-            build_game(config)
+            points.append((point, config, build_game(config)))
         except ConfigError as exc:
             tag = ", ".join(f"{k}={v}" for k, v in point.items())
             raise ConfigError(f"sweep point {tag}: {exc}") from None
-        points.append((point, config))
 
     entries: list[SweepEntry] = []
-    for point, config in points:
+    for point, config, game in points:
         try:
-            entries.append(SweepEntry(point, run_experiment(config, workers=workers), None))
+            entries.append(SweepEntry(point, _experiment(config, game, workers), None))
         except Exception as exc:  # isolate failures per grid point
             entries.append(SweepEntry(point, None, str(exc)))
     return entries

@@ -103,11 +103,6 @@ class RateFit:
                 "residual_rms": self.residual_rms,
                 "window": list(self.window), "n_points": self.n_points}
 
-    @staticmethod
-    def from_dict(doc: dict) -> "RateFit":
-        return RateFit(doc["slope"], doc["intercept"], doc["residual_rms"],
-                       tuple(doc["window"]), doc["n_points"])
-
 
 def fit_rate(points: Iterable[tuple[float, float]],
              window: Optional[tuple[float, float]] = None) -> RateFit:
@@ -158,13 +153,6 @@ class ConvergenceVerdict:
                 "worst_violation": worst if math.isfinite(worst) else None,
                 "first_violation_step": None if self.first_violation_step is None
                 else int(self.first_violation_step)}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ConvergenceVerdict":
-        worst = doc["worst_violation"]
-        return ConvergenceVerdict(doc["check_id"], doc["passed"],
-                                  math.nan if worst is None else worst,
-                                  doc.get("first_violation_step"))
 
 
 def check_descent_invariants(record: TrajectoryRecord, game: Game, eta: float, lam: float) -> list[ConvergenceVerdict]:

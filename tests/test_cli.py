@@ -186,6 +186,23 @@ def test_fit_rate_missing_curve_lists_available(runner, tmp_path):
     assert "time_average" in result.output
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [1, 2], "report must be an object"),
+    (lambda doc: {**doc, "curves": [1]}, "report curves must be an object"),
+    (lambda doc: {**doc, "schema_version": "abc"}, "major version 'abc'"),
+    (lambda doc: {**doc, "trials": [1]}, "report trials[0] must be an object"),
+], ids=["array", "curves", "schema_version", "trials"])
+def test_fit_rate_malformed_report_is_a_config_error(runner, tmp_path, edit, message):
+    cfg = write_cfg(tmp_path, quad1d_doc(checks=()))
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["run", "--config", cfg, "--out", str(out)]).exit_code == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads((out / "report.json").read_text()))))
+    result = runner.invoke(main, ["fit-rate", "--report", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
 @pytest.mark.parametrize("override", [
     "trials=\"abc\"", "trials=2.5", "master_seed=1.5", "master_seed=\"7\"",
     "dynamics.horizon=1.5", "dynamics.horizon=true", "dynamics.thinning=0.5",

@@ -443,6 +443,79 @@ def test_divergence_stays_inside_its_row_of_a_block(schedule, radius):
 
 
 # ---------------------------------------------------------------------------
+# divergence in every body
+# ---------------------------------------------------------------------------
+
+_DIVERGE_SCHEDULES = {
+    # absolute noise, so the rows of a block leave the ball at different steps
+    "constant": (lambda: ConstantSchedule(5.0),
+                 AbsoluteNoise(VarianceSchedule("constant", 0.01), "gaussian")),
+    "grad_norm": (lambda: GradNormSchedule(1e-2, 2.0), NoNoise()),  # tracks beta
+}
+# The quadratic games start near their Nash points, so that the adaptive
+# steps stay large for a few steps. Without noise, piecewise from x0 = -1 can
+# leave a ball only at step 1: step 1 lands at x >= 0, where its field is 0,
+# or closer to 0.
+_DIVERGE_X0 = {"quad_1d": (1e-3,), "piecewise": (-1.0,), "quad_2d": (1e-3, 1e-3),
+               "rand_2d": (-0.453, -0.99)}
+_DIVERGE_CASES = [pytest.param(name, schedule, logged,
+                               id=f"{name}-{schedule}-{'logged' if logged else 'unlogged'}")
+                  for name in ("quad_1d", "piecewise", "quad_2d", "rand_2d")
+                  for schedule in _DIVERGE_SCHEDULES for logged in (True, False)
+                  if (name, schedule, logged) != ("piecewise", "grad_norm", False)]
+
+
+def _exit_step(norms, horizon, logged):
+    """The last step at which the norms reach a new maximum, among the steps
+    that thinning 0 logs (logged) or among the others."""
+    dyadic = set(dyadic_steps(horizon))
+    return max(k for k in range(1, len(norms))
+               if (k in dyadic) == logged and norms[k] > norms[:k].max())
+
+
+def _stopped_prefix(rec, full, k):
+    """Whether rec, stopped at step k, is the first k steps of full, a run that
+    went on (thinning 1), bit for bit. Its beta entering step k is the one
+    entering step k - 1: the schedule takes no feedback from the step that left."""
+    head = [(rec.gap, full.gap[:k + 1]), (rec.eta, full.eta[:k]),
+            (rec.step_norm_sq, full.step_norm_sq[:k]), (rec.states, full.states[rec.state_steps])]
+    if rec.beta is not None:
+        head += [(rec.beta[:k], full.beta[:k]), (rec.beta[k:], full.beta[k - 1:k])]
+    return all(a.tobytes() == b.tobytes() for a, b in head)
+
+
+@pytest.mark.parametrize("thinning", [0, 1])
+@pytest.mark.parametrize("name,schedule,logged", _DIVERGE_CASES)
+def test_divergence_is_written_alike_by_every_body(name, schedule, logged, thinning):
+    game = make_named_game(name)
+    make, noise = _DIVERGE_SCHEDULES[schedule]
+    cfg = DynamicsConfig(make(), horizon=20, x0=_DIVERGE_X0[name], noise=noise,
+                         blow_up_radius=1e300, thinning=1)
+    full = run_trajectory(game, cfg, rng=trial_rng(5, 1))
+    full_generic = run_trajectory(_force_generic(game), cfg, rng=trial_rng(5, 1))
+    norms = np.linalg.norm(full.states, axis=1)
+    k = _exit_step(norms, cfg.horizon, logged)
+    radius = (norms[:k].max() + norms[k]) / 2
+    cfg = dataclasses.replace(cfg, blow_up_radius=radius, thinning=thinning)
+
+    rec = run_trajectory(game, cfg, rng=trial_rng(5, 1))
+    generic = run_trajectory(_force_generic(game), cfg, rng=trial_rng(5, 1))
+    block = run_lockstep(game, cfg, [trial_rng(5, i) for i in range(3)])
+    assert rec.diverged and rec.divergence_step == k
+    assert (rec.state_steps[-1] == k) == (logged or thinning == 1)
+    if rec.state_steps[-1] == k:
+        assert np.linalg.norm(rec.states[-1]) > radius  # the state that left the ball
+    assert _stopped_prefix(rec, full, k) and _stopped_prefix(generic, full_generic, k)
+    assert _same_bits(generic, block[1])
+    if game.n == 1:
+        assert _same_bits(rec, generic)
+    else:  # lock-step's gap and step norm can differ from the 2-d body's in the last bit
+        assert generic.divergence_step == k
+        assert generic.state_steps.tolist() == rec.state_steps.tolist()
+        assert np.allclose(rec.states, generic.states, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # settled trials
 # ---------------------------------------------------------------------------
 
@@ -649,7 +722,7 @@ def _tail_by_calls(schedule, t, eta, g, count):
 
 
 def _check_tail(make, t, g, horizon):
-    count = horizon - t - 1  # what _fill_settled asks for after settling at step t
+    count = horizon - t - 1  # what _Log.fill asks for after settling at step t
     if make().shared:  # the record holds every step size from the start
         tail = make().step_sizes(horizon)[0][t + 1:]
         assert tail.tobytes() == np.array(_plain_steps(make(), t, count)).tobytes()

@@ -503,6 +503,26 @@ def test_sweep_rejects_a_check_that_does_not_apply_before_any_point_runs(monkeyp
     assert ran == []
 
 
+def test_sweep_and_run_build_each_game_and_parse_each_config_once(monkeypatch):
+    counts = {"make_game": 0, "from_dict": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    template = sweep_template()
+    monkeypatch.setattr("gamegrad.harness.make_game", counted("make_game", make_game))
+    monkeypatch.setattr(ExperimentConfig, "from_dict",
+                        staticmethod(counted("from_dict", ExperimentConfig.from_dict)))
+    sweep(template, {"dynamics.schedule.eta": [0.1, 0.5, 1.0]})
+    assert counts == {"make_game": 3, "from_dict": 4}  # the template and each point once
+    counts.update(make_game=0, from_dict=0)
+    run_experiment(ExperimentConfig.from_dict({**template, "trials": 3}))
+    assert counts == {"make_game": 1, "from_dict": 1}  # the caller's parse
+
+
 def test_set_by_path_leaf_must_exist():
     doc = {"a": {"b": 1}}
     set_by_path(doc, "a.b", 2)

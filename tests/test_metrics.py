@@ -323,6 +323,9 @@ def test_parse_check_unknown_id():
         parse_check("mystery", DynamicsConfig.from_dict(rec.config))
 
 
-def test_verdict_round_trip():
-    v = ConvergenceVerdict("x", False, 0.5, 3)
-    assert ConvergenceVerdict.from_dict(v.to_dict()) == v
+def test_verdict_to_dict_writes_non_finite_worst_violation_as_null():
+    assert ConvergenceVerdict("x", False, 0.5, 3).to_dict() == {
+        "check_id": "x", "passed": False, "worst_violation": 0.5, "first_violation_step": 3}
+    for worst in (math.inf, -math.inf, math.nan):
+        doc = ConvergenceVerdict("x", True, worst).to_dict()
+        assert doc["worst_violation"] is None and doc["first_violation_step"] is None
