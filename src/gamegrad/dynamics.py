@@ -67,7 +67,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -77,6 +77,9 @@ from .games import Game
 Array = np.ndarray
 
 _CHUNK = 4096
+
+# Record memory one lock-step block may hold; run_lockstep splits larger runs.
+_BLOCK_BYTES = 64 << 20
 
 # Libm tables cached per process: one per horizon (and p) in use at a time.
 _TABLES = 8
@@ -550,7 +553,7 @@ class TrajectoryRecord:
     game_name: str
     config: dict
     gap: Array               # ||v(x_t)||^2 for t = 0..T
-    eta: Array               # step size used at each step, length T
+    eta: Array               # step size used at each step, length T (read-only if shared)
     step_norm_sq: Array      # ||x_{t+1} - x_t||^2, length T
     beta: Optional[Array]    # offset in force entering each step (grad_norm runs)
     state_steps: Array       # indices of logged states, increasing
@@ -612,21 +615,22 @@ class _Log:
 
     It is the only writer of a trial's record outside the stepping loops:
     begin writes step 0, end stops diverged trials and fill fast-forwards a
-    settled one. For a shared schedule (constant, power) the eta rows are
-    filled from the step sizes its step_sizes gives, and ``etas`` holds them
-    as floats for the stepping loops. It is None for the adaptive schedules,
-    whose loops log each step size as they compute it.
+    settled one. For a shared schedule (constant, power) every eta row is a
+    read-only view of the one array step_sizes gives, and ``etas`` holds its
+    floats for the stepping loops; it is None for the adaptive schedules,
+    whose loops log each step size in the trial's own row as they compute it.
     """
 
     def __init__(self, m: int, n: int, config: DynamicsConfig, schedule: Schedule):
         T = config.horizon
         self.schedule = schedule
         self.gap = np.empty((m, T + 1))
-        self.eta = np.empty((m, T))
         self.etas = None
         if schedule.shared:
             steps, self.etas = schedule.step_sizes(T)
-            self.eta[:] = steps
+            self.eta = np.broadcast_to(steps, (m, T))
+        else:
+            self.eta = np.empty((m, T))
         self.step = np.empty((m, T))
         self.beta = np.empty((m, T + 1)) if schedule.tracks_beta else None
         self.steps = _log_steps(T, config.thinning)
@@ -692,10 +696,11 @@ class _Log:
         )
 
 
-def record_bytes(config: DynamicsConfig, n: int) -> int:
-    """Bytes of one trial's record arrays (gap, eta, step norms, beta, states)."""
-    series = 4 if config.schedule.tracks_beta else 3
-    return 8 * (series * (config.horizon + 1) + len(_log_steps(config.horizon, config.thinning)) * n)
+def _record_bytes(config: DynamicsConfig, n: int) -> int:
+    """Bytes _Log allocates per trial: gap, step norms, states, and eta and beta rows it owns."""
+    T, schedule = config.horizon, config.schedule
+    rows = 2 * T + 1 + T * (not schedule.shared) + (T + 1) * schedule.tracks_beta
+    return 8 * (rows + len(_log_steps(T, config.thinning)) * n)
 
 
 def _generator(rng: int | np.random.Generator | None):
@@ -738,18 +743,21 @@ def run_trajectory(game: Game, config: DynamicsConfig,
     return _run(_BODIES[runner_body(game)], game, config, [rng])[0]
 
 
-def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> list[TrajectoryRecord]:
-    """Run one trial per generator in ``rngs``, all stepping together.
+def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> Iterator[TrajectoryRecord]:
+    """Run one trial per generator in ``rngs`` in lock-step; yield their records in order.
 
-    This is the body for every game without an unrolled one. Trial i draws
-    its noise from rngs[i] alone, and every per-row operation (the game's
-    own field, called on the whole block as it is, np.vecdot, elementwise
-    arithmetic) gives the same bits whatever the number of rows, so a
-    trial's record does not depend on which block it ran in. A single trial
-    runs on 1-D arrays through the same code, which was checked bit-equal to
-    its row of a block.
+    This is the body for every game without an unrolled one. It steps as many
+    trials at once as _BLOCK_BYTES of records hold, block after block. Trial
+    i draws its noise from rngs[i] alone, and every per-row operation (the
+    game's own field, called on the whole block as it is, np.vecdot,
+    elementwise arithmetic) gives the same bits whatever the number of rows,
+    so a trial's record does not depend on which block it ran in. A single
+    trial runs on 1-D arrays through the same code, which was checked
+    bit-equal to its row of a block.
     """
-    return _run(_run_lockstep, game, config, rngs)
+    size = max(1, _BLOCK_BYTES // _record_bytes(config, game.n))
+    for lo in range(0, len(rngs), size):
+        yield from _run(_run_lockstep, game, config, rngs[lo:lo + size])
 
 
 def _dot(a, b) -> float:

@@ -31,7 +31,6 @@ from .dynamics import (
     NoNoise,
     TrajectoryRecord,
     dyadic_steps,
-    record_bytes,
     run_lockstep,
     run_trajectory,
     runner_body,
@@ -40,15 +39,13 @@ from .errors import (
     ConfigError,
     IndeterminateResult,
     config_dict,
+    config_float,
     config_int,
     config_keys,
 )
 from .games import Game, GameSpec, game_spec_from_dict, make_game
 
 SCHEMA_VERSION = "1.0"
-
-# Record memory one lock-step block may hold; larger runs go in several blocks.
-_BLOCK_BYTES = 64 << 20
 
 # Trajectory rows formatted and written at a time, bounding the text held.
 _WRITE_ROWS = 4096
@@ -191,6 +188,7 @@ class ExperimentReport:
             if str(version).split(".")[0] != SCHEMA_VERSION.split(".")[0]:
                 raise ConfigError(f"unsupported report schema major version {version!r}")
             curves = config_dict(doc["curves"], "report curves")
+            steps = _curve_values(curves, "steps", None)
             trials = doc["trials"]
             if not isinstance(trials, list):
                 raise ConfigError(f"report trials must be a list, got {trials!r}")
@@ -200,11 +198,12 @@ class ExperimentReport:
                 config=doc["config"],
                 trials=[TrialSummary.from_dict(config_dict(t, f"report trials[{i}]"))
                         for i, t in enumerate(trials)],
-                curve_steps=curves["steps"],
-                mean_gap=curves["mean_gap"],
-                stderr_gap=curves["stderr_gap"],
-                mean_time_avg_gap=curves["mean_time_avg_gap"],
-                mean_distance=curves["mean_distance"],
+                curve_steps=steps,
+                mean_gap=_curve_values(curves, "mean_gap", len(steps)),
+                stderr_gap=_curve_values(curves, "stderr_gap", len(steps)),
+                mean_time_avg_gap=_curve_values(curves, "mean_time_avg_gap", len(steps)),
+                mean_distance=(None if curves["mean_distance"] is None
+                               else _curve_values(curves, "mean_distance", len(steps))),
                 fits=doc["fits"],
                 checks=doc["checks"],
                 all_diverged=doc["all_diverged"],
@@ -223,6 +222,19 @@ class ExperimentReport:
 
     def failed_checks(self) -> list[dict]:
         return [c for c in self.checks if not c["passed"]]
+
+
+def _curve_values(curves: dict, key: str, length: Optional[int]) -> list:
+    """curves[key], checked: the steps (length None), or a number or null per step."""
+    values = curves[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"report curves.{key} must be a list, got {values!r}")
+    if length not in (None, len(values)):
+        raise ConfigError(f"report curves.{key} has {len(values)} entries, curves.steps has {length}")
+    for i, v in enumerate(values):
+        if v is not None or length is None:
+            config_float(v, f"report curves.{key}[{i}]")
+    return values
 
 
 def write_report(report: ExperimentReport, path: str) -> None:
@@ -245,7 +257,7 @@ def read_report(path: str) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def write_trajectory(record: TrajectoryRecord, path: str,
-                     eta_text: Optional[dict] = None) -> None:
+                     eta_text: Optional[list[str]] = None) -> None:
     """Stream one trajectory to disk: a header line, then one line per step t.
 
     Every line is what ``json.dumps(row, sort_keys=True)`` writes for it.
@@ -257,14 +269,11 @@ def write_trajectory(record: TrajectoryRecord, path: str,
     seed. The columns are formatted and written ``_WRITE_ROWS`` rows at a
     time: one repr pass over each column slice and one f-string per line.
 
-    ``eta_text`` is an optional cache of eta text shared by the records of
-    one block whose schedule gives every trial the same step sizes
-    (constant, power): chunk start -> (the chunk's raw bytes, its reprs). A
-    chunk reuses the cached text only if its bytes begin the cached chunk's,
-    so a record never gets text for values it does not hold; a diverged
-    record, a prefix, reuses its share. The cache holds one record's eta
-    column, about 85 B per step as text, list slot and raw bytes (2.8 MB
-    at 2^15 steps), until the block ends.
+    ``eta_text`` is the eta column's text, formatted once from the
+    schedule's step sizes when the schedule gives every trial the same ones
+    (constant, power; see _block_payloads): each record's eta is a prefix
+    of that sequence, so its rows take their share of the list, and a
+    diverged record a shorter share.
     """
     with open(path, "w", encoding="utf-8") as fh:
         header = {"type": "header", "game": record.game_name, "config": record.config,
@@ -276,10 +285,12 @@ def write_trajectory(record: TrajectoryRecord, path: str,
             fh.write("".join(_step_lines(record, lo, hi, eta_text)))
 
 
-def _step_lines(record: TrajectoryRecord, lo: int, hi: int, eta_text: Optional[dict]) -> list[str]:
+def _step_lines(record: TrajectoryRecord, lo: int, hi: int,
+                eta_text: Optional[list[str]]) -> list[str]:
     """The lines of steps lo..hi-1 (hi <= len(record.gap))."""
     gap = _reprs(record.gap[lo:hi])
-    eta = _eta_reprs(record.eta[lo:hi], lo, eta_text)
+    eta = (_reprs(record.eta[lo:hi]) if eta_text is None
+           else eta_text[lo:min(hi, len(record.eta))])
     step = _reprs(record.step_norm_sq[lo:hi])
     if record.beta is None:
         beta = [""] * (hi - lo)
@@ -309,19 +320,6 @@ def _reprs(values: np.ndarray) -> list[str]:
     if not finite.all():
         for i in np.flatnonzero(~finite).tolist():
             out[i] = "null"
-    return out
-
-
-def _eta_reprs(values: np.ndarray, lo: int, cache: Optional[dict]) -> list[str]:
-    """_reprs(values), reusing the cached text of chunk start lo when it covers them."""
-    if cache is None:
-        return _reprs(values)
-    raw = values.tobytes()
-    hit = cache.get(lo)
-    if hit is not None and hit[0].startswith(raw):
-        return hit[1][:len(values)]
-    out = _reprs(values)
-    cache[lo] = (raw, out)
     return out
 
 
@@ -362,35 +360,27 @@ def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list
     """Run a contiguous block of trials on the config's game (from build_game).
 
     Each trial is reduced to its payload. Games with an unrolled runner body
-    run one trial at a time; every other game steps the block in lock-step,
-    whose rows call the game's field together, split only to bound the
-    record memory. When the block writes trajectories and its step sizes
-    are shared by every trial, their eta text is formatted once and reused
-    (see write_trajectory).
+    run one trial at a time; every other game steps the block in lock-step
+    (run_lockstep, which splits it to bound the record memory). When the
+    block writes trajectories and its schedule gives every trial the same
+    step sizes, their text is formatted once from the schedule's sequence
+    and each trial's file takes its share (see write_trajectory).
     """
-    seed = config.master_seed
+    seed, dynamics = config.master_seed, config.dynamics
     eta_text = None
     if config.trajectory_dir:
         os.makedirs(config.trajectory_dir, exist_ok=True)
-        if config.dynamics.schedule.shared:
-            eta_text = {}
+        if dynamics.schedule.shared:
+            eta_text = _reprs(dynamics.schedule.step_sizes(dynamics.horizon)[0])
     if runner_body(game) != "lockstep":
-        return [_trial_payload(config, game, i,
-                               run_trajectory(game, config.dynamics, rng=trial_rng(seed, i)),
-                               eta_text)
-                for i in trials]
-    payloads = []
-    size = max(1, _BLOCK_BYTES // record_bytes(config.dynamics, game.n))
-    for lo in range(trials.start, trials.stop, size):
-        part = range(lo, min(lo + size, trials.stop))
-        records = run_lockstep(game, config.dynamics, [trial_rng(seed, i) for i in part])
-        payloads.extend(_trial_payload(config, game, i, rec, eta_text)
-                        for i, rec in zip(part, records))
-    return payloads
+        records = (run_trajectory(game, dynamics, rng=trial_rng(seed, i)) for i in trials)
+    else:
+        records = run_lockstep(game, dynamics, [trial_rng(seed, i) for i in trials])
+    return [_trial_payload(config, game, i, rec, eta_text) for i, rec in zip(trials, records)]
 
 
 def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: TrajectoryRecord,
-                   eta_text: Optional[dict]) -> dict:
+                   eta_text: Optional[list[str]]) -> dict:
     """Reduce one trial to the small summary the aggregator needs."""
     if config.trajectory_dir:
         write_trajectory(record, os.path.join(config.trajectory_dir, f"trial_{trial:04d}.jsonl"),

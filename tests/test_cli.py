@@ -186,12 +186,23 @@ def test_fit_rate_missing_curve_lists_available(runner, tmp_path):
     assert "time_average" in result.output
 
 
+def _edit_curve(doc, key, value):
+    return {**doc, "curves": {**doc["curves"], key: value}}
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: [1, 2], "report must be an object"),
     (lambda doc: {**doc, "curves": [1]}, "report curves must be an object"),
     (lambda doc: {**doc, "schema_version": "abc"}, "major version 'abc'"),
     (lambda doc: {**doc, "trials": [1]}, "report trials[0] must be an object"),
-], ids=["array", "curves", "schema_version", "trials"])
+    (lambda doc: _edit_curve(doc, "mean_gap", ["x"] * 7), "curves.mean_gap[0] must be a number"),
+    (lambda doc: _edit_curve(doc, "steps", 5), "curves.steps must be a list"),
+    (lambda doc: _edit_curve(doc, "steps", [str(t) for t in doc["curves"]["steps"]]),
+     "curves.steps[0] must be a number"),
+    (lambda doc: _edit_curve(doc, "mean_gap", doc["curves"]["mean_gap"][:4]),
+     "curves.mean_gap has 4 entries, curves.steps has 7"),
+], ids=["array", "curves", "schema_version", "trials", "gap_strings", "steps_int",
+        "steps_strings", "gap_short"])
 def test_fit_rate_malformed_report_is_a_config_error(runner, tmp_path, edit, message):
     cfg = write_cfg(tmp_path, quad1d_doc(checks=()))
     out = tmp_path / "out"
@@ -491,10 +502,17 @@ def test_unexpected_exception_is_an_internal_error(runner, tmp_path, monkeypatch
     assert not (tmp_path / "report.json").exists()
 
 
-def test_traced_benchmark_child_runs_a_command(tmp_path):
-    # bench/spans.py rebinds names in gamegrad at run time; this fails when one goes away
+_LOCKSTEP_DOC = {  # no unrolled body: the trials run in lock-step, as in highdim_trials
+    "game": {"kind": "random_cocoercive", "n": 4, "seed": 3, "conditioning": 4.0},
+    "dynamics": {"schedule": {"kind": "constant", "eta": 0.2}, "noise": {"kind": "none"},
+                 "horizon": 256, "x0": [1.0] * 4, "blow_up_radius": None, "thinning": 0},
+    "trials": 3, "master_seed": 1, "checks": ["no_divergence", "gap_step_consistency"],
+}
+
+
+def run_traced_child(tmp_path, doc):
+    """Run doc through bench/child.py with spans installed; the names of its spans."""
     root = Path(__file__).resolve().parent.parent
-    doc = json.loads((root / "src" / "gamegrad" / "configs" / "quadratic_1d.cfg").read_text())
     cfg = write_cfg(tmp_path, {**doc, "trajectory_dir": None})
     result_path = tmp_path / "result.json"
     env = {**os.environ, "PYTHONPATH": "src"}
@@ -505,5 +523,20 @@ def test_traced_benchmark_child_runs_a_command(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(result_path.read_text())
     assert result["exit"] == 0, result
-    names = {span["name"] for span in result["spans"]}
-    assert {"dynamics.run_trajectory", "harness.write_trajectory", "metrics.run_check"} <= names
+    assert len(list((tmp_path / "traj").iterdir())) == doc["trials"]
+    return [span["name"] for span in result["spans"]]
+
+
+def test_traced_benchmark_child_runs_a_command(tmp_path):
+    # bench/spans.py rebinds names in gamegrad at run time; this fails when one goes away
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "src" / "gamegrad" / "configs" / "quadratic_1d.cfg").read_text())
+    names = run_traced_child(tmp_path, doc)
+    assert {"dynamics.run_trajectory", "harness.write_trajectory", "metrics.run_check"} <= set(names)
+
+
+def test_traced_benchmark_child_runs_a_lockstep_command(tmp_path):
+    names = run_traced_child(tmp_path, _LOCKSTEP_DOC)
+    assert {"harness.write_trajectory", "metrics.run_check"} <= set(names)
+    assert "dynamics.run_trajectory" not in names  # spans.py does not span run_lockstep
+    assert names.count("harness.write_trajectory") == _LOCKSTEP_DOC["trials"]

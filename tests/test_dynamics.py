@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from gamegrad.dynamics import (
+    _Log,
     _log_steps,
     _log_table,
     _NoiseDraws,
     _pow_table,
+    _record_bytes,
     AbsoluteNoise,
     ConstantSchedule,
     DynamicsConfig,
@@ -417,7 +419,7 @@ def test_single_trial_equals_its_row_of_a_block(schedule, noise):
     game = _highdim_game()
     assert runner_body(game) == "lockstep"
     cfg = DynamicsConfig(schedule, horizon=300, x0=(1.0,) * 16, noise=noise, thinning=7)
-    block = run_lockstep(game, cfg, [trial_rng(4, i) for i in range(5)])
+    block = list(run_lockstep(game, cfg, [trial_rng(4, i) for i in range(5)]))
     for i in (0, 3):
         single = run_trajectory(game, cfg, rng=trial_rng(4, i))
         assert _records_equal(single, block[i])
@@ -430,7 +432,7 @@ def test_divergence_stays_inside_its_row_of_a_block(schedule, radius):
     noise = AbsoluteNoise(VarianceSchedule("constant", 25.0), shape="sphere")
     cfg = DynamicsConfig(schedule, horizon=200, x0=(1.0,) * 16, noise=noise,
                          blow_up_radius=radius, thinning=1)
-    block = run_lockstep(game, cfg, [trial_rng(2, i) for i in range(8)])
+    block = list(run_lockstep(game, cfg, [trial_rng(2, i) for i in range(8)]))
     outcomes = {rec.diverged for rec in block}
     assert outcomes == {True, False}  # some trials diverge, others run to the horizon
     for i, rec in enumerate(block):
@@ -500,7 +502,7 @@ def test_divergence_is_written_alike_by_every_body(name, schedule, logged, thinn
 
     rec = run_trajectory(game, cfg, rng=trial_rng(5, 1))
     generic = run_trajectory(_force_generic(game), cfg, rng=trial_rng(5, 1))
-    block = run_lockstep(game, cfg, [trial_rng(5, i) for i in range(3)])
+    block = list(run_lockstep(game, cfg, [trial_rng(5, i) for i in range(3)]))
     assert rec.diverged and rec.divergence_step == k
     assert (rec.state_steps[-1] == k) == (logged or thinning == 1)
     if rec.state_steps[-1] == k:
@@ -811,9 +813,42 @@ def test_shared_schedules_make_no_per_step_call(make, game_name):
     cfg = DynamicsConfig(schedule, horizon=300, x0=(0.5,) * game.n,
                          noise=AbsoluteNoise(VarianceSchedule("constant", 0.01)))
     rec = run_trajectory(game, cfg, rng=3)
-    block = run_lockstep(game, cfg, [3, 4])
+    block = list(run_lockstep(game, cfg, [3, 4]))
     assert not rec.diverged and rec.eta.tobytes() == block[1].eta.tobytes()
     assert rec.eta.tobytes() == schedule.step_sizes(300)[0].tobytes()
+
+
+@pytest.mark.parametrize("thinning", [0, 7])
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("make", [lambda: ConstantSchedule(0.3), lambda: PowerSchedule(0.5, 0.5),
+                                  lambda: StepNormSchedule(1.0), lambda: GradNormSchedule(1.0, 2.0)],
+                         ids=["constant", "power", "step_norm", "grad_norm"])
+def test_record_bytes_count_the_arrays_the_log_owns(make, n, thinning):
+    schedule, m = make(), 3
+    cfg = DynamicsConfig(schedule, horizon=100, x0=(1.0,) * n, thinning=thinning)
+    log = _Log(m, n, cfg, schedule if schedule.shared else schedule.fresh(m))
+    rows = [a for a in (log.gap, log.eta, log.step, log.beta, log.states) if a is not None]
+    assert (log.beta is not None) == (schedule.kind == "grad_norm")
+    assert (log.eta.base is None) == (not schedule.shared)  # shared: a view of step_sizes
+    assert sum(a.nbytes for a in rows if a.base is None) == m * _record_bytes(cfg, n)
+
+
+@pytest.mark.parametrize("make", [ConstantSchedule, lambda c: PowerSchedule(c, 0.5)],
+                         ids=["constant", "power"])
+@pytest.mark.parametrize("game_name", ["quad_1d", "quad_2d", "rand_4d"])
+def test_shared_schedule_records_view_one_step_size_array(make, game_name):
+    game = (make_game(GameSpec.random_cocoercive(4, seed=3), name=game_name)
+            if game_name == "rand_4d" else make_named_game(game_name))
+    for scale, diverged in ((0.3, False), (5.0, True)):
+        schedule = make(scale)
+        cfg = DynamicsConfig(schedule, horizon=300, x0=(0.5,) * game.n, blow_up_radius=10.0,
+                             noise=AbsoluteNoise(VarianceSchedule("constant", 0.01)))
+        records = [run_trajectory(game, cfg, rng=3), *run_lockstep(game, cfg, [3, 4, 5])]
+        steps = schedule.step_sizes(300)[0]
+        for rec in records:
+            assert rec.diverged == diverged
+            assert not rec.eta.flags.writeable and np.shares_memory(rec.eta, steps)
+            assert rec.eta.tobytes() == steps[:len(rec.eta)].tobytes()
 
 
 def _log_steps_by_set(horizon, thinning):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gamegrad import dynamics as dynamics_module
 from gamegrad.dynamics import (
     AbsoluteNoise,
     ConstantSchedule,
@@ -29,7 +30,6 @@ from gamegrad.harness import (
     _WRITE_ROWS,
     ExperimentConfig,
     _blocks,
-    _eta_reprs,
     dyadic_steps,
     iter_trajectory,
     read_report,
@@ -338,21 +338,41 @@ def test_block_with_a_diverged_trial_shares_eta_text_exactly(tmp_path, master_se
         assert path.read_bytes() == reference_trajectory_text(record).encode()
 
 
-def test_eta_text_is_reused_only_for_the_same_bytes():
-    etas = PowerSchedule(0.5, 0.5).step_sizes(10)[0]
-    cache = {}
-    first = _eta_reprs(etas, 0, cache)
-    assert first == [repr(v) for v in etas.tolist()]
-    again = _eta_reprs(etas.copy(), 0, cache)
-    assert again == first and all(a is b for a, b in zip(again, first))  # reused text
-    prefix = _eta_reprs(etas[:4].copy(), 0, cache)
-    assert prefix == first[:4] and prefix[0] is first[0]
-    for other in (etas * 1.0000001, np.where(np.arange(10) == 3, -etas, etas)):
-        assert _eta_reprs(other, 0, cache) == [repr(v) for v in other.tolist()]
-    signed = np.zeros(3)
-    assert _eta_reprs(signed, 8, cache) == ["0.0"] * 3
-    assert _eta_reprs(-signed, 8, cache) == ["-0.0"] * 3  # equal values, other bytes
-    assert _eta_reprs(etas[:3], 5, None) == first[:3]
+def test_lockstep_blocks_split_at_the_record_cap_write_the_same_files(tmp_path, monkeypatch):
+    # 16 trials of a 16-d game; trial 4 leaves the blow-up ball at step 3
+    dynamics = DynamicsConfig(PowerSchedule(1.0, 0.5), horizon=600, x0=(0.0,) * 16,
+                              noise=AbsoluteNoise(VarianceSchedule("constant", 1.0), "gaussian"),
+                              blow_up_radius=10.2, thinning=7)
+    cfg = ExperimentConfig(game=GameSpec.random_cocoercive(16, seed=3), dynamics=dynamics,
+                           trials=16, master_seed=1, checks=("no_divergence",),
+                           trajectory_dir=str(tmp_path / "trajs"))
+    blocks = []
+    real_run = dynamics_module._run
+
+    def counted_run(body, game, config, rngs):
+        blocks.append(len(rngs))
+        return real_run(body, game, config, rngs)
+
+    monkeypatch.setattr(dynamics_module, "_run", counted_run)
+
+    def outputs():
+        report = json.dumps(run_experiment(cfg).to_dict(), sort_keys=True)
+        return report, {f.name: f.read_bytes() for f in (tmp_path / "trajs").iterdir()}
+
+    whole = outputs()
+    assert blocks == [16]
+    monkeypatch.setattr(dynamics_module, "_BLOCK_BYTES",
+                        4 * dynamics_module._record_bytes(dynamics, 16) - 1)
+    del blocks[:]
+    split = outputs()
+    assert blocks == [3, 3, 3, 3, 3, 1]
+    assert split == whole
+    report = json.loads(whole[0])
+    assert [t["diverged"] for t in report["trials"]] == [i == 4 for i in range(16)]
+    game = make_game(cfg.game)
+    for i in range(16):
+        record = run_trajectory(game, dynamics, rng=trial_rng(1, i))
+        assert whole[1][f"trial_{i:04d}.jsonl"] == reference_trajectory_text(record).encode()
 
 
 ORACLE_GAMES = ["quad_1d", "quad_2d", "piecewise", "rand_2d", "rand_4d"]
