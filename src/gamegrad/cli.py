@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, metrics
 from ._version import __version__
-from .errors import ConfigError, IndeterminateResult, config_dict
+from .errors import ConfigError, IndeterminateResult, config_dict, config_section
 from .games import (
     builtin_game_spec,
     builtin_game_specs,
@@ -171,9 +171,8 @@ def cmd_run(config_path, overrides, out_dir, workers, seed):
 def cmd_sweep(config_path, overrides, out_dir, workers, seed):
     """Run a parameter grid; one report per grid point."""
     def body():
-        doc = config_dict(_load_json(resolve_config(config_path)), "sweep config")
-        if "template" not in doc or "grid" not in doc:
-            raise ConfigError("sweep config needs 'template' and 'grid' entries")
+        doc = config_section(_load_json(resolve_config(config_path)), "sweep config",
+                             ("template", "grid"))
         template = config_dict(doc["template"], "sweep template")
         _apply_overrides(template, overrides)
         if seed is not None:

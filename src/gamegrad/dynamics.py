@@ -71,7 +71,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ConfigError, config_dict, config_float, config_int, config_keys
+from .errors import (ConfigError, config_dict, config_float, config_int, config_kind,
+                     config_numbers, config_section)
 from .games import Game
 
 Array = np.ndarray
@@ -135,8 +136,8 @@ class ConstantSchedule(_SharedStep):
     tracks_beta = False
 
     def __init__(self, eta: float):
-        if eta <= 0:
-            raise ConfigError("constant step size must be positive")
+        if not 0 < eta < math.inf:
+            raise ConfigError("constant step size must be positive and finite")
         self.eta = float(eta)
 
     def _sizes(self, horizon: int) -> tuple[Array, list]:
@@ -154,8 +155,8 @@ class PowerSchedule(_SharedStep):
     tracks_beta = False
 
     def __init__(self, c: float, p: float):
-        if c <= 0:
-            raise ConfigError("power schedule scale c must be positive")
+        if not 0 < c < math.inf:
+            raise ConfigError("power schedule scale c must be positive and finite")
         if not 0.0 <= p <= 1.0:
             raise ConfigError("power schedule exponent p must lie in [0, 1]")
         self.c = float(c)
@@ -184,10 +185,10 @@ class GradNormSchedule:
     shared = False
 
     def __init__(self, beta1: float, r: float):
-        if beta1 <= 0:
-            raise ConfigError("beta1 must be positive")
-        if r <= 1:
-            raise ConfigError("growth factor r must exceed 1")
+        if not 0 < beta1 < math.inf:
+            raise ConfigError("beta1 must be positive and finite")
+        if not 1 < r < math.inf:
+            raise ConfigError("growth factor r must exceed 1 and be finite")
         self.beta1 = float(beta1)
         self.r = float(r)
 
@@ -250,8 +251,8 @@ class StepNormSchedule:
     shared = False
 
     def __init__(self, beta: float):
-        if beta <= 0:
-            raise ConfigError("beta must be positive")
+        if not 0 < beta < math.inf:
+            raise ConfigError("beta must be positive and finite")
         self.beta = float(beta)
 
     def fresh(self, trials: Optional[int] = None) -> "StepNormSchedule":
@@ -309,20 +310,19 @@ _SCHEDULE_KINDS = {
 
 
 def schedule_from_dict(doc: dict) -> Schedule:
-    kind = config_dict(doc, "dynamics.schedule").get("kind")
-    if not isinstance(kind, str) or kind not in _SCHEDULE_KINDS:
-        raise ConfigError(f"unknown schedule kind {kind!r}; available: {sorted(_SCHEDULE_KINDS)}")
-    cls, params = _SCHEDULE_KINDS[kind]
-    config_keys(doc, ("kind", *params), f"dynamics.schedule ({kind})")
-    try:
-        return cls(*(config_float(doc[key], f"dynamics.schedule.{key}") for key in params))
-    except KeyError as exc:
-        raise ConfigError(f"schedule {kind!r} is missing parameter {exc}") from None
+    kind, (cls, params) = config_kind(config_dict(doc, "dynamics.schedule"), _SCHEDULE_KINDS,
+                                      "schedule")
+    config_section(doc, f"dynamics.schedule ({kind})", ("kind", *params))
+    return cls(*(config_float(doc[key], f"dynamics.schedule.{key}") for key in params))
 
 
 # ---------------------------------------------------------------------------
 # Noise models
 # ---------------------------------------------------------------------------
+
+# variance schedule kind -> its optional parameters besides the scale c
+_VARIANCE_KINDS = {"constant": (), "power": ("q",), "inv_t_log": (), "inv_loglog": ()}
+
 
 @dataclass(frozen=True)
 class VarianceSchedule:
@@ -337,8 +337,7 @@ class VarianceSchedule:
     q: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "power", "inv_t_log", "inv_loglog"):
-            raise ConfigError(f"unknown variance schedule kind {self.kind!r}")
+        config_kind({"kind": self.kind}, _VARIANCE_KINDS, "variance schedule")
         if not 0 <= self.c < math.inf:
             raise ConfigError("variance scale must be finite and nonnegative")
         if self.kind == "power" and not 0 <= self.q < math.inf:
@@ -362,14 +361,10 @@ class VarianceSchedule:
 
     @staticmethod
     def from_dict(doc: dict, where: str) -> "VarianceSchedule":
-        config_dict(doc, where)
-        config_keys(doc, ("kind", "c", "q") if doc.get("kind") == "power" else ("kind", "c"),
-                    f"{where} ({doc.get('kind')})")
-        try:
-            return VarianceSchedule(doc["kind"], config_float(doc["c"], f"{where}.c"),
-                                    config_float(doc.get("q", 1.0), f"{where}.q"))
-        except KeyError as exc:
-            raise ConfigError(f"variance schedule is missing parameter {exc}") from None
+        kind, extra = config_kind(config_dict(doc, where), _VARIANCE_KINDS, "variance schedule")
+        config_section(doc, f"{where} ({kind})", ("kind", "c"), extra)
+        return VarianceSchedule(kind, config_float(doc["c"], f"{where}.c"),
+                                config_float(doc.get("q", 1.0), f"{where}.q"))
 
 
 @dataclass(frozen=True)
@@ -419,23 +414,19 @@ def _check_shape(shape: str) -> None:
 
 
 # kind -> (class, the key of its variance schedule)
-_NOISE_KINDS = {"relative": (RelativeNoise, "tau"), "absolute": (AbsoluteNoise, "sigma_sq")}
+_NOISE_KINDS = {"none": (NoNoise, None), "relative": (RelativeNoise, "tau"),
+                "absolute": (AbsoluteNoise, "sigma_sq")}
 
 
 def noise_from_dict(doc: dict) -> NoiseModel:
-    kind = config_dict(doc, "dynamics.noise").get("kind", "none")
-    if kind == "none":
-        config_keys(doc, ("kind",), "dynamics.noise (none)")
+    kind, (cls, var) = config_kind(config_dict(doc, "dynamics.noise"), _NOISE_KINDS, "noise",
+                                   default="none")
+    if var is None:
+        config_section(doc, "dynamics.noise (none)", optional=("kind",))
         return NoNoise()
-    if not isinstance(kind, str) or kind not in _NOISE_KINDS:
-        raise ConfigError(f"unknown noise kind {kind!r}")
-    cls, var = _NOISE_KINDS[kind]
-    config_keys(doc, ("kind", var, "shape"), f"dynamics.noise ({kind})")
-    try:
-        return cls(VarianceSchedule.from_dict(doc[var], f"dynamics.noise.{var}"),
-                   doc.get("shape", "sphere"))
-    except KeyError as exc:
-        raise ConfigError(f"noise {kind!r} is missing parameter {exc}") from None
+    config_section(doc, f"dynamics.noise ({kind})", ("kind", var), ("shape",))
+    return cls(VarianceSchedule.from_dict(doc[var], f"dynamics.noise.{var}"),
+               doc.get("shape", "sphere"))
 
 
 class _NoiseDraws:
@@ -503,8 +494,8 @@ class DynamicsConfig:
         if not all(math.isfinite(v) for v in x0):
             raise ConfigError("x0 must be finite")
         object.__setattr__(self, "x0", x0)
-        if self.blow_up_radius is not None and self.blow_up_radius <= 0:
-            raise ConfigError("blow-up radius must be positive")
+        if self.blow_up_radius is not None and not 0 < self.blow_up_radius < math.inf:
+            raise ConfigError("blow-up radius must be positive and finite")
         if self.thinning < 0:
             raise ConfigError("thinning must be nonnegative")
         if self.schedule.needs_exact_gradients and not isinstance(self.noise, NoNoise):
@@ -525,25 +516,17 @@ class DynamicsConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "DynamicsConfig":
-        config_dict(doc, "dynamics")
-        config_keys(doc, ("schedule", "noise", "horizon", "x0", "blow_up_radius", "thinning"),
-                    "dynamics")
-        try:
-            x0, radius = doc["x0"], doc.get("blow_up_radius")
-            if not isinstance(x0, (list, tuple)):
-                raise ConfigError(f"dynamics.x0 must be a list of numbers, got {x0!r}")
-            if radius is not None:
-                radius = config_float(radius, "dynamics.blow_up_radius")
-            return DynamicsConfig(
-                schedule=schedule_from_dict(doc["schedule"]),
-                horizon=config_int(doc["horizon"], "dynamics.horizon"),
-                x0=tuple(config_float(v, f"dynamics.x0[{i}]") for i, v in enumerate(x0)),
-                noise=noise_from_dict(doc.get("noise", {"kind": "none"})),
-                blow_up_radius=radius,
-                thinning=config_int(doc.get("thinning", 0), "dynamics.thinning"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"dynamics config is missing field {exc}") from None
+        config_section(doc, "dynamics", ("schedule", "horizon", "x0"),
+                       ("noise", "blow_up_radius", "thinning"))
+        radius = doc.get("blow_up_radius")
+        return DynamicsConfig(
+            schedule=schedule_from_dict(doc["schedule"]),
+            horizon=config_int(doc["horizon"], "dynamics.horizon"),
+            x0=tuple(config_numbers(doc["x0"], "dynamics.x0")),
+            noise=noise_from_dict(doc.get("noise", {"kind": "none"})),
+            blow_up_radius=None if radius is None else config_float(radius, "dynamics.blow_up_radius"),
+            thinning=config_int(doc.get("thinning", 0), "dynamics.thinning"),
+        )
 
 
 @dataclass

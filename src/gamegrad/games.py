@@ -14,15 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    IndeterminateResult,
-    UnsupportedOperation,
-    config_dict,
-    config_float,
-    config_int,
-    config_keys,
-)
+from .errors import (ConfigError, IndeterminateResult, UnsupportedOperation, config_dict,
+                     config_float, config_int, config_kind, config_numbers, config_section)
 
 Array = np.ndarray
 
@@ -98,10 +91,8 @@ class GameSpec:
     def from_dict(doc: dict) -> "GameSpec":
         """The spec of a game section; its parameters are checked here, before any
         game is built, and kept as given."""
-        if "kind" not in doc:
-            raise ConfigError("game spec is missing the 'kind' tag")
-        spec = GameSpec(doc["kind"], {k: v for k, v in doc.items() if k != "kind"})
-        parse, _ = _game_kind(spec)
+        kind, (parse, _) = config_kind(config_dict(doc, "game"), _GAME_KINDS, "game")
+        spec = GameSpec(kind, {k: v for k, v in doc.items() if k != "kind"})
         parse(spec.params)
         return spec
 
@@ -152,12 +143,6 @@ def _quadratic_parts(A: Array, b: Array, name: str):
     return field, oracle, payoff, 1.0 / lam_max
 
 
-def _numbers(value, name: str) -> list[float]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return [config_float(v, f"{name}[{i}]") for i, v in enumerate(value)]
-
-
 def _dims(value, n: int) -> tuple[int, ...]:
     """Player block sizes summing to n; one player per coordinate by default."""
     if value is None:
@@ -173,20 +158,17 @@ def _dims(value, n: int) -> tuple[int, ...]:
 
 
 def _quadratic_params(params: dict) -> tuple[Array, Array, tuple[int, ...]]:
-    config_keys(params, ("matrix", "offset", "dims"), "quadratic game")
-    try:
-        matrix, offset = params["matrix"], params["offset"]
-    except KeyError as exc:
-        raise ConfigError(f"quadratic spec is missing parameter {exc}") from None
+    config_section(params, "quadratic game", ("matrix", "offset"), ("dims",))
+    matrix, offset = params["matrix"], params["offset"]
     if not isinstance(matrix, (list, tuple)):
         raise ConfigError(f"game.matrix must be a list of rows of numbers, got {matrix!r}")
-    rows = [_numbers(row, f"game.matrix[{i}]") for i, row in enumerate(matrix)]
+    rows = [config_numbers(row, f"game.matrix[{i}]") for i, row in enumerate(matrix)]
     n = len(rows)
     if n == 0:
         raise ConfigError("quadratic spec has zero dimension")
     if any(len(row) != n for row in rows):
         raise ConfigError(f"quadratic matrix must be square, got row lengths {[len(r) for r in rows]}")
-    b = _numbers(offset, "game.offset")
+    b = config_numbers(offset, "game.offset")
     if len(b) != n:
         raise ConfigError(f"offset length {len(b)} does not match matrix size {n}")
     return np.array(rows, dtype=float), np.array(b, dtype=float), _dims(params.get("dims"), n)
@@ -209,7 +191,7 @@ def _make_quadratic(A: Array, b: Array, dims: tuple[int, ...], name: str) -> Gam
 
 
 def _piecewise_params(params: dict) -> tuple:
-    config_keys(params, (), "piecewise_scalar game")
+    config_section(params, "piecewise_scalar game")
     return ()
 
 
@@ -233,12 +215,9 @@ def _make_piecewise(name: str) -> Game:
 
 
 def _random_params(params: dict) -> tuple[int, int, float, tuple[int, ...]]:
-    config_keys(params, ("n", "seed", "conditioning", "dims"), "random_cocoercive game")
-    try:
-        n = config_int(params["n"], "game.n")
-        seed = config_int(params["seed"], "game.seed")
-    except KeyError as exc:
-        raise ConfigError(f"random_cocoercive spec is missing parameter {exc}") from None
+    config_section(params, "random_cocoercive game", ("n", "seed"), ("conditioning", "dims"))
+    n = config_int(params["n"], "game.n")
+    seed = config_int(params["seed"], "game.seed")
     conditioning = config_float(params.get("conditioning", 4.0), "game.conditioning")
     if n <= 0:
         raise ConfigError("random_cocoercive spec has zero dimension")
@@ -267,15 +246,9 @@ _GAME_KINDS = {
 }
 
 
-def _game_kind(spec: GameSpec):
-    if not isinstance(spec.kind, str) or spec.kind not in _GAME_KINDS:
-        raise ConfigError(f"unknown game kind {spec.kind!r}; available: {sorted(_GAME_KINDS)}")
-    return _GAME_KINDS[spec.kind]
-
-
 def make_game(spec: GameSpec, name: str = "") -> Game:
     """Instantiate a game from its spec; rejects specs that would not be cocoercive."""
-    parse, build = _game_kind(spec)
+    parse, build = config_kind(spec.to_dict(), _GAME_KINDS, "game")[1]
     return build(*parse(spec.params), name or spec.kind)
 
 
@@ -302,13 +275,14 @@ def game_spec_from_dict(doc: dict) -> tuple[GameSpec, str]:
 
     Returns the spec and the entry's name ('' when a spec has none).
     """
-    doc = dict(config_dict(doc, "game"))
-    name = doc.pop("name", "")
+    name = config_dict(doc, "game").get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError(f"game.name must be a string, got {name!r}")
     if "kind" in doc:
-        return GameSpec.from_dict(doc), name
+        return GameSpec.from_dict({k: v for k, v in doc.items() if k != "name"}), name
     if not name:
         raise ConfigError("game entry needs either a 'kind' spec or a built-in 'name'")
-    config_keys(doc, (), f"game {name!r} (built-in)")
+    config_section(doc, f"game {name!r} (built-in)", ("name",))
     return builtin_game_spec(name), name
 
 

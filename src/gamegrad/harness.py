@@ -41,7 +41,7 @@ from .errors import (
     config_dict,
     config_float,
     config_int,
-    config_keys,
+    config_section,
 )
 from .games import Game, GameSpec, game_spec_from_dict, make_game
 
@@ -91,18 +91,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        doc = config_dict(doc, "experiment config")
-        config_keys(doc, ("game", "dynamics", "trials", "master_seed", "checks", "trajectory_dir"),
-                    "experiment config")
-        try:
-            game_doc = config_dict(doc["game"], "game")
-            dynamics = DynamicsConfig.from_dict(doc["dynamics"])
-        except KeyError as exc:
-            raise ConfigError(f"experiment config is missing field {exc}") from None
+        config_section(doc, "experiment config", ("game", "dynamics"),
+                       ("trials", "master_seed", "checks", "trajectory_dir"))
+        dynamics = DynamicsConfig.from_dict(doc["dynamics"])
         checks = doc.get("checks", [])
         if not isinstance(checks, (list, tuple)):
             raise ConfigError(f"checks must be a list of check ids, got {checks!r}")
-        spec, name = game_spec_from_dict(game_doc)
+        spec, name = game_spec_from_dict(doc["game"])
         return ExperimentConfig(
             game=spec,
             dynamics=dynamics,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import (AbsoluteNoise, DynamicsConfig, NoiseModel, NoNoise, RelativeNoise,
                        TrajectoryRecord)
-from .errors import ConfigError, IndeterminateResult, UnsupportedOperation
+from .errors import ConfigError, IndeterminateResult, UnsupportedOperation, config_float
 from .games import Game, _as_flat, gradient_field, project_to_nash
 
 Array = np.ndarray
@@ -311,10 +311,13 @@ def _check_no_divergence(spec, record, game) -> list[ConvergenceVerdict]:
 def _check_tail_to_zero(spec, record, game) -> list[ConvergenceVerdict]:
     series = tail_product(record)
     burn = burnin_count(len(series.value))
+    check_id = f"tail_to_zero:{spec.value:g}"
+    if burn == len(series.value):  # a trial that diverged by step 2: no point after burn-in
+        return [ConvergenceVerdict(check_id, passed=False, worst_violation=math.inf)]
     ok = vanishes_monotonically(series.value, burnin=burn, drop_factor=spec.value)
     final, first = series.value[-1], series.value[burn]
     worst = 0.0 if first == 0.0 else float(final / max(first, 1e-300))
-    return [ConvergenceVerdict(f"tail_to_zero:{spec.value:g}", passed=ok, worst_violation=worst)]
+    return [ConvergenceVerdict(check_id, passed=ok, worst_violation=worst)]
 
 
 def _check_distance_below(spec, record, game) -> list[ConvergenceVerdict]:
@@ -348,9 +351,10 @@ CHECKS = {
 
 def _number(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{what} must be a number, got {text!r}") from None
+    return config_float(value, what)  # rejects nan and inf
 
 
 def parse_check(check_id, dynamics: DynamicsConfig) -> CheckSpec:
@@ -377,8 +381,12 @@ def parse_check(check_id, dynamics: DynamicsConfig) -> CheckSpec:
                               f"available: {list(CURVES)}")
         window = (None if len(parts) == 3 else
                   (_number(parts[3], "slope_below Tmin"), _number(parts[4], "slope_below Tmax")))
+        if window is not None and window[0] > window[1]:
+            raise ConfigError(f"slope check {check_id!r} has an empty window: Tmin > Tmax")
         spec = CheckSpec(check_id, name, _number(parts[2], "slope_below bound"), parts[1], window)
     elif name == "tail_to_zero":
+        if dynamics.horizon < 3:  # no tail point of a shorter run survives burn-in
+            raise ConfigError(f"check {check_id!r} needs a horizon of at least 3")
         spec = CheckSpec(check_id, name, _number(arg, "tail_to_zero factor") if arg else 1e-3)
     elif name == "distance_below":
         if not sep:

@@ -232,6 +232,15 @@ def test_run_rejects_non_integer_fields(runner, tmp_path, override):
     ('dynamics.schedule.eta="0.1"', "dynamics.schedule.eta must be a number"),
     ('dynamics.x0=["a"]', "dynamics.x0[0] must be a number"),
     ('dynamics.blow_up_radius="big"', "dynamics.blow_up_radius must be a number"),
+    ("dynamics.schedule.eta=NaN", "dynamics.schedule.eta must be finite"),
+    ("dynamics.schedule.eta=Infinity", "dynamics.schedule.eta must be finite"),
+    ("dynamics.blow_up_radius=Infinity", "dynamics.blow_up_radius must be finite"),
+    ('dynamics.schedule={"kind": "power", "c": NaN, "p": 0.5}', "dynamics.schedule.c must be finite"),
+    ('dynamics.schedule={"kind": "grad_norm", "beta1": 1.0, "r": NaN}',
+     "dynamics.schedule.r must be finite"),
+    ('checks=["distance_below:inf"]', "distance_below threshold must be finite"),
+    ('checks=["tail_to_zero:inf"]', "tail_to_zero factor must be finite"),
+    ('checks=["slope_below:last_iterate:inf"]', "slope_below bound must be finite"),
 ])
 def test_run_rejects_malformed_numbers_before_any_dynamics(runner, tmp_path, monkeypatch,
                                                            override, message):
@@ -284,6 +293,24 @@ def forbid_dynamics(monkeypatch):
     ('dynamics.noise={"kind": "relative", "tau": 5}', "dynamics.noise.tau must be an object"),
     ('dynamics.schedule={"kind": ["constant"]}', "unknown schedule kind"),
     ('checks="no_divergence"', "checks must be a list of check ids"),
+    ('game={"name": ["quad_1d"]}', "game.name must be a string"),
+    ('dynamics.noise={"kind": "pink"}', "unknown noise kind 'pink'; available"),
+    # one missing key per section, and a section missing two keys
+    ('dynamics={"schedule": {"kind": "constant", "eta": 0.5}, "horizon": 8}',
+     "dynamics is missing key(s) 'x0'"),
+    ('dynamics={"schedule": {"kind": "constant", "eta": 0.5}}',
+     "dynamics is missing key(s) 'horizon', 'x0'"),
+    ('dynamics.schedule={"kind": "constant"}', "dynamics.schedule (constant) is missing key(s) 'eta'"),
+    ('dynamics.schedule={"eta": 0.5}', "schedule section is missing its 'kind' tag"),
+    ('dynamics.noise={"kind": "relative"}', "dynamics.noise (relative) is missing key(s) 'tau'"),
+    ('dynamics.noise={"kind": "absolute", "sigma_sq": {"kind": "power"}}',
+     "dynamics.noise.sigma_sq (power) is missing key(s) 'c'"),
+    ('dynamics.noise={"kind": "absolute", "sigma_sq": {"c": 0.1}}',
+     "variance schedule section is missing its 'kind' tag"),
+    ('game={"kind": "quadratic", "matrix": [[1]]}', "quadratic game is missing key(s) 'offset'"),
+    ('game={"kind": "random_cocoercive", "n": 2}', "random_cocoercive game is missing key(s) 'seed'"),
+    ('game={"matrix": [[1]], "offset": [0]}',
+     "game entry needs either a 'kind' spec or a built-in 'name'"),
 ])
 def test_run_rejects_wrong_type_sections_before_any_dynamics(runner, tmp_path, monkeypatch,
                                                              override, message):
@@ -362,6 +389,31 @@ def test_run_rejects_unknown_keys_before_any_dynamics(runner, tmp_path, monkeypa
     assert not (tmp_path / "report.json").exists()
 
 
+def test_run_names_every_missing_top_level_key_before_any_dynamics(runner, tmp_path, monkeypatch):
+    forbid_dynamics(monkeypatch)
+    doc = quad1d_doc()
+    del doc["game"], doc["dynamics"]
+    result = runner.invoke(main, ["run", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "experiment config is missing key(s) 'game', 'dynamics'" in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"template": quad1d_doc(), "grid": {"trials": [1]}, "grids": {"trials": [2]}},
+     "sweep config has unknown key(s) 'grids'"),
+    ({"grid": {"trials": [1]}}, "sweep config is missing key(s) 'template'"),
+], ids=["extra_key", "missing_key"])
+def test_sweep_document_keys_are_checked_before_any_dynamics(runner, tmp_path, monkeypatch,
+                                                             doc, message):
+    forbid_dynamics(monkeypatch)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_run_rejects_unknown_top_level_key_before_any_dynamics(runner, tmp_path, monkeypatch):
     forbid_dynamics(monkeypatch)
     cfg = write_cfg(tmp_path, quad1d_doc(trails=3))
@@ -392,7 +444,14 @@ def test_sweep_rejects_malformed_template_before_any_dynamics(runner, tmp_path, 
     (['checks=["distance_below:1e-3"]', "dynamics.x0=[1, 1]",
       'game={"kind": "quadratic", "matrix": [[1, 0], [0, 0]], "offset": [0, 1]}'],
      "check 'distance_below:1e-3' needs a game with a Nash oracle"),
-], ids=["noisy_gap_step_consistency", "unknown_slope_curve", "distance_without_oracle"])
+    (['checks=["tail_to_zero"]', "dynamics.horizon=1"],
+     "check 'tail_to_zero' needs a horizon of at least 3"),
+    (['checks=["tail_to_zero:0.5"]', "dynamics.horizon=2"],
+     "check 'tail_to_zero:0.5' needs a horizon of at least 3"),
+    (['checks=["slope_below:last_iterate:-1:100:10"]'],
+     "slope check 'slope_below:last_iterate:-1:100:10' has an empty window: Tmin > Tmax"),
+], ids=["noisy_gap_step_consistency", "unknown_slope_curve", "distance_without_oracle",
+        "tail_horizon_1", "tail_horizon_2", "slope_window_empty"])
 def test_run_rejects_a_check_that_cannot_apply_before_any_dynamics(runner, tmp_path, monkeypatch,
                                                                    overrides, message):
     forbid_dynamics(monkeypatch)
@@ -418,6 +477,19 @@ def test_sweep_rejects_a_check_that_cannot_apply_before_any_dynamics(runner, tmp
     assert "sweep point dynamics.noise={'kind': 'relative'" in result.output
     assert "check 'descent_invariants' does not apply" in result.output
     assert not out.exists()
+
+
+def test_diverged_trials_fail_tail_to_zero_without_stopping_the_run(runner, tmp_path):
+    # eta = 5 on quad_1d maps x to -4x: every trial leaves the ball of radius 2 at step 1.
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", "dynamics.schedule.eta=5",
+                                  "--set", "dynamics.blow_up_radius=2", "--set", "trials=3",
+                                  "--set", 'checks=["tail_to_zero", "no_divergence"]'])
+    assert result.exit_code == 1, result.output
+    report = read_report(str(tmp_path / "report.json"))
+    assert [t.divergence_step for t in report.trials] == [1, 1, 1]
+    assert [(c["trial"], c["check_id"], c["passed"]) for c in report.checks] == [
+        (i, check, False) for i in range(3) for check in ("tail_to_zero:0.001", "no_divergence")]
 
 
 def test_run_set_trajectory_dir_on_a_bundled_config(runner, tmp_path):

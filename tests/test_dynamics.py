@@ -81,6 +81,29 @@ def test_schedule_param_validation():
         StepNormSchedule(0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda bad: ConstantSchedule(bad), lambda bad: PowerSchedule(bad, 0.5),
+    lambda bad: GradNormSchedule(bad, 2.0), lambda bad: GradNormSchedule(1.0, bad),
+    lambda bad: StepNormSchedule(bad),
+    lambda bad: DynamicsConfig(ConstantSchedule(0.5), horizon=4, x0=(1.0,), blow_up_radius=bad),
+], ids=["constant_eta", "power_c", "grad_norm_beta1", "grad_norm_r", "step_norm_beta", "radius"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructors_reject_nan_and_infinity(make, bad):
+    with pytest.raises(ConfigError):
+        make(bad)
+
+
+def test_a_key_error_inside_a_constructor_is_not_a_config_error(monkeypatch):
+    # Only a key the config lacks is a config error; a fault in program code stays one.
+    def broken(self, eta):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(ConstantSchedule, "__init__", broken)
+    with pytest.raises(KeyError, match="internal"):
+        DynamicsConfig.from_dict({"schedule": {"kind": "constant", "eta": 0.5},
+                                  "horizon": 8, "x0": [1.0]})
+
+
 def test_schedule_serialization_round_trip():
     for sched in (ConstantSchedule(0.3), PowerSchedule(0.5, 0.75),
                   GradNormSchedule(1.0, 2.0), StepNormSchedule(2.0)):
@@ -181,6 +204,7 @@ def test_variance_schedule_values_and_validation():
 @pytest.mark.parametrize("doc", [{"kind": "constant", "c": math.inf},
                                  {"kind": "constant", "c": math.nan},
                                  {"kind": "power", "c": 1.0, "q": math.nan},
+                                 {"kind": "constant", "c": 10 ** 400},
                                  {"kind": "constant", "c": "0.25"}])
 def test_variance_schedule_rejects_non_finite_and_non_numeric(doc):
     # a finite amplitude is what makes relative noise exactly zero at a zero gap

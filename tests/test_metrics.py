@@ -317,6 +317,15 @@ def test_run_check_tail_to_zero():
     assert run_named_check("tail_to_zero", rec, game)[0].passed
 
 
+@pytest.mark.parametrize("gap", [[1.0, math.inf], [1.0, 4.0, math.inf]],
+                         ids=["diverged_at_step_1", "diverged_at_step_2"])
+def test_tail_to_zero_fails_a_record_with_no_point_after_burn_in(gap):
+    spec = parse_check("tail_to_zero", DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,)))
+    verdicts = run_check(spec, fabricate(gap, diverged=True), make_named_game("quad_1d"))
+    assert verdicts == [ConvergenceVerdict("tail_to_zero:0.001", passed=False,
+                                           worst_violation=math.inf)]
+
+
 def test_parse_check_unknown_id():
     rec = fabricate([1.0, 0.5])
     with pytest.raises(ConfigError, match="unknown check id"):
