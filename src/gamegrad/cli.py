@@ -22,10 +22,9 @@ from . import harness, metrics
 from ._version import __version__
 from .errors import ConfigError, IndeterminateResult, config_dict, config_section
 from .games import (
-    builtin_game_spec,
+    GameSpec,
     builtin_game_specs,
     estimate_cocoercivity,
-    game_spec_from_dict,
     make_game,
     project_to_nash,
     verify_gradient,
@@ -139,8 +138,7 @@ def cmd_run(config_path, overrides, out_dir, workers, seed):
         with open(os.path.join(out_dir, "curves.csv"), "w", encoding="utf-8") as fh:
             fh.write(report_csv(report))
 
-        label = config.game_name or config.game.kind
-        click.echo(f"game={label} trials={config.trials} horizon={config.dynamics.horizon}")
+        click.echo(f"game={config.game.label} trials={config.trials} horizon={config.dynamics.horizon}")
         finals = [t.final_gap for t in report.trials if t.final_gap is not None]
         if finals:
             click.echo(f"final gap: mean={np.mean(finals):.6g} max={max(finals):.6g}")
@@ -200,7 +198,8 @@ def cmd_sweep(config_path, overrides, out_dir, workers, seed):
 @click.option("--config", "config_path", default=None,
               help="Game spec document (path or bundled name).")
 @click.option("--name", "game_name", default=None, help="Built-in game name.")
-@click.option("--pairs", default=10_000, show_default=True, help="Sampled pairs for the cocoercivity estimate.")
+@click.option("--pairs", default=10_000, show_default=True, type=click.IntRange(min=2),
+              help="Sampled pairs for the cocoercivity estimate.")
 @click.option("--seed", default=0, show_default=True)
 def cmd_verify_game(config_path, game_name, pairs, seed):
     """Check a game spec: gradient consistency, cocoercivity estimate, Nash oracle."""
@@ -208,16 +207,15 @@ def cmd_verify_game(config_path, game_name, pairs, seed):
         if (config_path is None) == (game_name is None):
             raise ConfigError("give exactly one of --config or --name")
         if game_name is not None:
-            spec, label = builtin_game_spec(game_name), game_name
+            doc = {"name": game_name}
         else:
             doc = _load_json(resolve_config(config_path))
             if isinstance(doc, dict):
                 doc = doc.get("game", doc)  # accept a bare spec or a full experiment config
-            spec, label = game_spec_from_dict(doc)
-            label = label or spec.kind
+        spec = GameSpec.from_dict(doc)
 
         try:
-            game = make_game(spec, name=label)
+            game = make_game(spec)
         except ConfigError as exc:
             click.echo(f"rejected: {exc}")
             return EXIT_CHECK_FAILED
@@ -271,13 +269,11 @@ def cmd_verify_game(config_path, game_name, pairs, seed):
 def cmd_fit_rate(report_path, curve, window):
     """Fit a log-log rate exponent to a report curve and print it."""
     def body():
+        win = None if window is None else metrics.fit_window(*window, "fit-rate --window")
         report = harness.read_report(report_path)
         points = report.curve(curve)
         if window is None:
             points = points[metrics.burnin_count(len(points)):]
-            win = None
-        else:
-            win = (window[0], window[1])
         try:
             fit = metrics.fit_rate(points, window=win)
         except IndeterminateResult as exc:
@@ -298,7 +294,7 @@ def cmd_list_games():
     """List the built-in games with their dimensions and cocoercivity constants."""
     def body():
         for name, spec in sorted(builtin_game_specs().items()):
-            game = make_game(spec, name=name)
+            game = make_game(spec)
             lam = f"{game.cocoercivity:.6g}" if game.cocoercivity is not None else "unknown"
             click.echo(f"{name:<12} kind={spec.kind:<18} players={game.players} "
                        f"n={game.n} lambda={lam}")

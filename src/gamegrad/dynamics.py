@@ -108,7 +108,15 @@ def _pow_table(n: int, p: float) -> Array:
 # Step-size schedules
 # ---------------------------------------------------------------------------
 
-class _SharedStep:
+class _Schedule:
+    """What every schedule writes back: its kind and the parameters _SCHEDULE_KINDS lists."""
+
+    def to_dict(self) -> dict:
+        params = _SCHEDULE_KINDS[self.kind][1]
+        return {"kind": self.kind, **{key: getattr(self, key) for key in params}}
+
+
+class _SharedStep(_Schedule):
     """Schedules whose step sizes ignore feedback: one sequence for every trial."""
 
     shared = True
@@ -143,9 +151,6 @@ class ConstantSchedule(_SharedStep):
     def _sizes(self, horizon: int) -> tuple[Array, list]:
         return np.full(horizon, self.eta), [self.eta] * horizon
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "eta": self.eta}
-
 
 class PowerSchedule(_SharedStep):
     """Polynomial decay eta_t = c / t^p for the t-th step (1-indexed), eta_1 = c."""
@@ -166,11 +171,8 @@ class PowerSchedule(_SharedStep):
         steps = self.c / _pow_table(horizon, self.p)  # element 0 is c / 1.0 = c
         return steps, steps.tolist()
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "c": self.c, "p": self.p}
 
-
-class GradNormSchedule:
+class GradNormSchedule(_Schedule):
     """Adaptive step rule driven by exact gradient norms.
 
     Maintains an offset beta (multiplied by r whenever the gradient norm
@@ -233,11 +235,8 @@ class GradNormSchedule:
         self.beta = self.beta[live]
         self.grad_sq_sum = self.grad_sq_sum[live]
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "beta1": self.beta1, "r": self.r}
 
-
-class StepNormSchedule:
+class StepNormSchedule(_Schedule):
     """Adaptive step rule driven by realized step norms, usable under noise.
 
     Accumulates eta^{-2} ||x_t - x_{t+1}||^2 and emits
@@ -293,9 +292,6 @@ class StepNormSchedule:
     def keep(self, live) -> None:
         """Drop the state of the trials that left a lock-step block."""
         self.delta = self.delta[live]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "beta": self.beta}
 
 
 Schedule = ConstantSchedule | PowerSchedule | GradNormSchedule | StepNormSchedule
@@ -354,10 +350,8 @@ class VarianceSchedule:
         return self.c / np.log(np.log(t + 3.0))
 
     def to_dict(self) -> dict:
-        doc = {"kind": self.kind, "c": self.c}
-        if self.kind == "power":
-            doc["q"] = self.q
-        return doc
+        extra = _VARIANCE_KINDS[self.kind]
+        return {"kind": self.kind, "c": self.c, **{key: getattr(self, key) for key in extra}}
 
     @staticmethod
     def from_dict(doc: dict, where: str) -> "VarianceSchedule":
@@ -367,16 +361,24 @@ class VarianceSchedule:
                                 config_float(doc.get("q", 1.0), f"{where}.q"))
 
 
-@dataclass(frozen=True)
-class NoNoise:
-    kind: str = "none"
+class _Noise:
+    """What every noise model writes back: its kind, and the variance schedule
+    _NOISE_KINDS names with the shape, if it has one."""
 
     def to_dict(self) -> dict:
-        return {"kind": "none"}
+        var = _NOISE_KINDS[self.kind][1]
+        if var is None:
+            return {"kind": self.kind}
+        return {"kind": self.kind, var: getattr(self, var).to_dict(), "shape": self.shape}
 
 
 @dataclass(frozen=True)
-class RelativeNoise:
+class NoNoise(_Noise):
+    kind: str = "none"
+
+
+@dataclass(frozen=True)
+class RelativeNoise(_Noise):
     """Zero-mean noise with second moment tau_t ||v(x_t)||^2 (exact for sphere shape)."""
 
     tau: VarianceSchedule
@@ -386,12 +388,9 @@ class RelativeNoise:
     def __post_init__(self):
         _check_shape(self.shape)
 
-    def to_dict(self) -> dict:
-        return {"kind": "relative", "tau": self.tau.to_dict(), "shape": self.shape}
-
 
 @dataclass(frozen=True)
-class AbsoluteNoise:
+class AbsoluteNoise(_Noise):
     """Zero-mean noise with second moment sigma_t^2 (exact for sphere shape)."""
 
     sigma_sq: VarianceSchedule
@@ -400,9 +399,6 @@ class AbsoluteNoise:
 
     def __post_init__(self):
         _check_shape(self.shape)
-
-    def to_dict(self) -> dict:
-        return {"kind": "absolute", "sigma_sq": self.sigma_sq.to_dict(), "shape": self.shape}
 
 
 NoiseModel = NoNoise | RelativeNoise | AbsoluteNoise

@@ -9,7 +9,7 @@ with known constants and known Nash sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,10 +61,16 @@ class Game:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Serializable game description: a kind tag plus a parameter table."""
+    """Serializable game entry: a kind tag, a parameter table and an optional name."""
 
     kind: str
     params: dict = field(default_factory=dict)
+    name: str = ""
+
+    @property
+    def label(self) -> str:
+        """The name of the game it builds: the entry's name, else its kind."""
+        return self.name or self.kind
 
     @staticmethod
     def quadratic(matrix, offset, dims: Optional[Sequence[int]] = None) -> "GameSpec":
@@ -85,14 +91,31 @@ class GameSpec:
         return GameSpec("random_cocoercive", {"n": int(n), "seed": int(seed), "conditioning": float(conditioning)})
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
+        doc = {"kind": self.kind, **self.params}
+        if self.name:
+            doc["name"] = self.name
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "GameSpec":
-        """The spec of a game section; its parameters are checked here, before any
-        game is built, and kept as given."""
-        kind, (parse, _) = config_kind(config_dict(doc, "game"), _GAME_KINDS, "game")
-        spec = GameSpec(kind, {k: v for k, v in doc.items() if k != "kind"})
+        """A config's game entry: a 'kind' spec with an optional 'name', or a built-in
+        'name' and no other key; the one place built-in names are resolved.
+
+        A spec's parameters are checked here, before any game is built, and kept as given.
+        """
+        name = config_dict(doc, "game").get("name", "")
+        if not isinstance(name, str):
+            raise ConfigError(f"game.name must be a string, got {name!r}")
+        if "kind" not in doc:
+            if not name:
+                raise ConfigError("game entry needs either a 'kind' spec or a built-in 'name'")
+            config_section(doc, f"game {name!r} (built-in)", ("name",))
+            specs = builtin_game_specs()
+            if name not in specs:
+                raise ConfigError(f"unknown built-in game {name!r}; available: {sorted(specs)}")
+            return specs[name]
+        kind, (parse, _) = config_kind(doc, _GAME_KINDS, "game")
+        spec = GameSpec(kind, {k: v for k, v in doc.items() if k not in ("kind", "name")}, name)
         parse(spec.params)
         return spec
 
@@ -246,48 +269,26 @@ _GAME_KINDS = {
 }
 
 
-def make_game(spec: GameSpec, name: str = "") -> Game:
-    """Instantiate a game from its spec; rejects specs that would not be cocoercive."""
-    parse, build = config_kind(spec.to_dict(), _GAME_KINDS, "game")[1]
-    return build(*parse(spec.params), name or spec.kind)
+def make_game(spec: GameSpec) -> Game:
+    """Instantiate a game from its spec, named by its label; rejects specs that
+    would not be cocoercive."""
+    parse, build = config_kind({"kind": spec.kind}, _GAME_KINDS, "game")[1]
+    return build(*parse(spec.params), spec.label)
 
 
 def builtin_game_specs() -> dict[str, GameSpec]:
-    """Named built-in instances used by the harness, CLI and test matrix."""
-    return {
+    """Named built-in instances used by the harness, CLI and test matrix; each carries its name."""
+    specs = {
         "quad_1d": GameSpec.quadratic([[1.0]], [0.0]),
         "quad_2d": GameSpec.quadratic([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0]),
         "piecewise": GameSpec.piecewise_scalar(),
         "rand_2d": GameSpec.random_cocoercive(2, seed=7, conditioning=4.0),
     }
-
-
-def builtin_game_spec(name: str) -> GameSpec:
-    """The spec of a built-in game; the one place built-in names are resolved."""
-    specs = builtin_game_specs()
-    if name not in specs:
-        raise ConfigError(f"unknown built-in game {name!r}; available: {sorted(specs)}")
-    return specs[name]
-
-
-def game_spec_from_dict(doc: dict) -> tuple[GameSpec, str]:
-    """A config's game entry: a 'kind' spec, or a built-in 'name' and no other key.
-
-    Returns the spec and the entry's name ('' when a spec has none).
-    """
-    name = config_dict(doc, "game").get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError(f"game.name must be a string, got {name!r}")
-    if "kind" in doc:
-        return GameSpec.from_dict({k: v for k, v in doc.items() if k != "name"}), name
-    if not name:
-        raise ConfigError("game entry needs either a 'kind' spec or a built-in 'name'")
-    config_section(doc, f"game {name!r} (built-in)", ("name",))
-    return builtin_game_spec(name), name
+    return {name: replace(spec, name=name) for name, spec in specs.items()}
 
 
 def make_named_game(name: str) -> Game:
-    return make_game(builtin_game_spec(name), name=name)
+    return make_game(GameSpec.from_dict({"name": name}))
 
 
 def _as_flat(game: Game, x) -> Array:

@@ -43,7 +43,7 @@ from .errors import (
     config_int,
     config_section,
 )
-from .games import Game, GameSpec, game_spec_from_dict, make_game
+from .games import Game, GameSpec, make_game
 
 SCHEMA_VERSION = "1.0"
 
@@ -62,7 +62,6 @@ class ExperimentConfig:
     trials: int = 1
     master_seed: int = 0
     checks: tuple[str, ...] = ()
-    game_name: str = ""
     trajectory_dir: Optional[str] = None
     check_specs: tuple[metrics.CheckSpec, ...] = field(init=False, repr=False, compare=False)
 
@@ -77,11 +76,8 @@ class ExperimentConfig:
                            tuple(metrics.parse_check(cid, self.dynamics) for cid in self.checks))
 
     def to_dict(self) -> dict:
-        game = self.game.to_dict()
-        if self.game_name:
-            game["name"] = self.game_name
         return {
-            "game": game,
+            "game": self.game.to_dict(),
             "dynamics": self.dynamics.to_dict(),
             "trials": self.trials,
             "master_seed": self.master_seed,
@@ -97,14 +93,12 @@ class ExperimentConfig:
         checks = doc.get("checks", [])
         if not isinstance(checks, (list, tuple)):
             raise ConfigError(f"checks must be a list of check ids, got {checks!r}")
-        spec, name = game_spec_from_dict(doc["game"])
         return ExperimentConfig(
-            game=spec,
+            game=GameSpec.from_dict(doc["game"]),
             dynamics=dynamics,
             trials=config_int(doc.get("trials", 1), "trials"),
             master_seed=config_int(doc.get("master_seed", 0), "master_seed"),
             checks=tuple(checks),
-            game_name=name,
             trajectory_dir=doc.get("trajectory_dir"),
         )
 
@@ -343,7 +337,7 @@ def build_game(config: ExperimentConfig) -> Game:
     differs from the game's dimension, or when the game lacks what a check
     reads (a Nash oracle, a known cocoercivity).
     """
-    game = make_game(config.game, name=config.game_name or config.game.kind)
+    game = make_game(config.game)
     if len(config.dynamics.x0) != game.n:
         raise ConfigError(f"x0 has length {len(config.dynamics.x0)}, game dimension is {game.n}")
     for spec in config.check_specs:

@@ -131,6 +131,15 @@ def fit_rate(points: Iterable[tuple[float, float]],
                    window=(min(ts), max(ts)), n_points=len(ts))
 
 
+def fit_window(tmin: float, tmax: float, what: str) -> tuple[float, float]:
+    """A fit_rate window [tmin, tmax]: finite bounds, tmin <= tmax; else a
+    ConfigError naming ``what``."""
+    window = (config_float(tmin, f"{what} Tmin"), config_float(tmax, f"{what} Tmax"))
+    if window[0] > window[1]:
+        raise ConfigError(f"{what} has an empty window: Tmin > Tmax")
+    return window
+
+
 def burnin_count(n_points: int, fraction: float = 0.1) -> int:
     """Dyadic points dropped before fitting: transients dominate early iterates."""
     return math.ceil(fraction * n_points)
@@ -349,12 +358,15 @@ CHECKS = {
 }
 
 
-def _number(text: str, what: str) -> float:
+def _float(text: str, what: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(f"{what} must be a number, got {text!r}") from None
-    return config_float(value, what)  # rejects nan and inf
+
+
+def _number(text: str, what: str) -> float:
+    return config_float(_float(text, what), what)  # rejects nan and inf
 
 
 def parse_check(check_id, dynamics: DynamicsConfig) -> CheckSpec:
@@ -380,9 +392,8 @@ def parse_check(check_id, dynamics: DynamicsConfig) -> CheckSpec:
             raise ConfigError(f"slope check {check_id!r} names unknown curve {parts[1]!r}; "
                               f"available: {list(CURVES)}")
         window = (None if len(parts) == 3 else
-                  (_number(parts[3], "slope_below Tmin"), _number(parts[4], "slope_below Tmax")))
-        if window is not None and window[0] > window[1]:
-            raise ConfigError(f"slope check {check_id!r} has an empty window: Tmin > Tmax")
+                  fit_window(_float(parts[3], "slope_below Tmin"),
+                             _float(parts[4], "slope_below Tmax"), f"slope check {check_id!r}"))
         spec = CheckSpec(check_id, name, _number(parts[2], "slope_below bound"), parts[1], window)
     elif name == "tail_to_zero":
         if dynamics.horizon < 3:  # no tail point of a shorter run survives burn-in

@@ -67,11 +67,11 @@ def tail_16_to_4096(gap):
 def relative_experiment(tau_schedule, horizon=100_000, trials=100, seed=2024,
                         schedule=None, checks=()):
     return ExperimentConfig(
-        game=GameSpec.quadratic([[1.0]], [0.0]),
+        game=GameSpec.from_dict({"name": "quad_1d"}),
         dynamics=DynamicsConfig(
             schedule or ConstantSchedule(0.3), horizon=horizon, x0=(1.0,),
             noise=RelativeNoise(tau_schedule, shape="sphere")),
-        trials=trials, master_seed=seed, checks=tuple(checks), game_name="quad_1d")
+        trials=trials, master_seed=seed, checks=tuple(checks))
 
 
 @pytest.fixture(scope="session")
@@ -182,10 +182,10 @@ def test_criterion_7_step_norm_schedule_under_noise():
 
 def absolute_experiment(schedule, sigma_schedule, seed):
     return ExperimentConfig(
-        game=GameSpec.quadratic([[1.0]], [0.0]),
+        game=GameSpec.from_dict({"name": "quad_1d"}),
         dynamics=DynamicsConfig(schedule, horizon=1 << 16, x0=(1.0,),
                                 noise=AbsoluteNoise(sigma_schedule, shape="sphere")),
-        trials=100, master_seed=seed, game_name="quad_1d")
+        trials=100, master_seed=seed)
 
 
 def test_criterion_8_absolute_noise_suite():

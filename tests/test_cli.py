@@ -8,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from gamegrad.cli import CSV_HEADER, main
+from gamegrad.errors import ConfigError
+from gamegrad.games import make_named_game
 from gamegrad.harness import read_report
 
 
@@ -142,6 +144,43 @@ def test_verify_game_rejects_indefinite(runner, tmp_path):
 def test_verify_game_needs_exactly_one_source(runner):
     result = runner.invoke(main, ["verify-game"])
     assert result.exit_code == 2
+
+
+def test_verify_game_rejects_too_few_pairs(runner):
+    result = runner.invoke(main, ["verify-game", "--name", "quad_1d", "--pairs", "1"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert "--pairs" in result.output
+
+
+def test_unknown_builtin_game_is_one_config_error_everywhere(runner, tmp_path):
+    # run, verify-game --name and make_named_game resolve names in one place
+    with pytest.raises(ConfigError) as exc:
+        make_named_game("atlantis")
+    message = f"config error: {exc.value}"
+    assert "unknown built-in game 'atlantis'" in message
+    cfg = write_cfg(tmp_path, {**quad1d_doc(), "game": {"name": "atlantis"}})
+    for args in (["run", "--config", cfg, "--out", str(tmp_path)],
+                 ["verify-game", "--name", "atlantis"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == message
+
+
+@pytest.mark.parametrize("window,message", [
+    (("100", "10"), "fit-rate --window has an empty window: Tmin > Tmax"),
+    (("nan", "10"), "fit-rate --window Tmin must be finite, got nan"),
+], ids=["empty", "nan"])
+def test_fit_rate_malformed_window_is_a_config_error(runner, tmp_path, window, message):
+    # the same rule as a slope_below check's window (metrics.fit_window)
+    cfg = write_cfg(tmp_path, quad1d_doc(checks=()))
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["run", "--config", cfg, "--out", str(out)]).exit_code == 0
+    result = runner.invoke(main, ["fit-rate", "--report", str(out / "report.json"),
+                                  "--window", *window])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
 
 
 def test_fit_rate_constant_curve(runner, tmp_path):

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from gamegrad.dynamics import (
+    _NOISE_KINDS,
+    _SCHEDULE_KINDS,
+    _VARIANCE_KINDS,
     _Log,
     _log_steps,
     _log_table,
@@ -105,9 +108,12 @@ def test_a_key_error_inside_a_constructor_is_not_a_config_error(monkeypatch):
 
 
 def test_schedule_serialization_round_trip():
-    for sched in (ConstantSchedule(0.3), PowerSchedule(0.5, 0.75),
-                  GradNormSchedule(1.0, 2.0), StepNormSchedule(2.0)):
+    schedules = (ConstantSchedule(0.3), PowerSchedule(0.5, 0.75),
+                 GradNormSchedule(1.0, 2.0), StepNormSchedule(2.0))
+    assert {sched.kind for sched in schedules} == set(_SCHEDULE_KINDS)  # every kind written back
+    for sched in schedules:
         doc = sched.to_dict()
+        assert set(doc) == {"kind", *_SCHEDULE_KINDS[sched.kind][1]}
         again = schedule_from_dict(doc)
         assert again.to_dict() == doc
     with pytest.raises(ConfigError):
@@ -213,9 +219,12 @@ def test_variance_schedule_rejects_non_finite_and_non_numeric(doc):
 
 
 def test_noise_serialization_round_trip():
-    for model in (NoNoise(),
-                  RelativeNoise(VarianceSchedule("power", 0.5, 1.0), "gaussian"),
-                  AbsoluteNoise(VarianceSchedule("constant", 0.01), "sphere")):
+    models = [NoNoise()]
+    for kind in _VARIANCE_KINDS:
+        models += [RelativeNoise(VarianceSchedule(kind, 0.5, 0.75), "gaussian"),
+                   AbsoluteNoise(VarianceSchedule(kind, 0.01), "sphere")]
+    assert {model.kind for model in models} == set(_NOISE_KINDS)  # every kind written back
+    for model in models:
         doc = model.to_dict()
         assert noise_from_dict(doc).to_dict() == doc
 
@@ -832,7 +841,7 @@ def test_shared_schedules_make_no_per_step_call(make, game_name):
     schedule = make()
     for per_step in ("first_step", "next_step", "next_steps", "settled_steps", "fresh"):
         assert not hasattr(schedule, per_step)  # step_sizes is the only way in
-    game = (make_game(GameSpec.random_cocoercive(4, seed=3), name=game_name)
+    game = (make_game(dataclasses.replace(GameSpec.random_cocoercive(4, seed=3), name=game_name))
             if game_name == "rand_4d" else make_named_game(game_name))
     cfg = DynamicsConfig(schedule, horizon=300, x0=(0.5,) * game.n,
                          noise=AbsoluteNoise(VarianceSchedule("constant", 0.01)))
@@ -861,7 +870,7 @@ def test_record_bytes_count_the_arrays_the_log_owns(make, n, thinning):
                          ids=["constant", "power"])
 @pytest.mark.parametrize("game_name", ["quad_1d", "quad_2d", "rand_4d"])
 def test_shared_schedule_records_view_one_step_size_array(make, game_name):
-    game = (make_game(GameSpec.random_cocoercive(4, seed=3), name=game_name)
+    game = (make_game(dataclasses.replace(GameSpec.random_cocoercive(4, seed=3), name=game_name))
             if game_name == "rand_4d" else make_named_game(game_name))
     for scale, diverged in ((0.3, False), (5.0, True)):
         schedule = make(scale)
@@ -921,8 +930,8 @@ def test_record_grid_matches_per_step_schedule_digest():
 
     digest = hashlib.sha256()
     for name in ("quad_1d", "quad_2d", "piecewise", "rand_2d", "rand_4d"):
-        game = (make_game(GameSpec.random_cocoercive(4, seed=3), name=name) if name == "rand_4d"
-                else make_named_game(name))
+        game = (make_game(dataclasses.replace(GameSpec.random_cocoercive(4, seed=3), name=name))
+                if name == "rand_4d" else make_named_game(name))
         for schedule, noise in _grid_cases():
             for thinning in (0, 7):
                 cfg = DynamicsConfig(schedule, horizon=2000, noise=noise, thinning=thinning,

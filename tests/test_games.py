@@ -181,9 +181,12 @@ def test_unknown_kind_rejected():
 
 
 def test_spec_round_trip():
-    spec = QUAD_2D
-    again = GameSpec.from_dict(spec.to_dict())
-    assert again == spec
+    named = dataclasses.replace(QUAD_2D, name="coupled")
+    for spec in (QUAD_2D, named, *builtin_game_specs().values()):
+        assert GameSpec.from_dict(spec.to_dict()) == spec
+        assert make_game(spec).name == (spec.name or spec.kind)
+    for name, spec in builtin_game_specs().items():
+        assert GameSpec.from_dict({"name": name}) == spec and spec.name == name
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +251,14 @@ def test_builtin_gradient_check(builtin):
 # The batched field contract, on the built-ins and larger random games.
 # ---------------------------------------------------------------------------
 
-_RANDOM_GAMES = {"rand_16d": GameSpec.random_cocoercive(16, seed=3),
-                 "rand_64d": GameSpec.random_cocoercive(64, seed=3)}
+_RANDOM_GAMES = {name: dataclasses.replace(GameSpec.random_cocoercive(n, seed=3), name=name)
+                 for name, n in (("rand_16d", 16), ("rand_64d", 64))}
 _FIELD_GAMES = sorted(builtin_game_specs()) + sorted(_RANDOM_GAMES)
 
 
 def _field_game(name):
     if name in _RANDOM_GAMES:
-        return make_game(_RANDOM_GAMES[name], name=name)
+        return make_game(_RANDOM_GAMES[name])
     return make_named_game(name)
 
 

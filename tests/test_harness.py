@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -30,6 +31,7 @@ from gamegrad.harness import (
     _WRITE_ROWS,
     ExperimentConfig,
     _blocks,
+    config_hash,
     dyadic_steps,
     iter_trajectory,
     read_report,
@@ -45,12 +47,11 @@ from gamegrad.metrics import parse_check
 
 def quad1d_config(horizon=64, trials=1, eta=0.5, checks=(), **kw):
     return ExperimentConfig(
-        game=GameSpec.quadratic([[1.0]], [0.0]),
+        game=GameSpec.from_dict({"name": "quad_1d"}),
         dynamics=DynamicsConfig(ConstantSchedule(eta), horizon=horizon, x0=(1.0,)),
         trials=trials,
         master_seed=kw.pop("master_seed", 42),
         checks=tuple(checks),
-        game_name="quad_1d",
         **kw,
     )
 
@@ -58,12 +59,11 @@ def quad1d_config(horizon=64, trials=1, eta=0.5, checks=(), **kw):
 def noisy_config(trials=3, horizon=256, checks=()):
     noise = RelativeNoise(VarianceSchedule("constant", 0.25), shape="sphere")
     return ExperimentConfig(
-        game=GameSpec.quadratic([[1.0]], [0.0]),
+        game=GameSpec.from_dict({"name": "quad_1d"}),
         dynamics=DynamicsConfig(ConstantSchedule(0.3), horizon=horizon, x0=(1.0,), noise=noise),
         trials=trials,
         master_seed=7,
         checks=tuple(checks),
-        game_name="quad_1d",
     )
 
 
@@ -131,11 +131,10 @@ def test_run_experiment_workers_match_sequential():
 
 def test_run_experiment_divergence_isolated():
     cfg = ExperimentConfig(
-        game=GameSpec.quadratic([[1.0]], [0.0]),
+        game=GameSpec.from_dict({"name": "quad_1d"}),
         dynamics=DynamicsConfig(ConstantSchedule(3.0), horizon=50, x0=(1.0,),
                                 blow_up_radius=100.0),
-        trials=2, master_seed=0, checks=("no_divergence", "slope_below:distance:-1"),
-        game_name="quad_1d")
+        trials=2, master_seed=0, checks=("no_divergence", "slope_below:distance:-1"))
     report = run_experiment(cfg)
     assert report.all_diverged
     assert all(t.diverged for t in report.trials)
@@ -216,7 +215,7 @@ def test_experiment_config_named_game():
                         "horizon": 8, "x0": [-1.0]}}
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.game.kind == "piecewise_scalar"
-    assert cfg.game_name == "piecewise"
+    assert cfg.game.name == cfg.game.label == "piecewise"
 
 
 def _load_bench_workloads() -> dict:
@@ -250,7 +249,10 @@ def test_bundled_configs_and_benchmark_workloads_parse():
     for name, doc in docs.items():
         for point in _experiment_docs(doc):
             cfg = ExperimentConfig.from_dict(point)
-            assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict(), name
+            out = cfg.to_dict()
+            again = ExperimentConfig.from_dict(out).to_dict()
+            # the hash also tells 1 from 1.0 and 0.0 from -0.0, which == does not
+            assert again == out and config_hash(again) == config_hash(out), name
             if not name.startswith("bench "):  # so `--set KEY=VALUE` reaches every key
                 assert set(doc.get("template", doc)) == set(cfg.to_dict()), name
 
@@ -325,8 +327,8 @@ def test_block_with_a_diverged_trial_shares_eta_text_exactly(tmp_path, master_se
     dynamics = DynamicsConfig(PowerSchedule(1.9, 0.01), horizon=6000, x0=(1.0,),
                               noise=AbsoluteNoise(VarianceSchedule("constant", 0.04), "gaussian"),
                               blow_up_radius=radius)
-    cfg = ExperimentConfig(game=GameSpec.quadratic([[1.0]], [0.0]), dynamics=dynamics, trials=3,
-                           master_seed=master_seed, game_name="quad_1d",
+    cfg = ExperimentConfig(game=GameSpec.from_dict({"name": "quad_1d"}), dynamics=dynamics,
+                           trials=3, master_seed=master_seed,
                            trajectory_dir=str(tmp_path / "trajs"))
     report = run_experiment(cfg)
     assert [t.diverged for t in report.trials] == [i == diverged for i in range(3)]
@@ -388,7 +390,7 @@ ORACLE_DYNAMICS = {  # schedule, noise: every column kind the writer emits
 
 def oracle_game(name):
     if name == "rand_4d":  # no unrolled body: runs in lock-step
-        return make_game(GameSpec.random_cocoercive(4, seed=3), name=name)
+        return make_game(dataclasses.replace(GameSpec.random_cocoercive(4, seed=3), name=name))
     return make_named_game(name)
 
 
@@ -562,11 +564,11 @@ def test_mean_time_average_gap_contracts_under_relative_noise():
 
 def test_sweep_over_noise_schedules_reports_budget_slopes():
     template = ExperimentConfig(
-        game=GameSpec.quadratic([[1.0]], [0.0]),
+        game=GameSpec.from_dict({"name": "quad_1d"}),
         dynamics=DynamicsConfig(
             ConstantSchedule(0.3), horizon=1 << 16, x0=(1.0,),
             noise=RelativeNoise(VarianceSchedule("power", 1.0, 0.5))),
-        trials=1, master_seed=1, game_name="quad_1d").to_dict()
+        trials=1, master_seed=1).to_dict()
     grid = {"dynamics.noise.tau": [{"kind": "power", "c": 1.0, "q": 0.5},
                                    {"kind": "power", "c": 1.0, "q": 1.0}]}
     entries = sweep(template, grid)
@@ -611,7 +613,7 @@ def test_checks_that_parse_run_and_the_rest_are_config_errors(schedule, noise):
     except ConfigError:
         assert schedule == "grad_norm" and noise != "none"  # exact gradients only
         return
-    game = GameSpec.quadratic([[1.0]], [0.0])
+    game = GameSpec.from_dict({"name": "quad_1d"})
     accepted = []
     for cid in _PER_TRIAL_CHECKS:
         try:
@@ -621,7 +623,7 @@ def test_checks_that_parse_run_and_the_rest_are_config_errors(schedule, noise):
                 ExperimentConfig(game, dynamics, checks=(cid,))
             continue
         accepted.append(cid)
-        config = ExperimentConfig(game, dynamics, trials=2, checks=(cid,), game_name="quad_1d")
+        config = ExperimentConfig(game, dynamics, trials=2, checks=(cid,))
         assert {c["trial"] for c in run_experiment(config).checks} == {0, 1}, cid
     assert {"eta_monotone", "no_divergence", "tail_to_zero", "distance_below:1e-3"} <= set(accepted)
 
