@@ -200,7 +200,7 @@ def cmd_sweep(config_path, overrides, out_dir, workers, seed):
 @click.option("--name", "game_name", default=None, help="Built-in game name.")
 @click.option("--pairs", default=10_000, show_default=True, type=click.IntRange(min=2),
               help="Sampled pairs for the cocoercivity estimate.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 def cmd_verify_game(config_path, game_name, pairs, seed):
     """Check a game spec: gradient consistency, cocoercivity estimate, Nash oracle."""
     def body():

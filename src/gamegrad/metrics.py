@@ -48,20 +48,16 @@ def time_average_gap(traj) -> Array:
 class TailSeries(NamedTuple):
     T: Array        # dyadic horizons 1, 2, 4, ...
     value: Array    # T * gap_{2T-1}
-    truncated: bool
 
 
-def tail_product(traj, doublings: Optional[int] = None) -> TailSeries:
+def tail_product(traj) -> TailSeries:
     """The series T * gap_{2T-1} over dyadic T; tends to 0 on conforming runs."""
     gap = _gap_series(traj)
     points = (gap.size // 2).bit_length()  # the T = 2^k with 2T - 1 < gap.size
-    truncated = doublings is not None and points < doublings
-    if doublings is not None:
-        points = min(points, doublings)
     if points < 1:
         raise ValueError("trajectory too short for any dyadic tail point")
     T = np.left_shift(1, np.arange(points))
-    return TailSeries(T.astype(float), T * gap[2 * T - 1], truncated)
+    return TailSeries(T.astype(float), T * gap[2 * T - 1])
 
 
 def vanishes_monotonically(values: Sequence[float], burnin: int = 0,
@@ -140,9 +136,9 @@ def fit_window(tmin: float, tmax: float, what: str) -> tuple[float, float]:
     return window
 
 
-def burnin_count(n_points: int, fraction: float = 0.1) -> int:
+def burnin_count(n_points: int) -> int:
     """Dyadic points dropped before fitting: transients dominate early iterates."""
-    return math.ceil(fraction * n_points)
+    return math.ceil(0.1 * n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +226,14 @@ def budget_curve(noise: NoiseModel, horizons: Sequence[int]) -> list[tuple[float
 
 
 def slope_verdict(points: Sequence[tuple[float, float]], bound: float, check_id: str,
-                  window: Optional[tuple[float, float]] = None,
-                  burnin: int = 0) -> ConvergenceVerdict:
+                  window: Optional[tuple[float, float]] = None) -> ConvergenceVerdict:
     """Pass when the fitted log-log slope is <= bound.
 
     A curve whose final value is exactly zero converged in finite time and
     passes outright (any decay target is met); an otherwise unfittable curve
     fails.
     """
-    pts = list(points)[burnin:]
+    pts = list(points)
     if pts and pts[-1][1] == 0.0:
         return ConvergenceVerdict(check_id, passed=True, worst_violation=-math.inf)
     try:

@@ -1,28 +1,36 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
+Each bundled ``criterion*.cfg`` is the one description of its criterion and
+one row here: it runs through ``gamegrad run`` (``gamegrad sweep`` for a
+document with a grid) and passes when it exits 0, every verdict passed and
+every per-trial check has one verdict per trial. Adding a ``criterion*.cfg``
+adds a row. Criterion 1's loop over the built-in games (eta = frac * lambda
+for each game) and criterion 9's oracle and property suite have no config
+form and stay in Python.
+
 The convergence claims being checked are asymptotic; the suite verifies them
 through invariant checks plus slope-fit surrogates at fixed horizons. Runs
 that reach the Nash set exactly (gap identically zero from some step on, as
 the one-dimensional piecewise game does, or after float underflow) count as
-having attained any decay target; see vanishes_monotonically / slope_verdict.
+having attained any decay target; a slope check passed that way prints
+``attained`` instead of a slope.
 """
 
 import json
-import math
+import re
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import record_criterion
+from gamegrad.cli import main
 from gamegrad.dynamics import (
-    AbsoluteNoise,
     ConstantSchedule,
     DynamicsConfig,
-    GradNormSchedule,
-    PowerSchedule,
     RelativeNoise,
-    StepNormSchedule,
     VarianceSchedule,
     run_trajectory,
 )
@@ -34,17 +42,17 @@ from gamegrad.games import (
     project_to_nash,
     verify_gradient,
 )
-from gamegrad.harness import ExperimentConfig, run_experiment
-from gamegrad.metrics import (
-    check_descent_invariants,
-    fit_rate,
-    slope_verdict,
-    tail_product,
-    vanishes_monotonically,
-)
+from gamegrad.harness import ExperimentConfig, read_report, run_experiment
+from gamegrad.metrics import check_descent_invariants, fit_rate
 
 BUILTINS = sorted(builtin_game_specs())
-WINDOW = (64.0, 65536.0)  # dyadic fit window [2^6, 2^16]
+CONFIGS = resources.files("gamegrad").joinpath("configs")
+PIECEWISE = ("--set", 'game={"name": "piecewise"}', "--set", "dynamics.x0=[-1.0]")
+ROWS = [(name, ()) for name in sorted(f.name for f in CONFIGS.iterdir())
+        if re.fullmatch(r"criterion.*\.cfg", name)] + [
+    ("criterion2_tail.cfg", PIECEWISE + ("--set", "dynamics.schedule.eta=0.5")),
+    ("criterion3_adaptive.cfg", PIECEWISE),
+]
 
 
 def conclude(num, ok, detail=""):
@@ -53,31 +61,59 @@ def conclude(num, ok, detail=""):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def windowed(curve, lo=WINDOW[0], hi=WINDOW[1]):
-    return [(t, v) for t, v in curve if lo <= t <= hi]
+def _worst(check_id, verdicts):
+    """A check's worst violation; for a slope check the slope, or `attained`
+    when it passed on a curve that reached exactly 0 (no fit, null violation)."""
+    worst = [v["worst_violation"] for v in verdicts if v["worst_violation"] is not None]
+    slope = check_id.startswith("slope_below:")
+    if not worst:
+        return "attained" if slope and all(v["passed"] for v in verdicts) else "worst none"
+    if slope:  # worst_violation is slope - bound
+        return f"slope {float(check_id.split(':')[2]) + max(worst):+.3f}"
+    return f"worst {max(worst):.3g}"
 
 
-def tail_16_to_4096(gap):
-    """Tail-product values at T = 2^4 .. 2^12 (needs gap up to index 2^13-1)."""
-    series = tail_product(gap, doublings=13)
-    assert not series.truncated
-    return series.value[4:13]
+def run_row(out, name, overrides=()):
+    """Run one bundled config through the CLI; return (exit code, passed, summary).
+
+    It passes when the command exits 0, every verdict in every written report
+    passed, and each per-trial check id has exactly one verdict per trial.
+    """
+    command = "sweep" if "grid" in json.loads(CONFIGS.joinpath(name).read_text()) else "run"
+    result = CliRunner().invoke(main, [command, "--config", name, "--out", str(out), *overrides])
+    reports = [read_report(str(path)) for path in sorted(out.glob("report*.json"))]
+    by_id, one_per_trial = {}, bool(reports)
+    for report in reports:
+        trials = {}
+        for verdict in report.checks:
+            by_id.setdefault(verdict["check_id"], []).append(verdict)
+            if verdict["trial"] is not None:
+                trials.setdefault(verdict["check_id"], []).append(verdict["trial"])
+        expected = list(range(report.config["trials"]))
+        one_per_trial &= all(sorted(t) == expected for t in trials.values())
+    passed = (result.exit_code == 0 and one_per_trial and bool(by_id)
+              and all(v["passed"] for vs in by_id.values() for v in vs))
+    summary = "; ".join(f"{cid} {sum(v['passed'] for v in vs)}/{len(vs)} {_worst(cid, vs)}"
+                        for cid, vs in by_id.items())
+    return result.exit_code, passed, summary or result.output.strip()
 
 
-def relative_experiment(tau_schedule, horizon=100_000, trials=100, seed=2024,
-                        schedule=None, checks=()):
-    return ExperimentConfig(
-        game=GameSpec.from_dict({"name": "quad_1d"}),
-        dynamics=DynamicsConfig(
-            schedule or ConstantSchedule(0.3), horizon=horizon, x0=(1.0,),
-            noise=RelativeNoise(tau_schedule, shape="sphere")),
-        trials=trials, master_seed=seed, checks=tuple(checks))
+@pytest.mark.parametrize("name, overrides", ROWS,
+                         ids=[name + ("+piecewise" if o else "") for name, o in ROWS])
+def test_bundled_criterion_config(tmp_path, name, overrides):
+    code, passed, summary = run_row(tmp_path, name, overrides)
+    num = re.match(r"criterion(\d+)", name).group(1)
+    conclude(f"{num} ({name}{', piecewise' if overrides else ''})", passed,
+             f"exit {code}; {summary}")
 
 
-@pytest.fixture(scope="session")
-def relative_const_report():
-    # tau_t = 0.25 constant, eta = 0.3 < lambda/(1+tau) = 0.8; shared by criteria 4 and 5
-    return run_experiment(relative_experiment(VarianceSchedule("constant", 0.25)))
+def test_row_runner_fails_a_row_whose_check_fails(tmp_path):
+    # criterion 5's time-average slope is about -0.99, so a -1.5 bound must fail
+    code, passed, summary = run_row(
+        tmp_path, "criterion5_relative_avg.cfg",
+        ("--set", 'checks=["slope_below:time_average:-1.5:64:65536"]'))
+    assert code == 1 and not passed, summary
+    assert "slope_below:time_average:-1.5:64:65536 0/1 slope -0.9" in summary
 
 
 def test_criterion_1_noiseless_constant_step_invariants():
@@ -100,117 +136,6 @@ def test_criterion_1_noiseless_constant_step_invariants():
     elapsed = time.perf_counter() - start
     conclude(1, runs == 60 and elapsed < 10.0,
              f"{runs} runs at T=1e5, all descent invariants pass, {elapsed:.1f}s < 10s")
-
-
-def test_criterion_2_tail_product_vanishes_at_eta_lambda():
-    ok = True
-    details = []
-    for name, x0 in (("piecewise", (-1.0,)), ("quad_2d", (1.3, 0.4))):
-        game = make_named_game(name)
-        cfg = DynamicsConfig(ConstantSchedule(game.cocoercivity), horizon=1 << 13, x0=x0)
-        rec = run_trajectory(game, cfg)
-        values = tail_16_to_4096(rec.gap)
-        burn = math.ceil(0.1 * len(values))
-        good = vanishes_monotonically(values, burnin=burn, drop_factor=1e-3)
-        ok &= good
-        final = values[-1]
-        details.append(f"{name}: first={values[0]:.3g} final={final:.3g}")
-    conclude(2, ok, "; ".join(details))
-
-
-def test_criterion_3_adaptive_noiseless():
-    ok = True
-    details = []
-    for name, x0 in (("piecewise", (-1.0,)), ("quad_2d", (2.0, -1.0))):
-        game = make_named_game(name)
-        T = 1 << 16
-        cfg = DynamicsConfig(GradNormSchedule(beta1=1.0, r=2.0), horizon=T, x0=x0)
-        rec = run_trajectory(game, cfg)
-
-        stable = rec.beta[T] == rec.beta[T // 2]
-        values = tail_16_to_4096(rec.gap)
-        tail_ok = vanishes_monotonically(values, burnin=math.ceil(0.1 * len(values)),
-                                         drop_factor=1e-3)
-        points = [(float(t), float(rec.gap[t])) for t in (2 ** k for k in range(17))]
-        burn = math.ceil(0.1 * len(points))
-        slope_ok = slope_verdict(points, bound=-0.85, check_id="c3", burnin=burn).passed
-        ok &= stable and tail_ok and slope_ok
-        details.append(f"{name}: beta_stable={stable} tail={tail_ok} slope_ok={slope_ok}")
-    conclude(3, ok, "; ".join(details))
-
-
-def test_criterion_4_relative_noise_reaches_nash(relative_const_report):
-    report = relative_const_report
-    diverged = [t.trial for t in report.trials if t.diverged]
-    dists = [t.final_distance for t in report.trials]
-    worst = max(dists)
-    ok = not diverged and worst < 1e-3
-    conclude(4, ok, f"max distance at T=1e5: {worst:.3g} < 1e-3, {len(diverged)} divergences")
-
-
-def test_criterion_5_relative_noise_time_average_rate(relative_const_report):
-    pts = windowed(relative_const_report.curve("time_average"))
-    fit = fit_rate(pts)
-    conclude(5, fit.slope <= -0.8, f"time-average slope {fit.slope:+.3f} <= -0.8")
-
-
-def test_criterion_6_relative_noise_last_iterate_tracks_budget():
-    results = []
-    ok = True
-    for q, bound in ((0.5, -0.35), (1.0, -0.85)):
-        report = run_experiment(relative_experiment(VarianceSchedule("power", 1.0, q),
-                                                    seed=600 + int(10 * q)))
-        pts = windowed(report.curve("last_iterate"))
-        verdict = slope_verdict(pts, bound=bound, check_id=f"c6-q{q}")
-        ok &= verdict.passed
-        desc = "converged to 0" if pts and pts[-1][1] == 0.0 else f"slope-bound gap {verdict.worst_violation:+.3f}"
-        results.append(f"tau~1/t^{q}: {desc} (bound {bound})")
-    conclude(6, ok, "; ".join(results))
-
-
-def test_criterion_7_step_norm_schedule_under_noise():
-    report = run_experiment(relative_experiment(
-        VarianceSchedule("power", 1.0, 0.5), horizon=1 << 16, seed=700,
-        schedule=StepNormSchedule(beta=1.0), checks=("eta_monotone",)))
-    eta_ok = all(c["passed"] for c in report.checks if c["check_id"] == "eta_monotone")
-    assert len([c for c in report.checks if c["check_id"] == "eta_monotone"]) == 100
-    pts = windowed(report.curve("last_iterate"))
-    verdict = slope_verdict(pts, bound=-0.45, check_id="c7")
-    conclude(7, eta_ok and verdict.passed,
-             f"eta nonincreasing in all 100 trials: {eta_ok}; last-iterate bound met: {verdict.passed}")
-
-
-def absolute_experiment(schedule, sigma_schedule, seed):
-    return ExperimentConfig(
-        game=GameSpec.from_dict({"name": "quad_1d"}),
-        dynamics=DynamicsConfig(schedule, horizon=1 << 16, x0=(1.0,),
-                                noise=AbsoluteNoise(sigma_schedule, shape="sphere")),
-        trials=100, master_seed=seed)
-
-
-def test_criterion_8_absolute_noise_suite():
-    # (a) eta_t = (lambda/2)/sqrt(t), constant sigma^2: time-average decay
-    rep_a = run_experiment(absolute_experiment(PowerSchedule(0.5, 0.5),
-                                               VarianceSchedule("constant", 0.01), seed=801))
-    fit_a = fit_rate(windowed(rep_a.curve("time_average")))
-    ok_a = fit_a.slope <= -0.4
-
-    # (b) sigma_t^2 = 0.01/(t+1)^2, constant eta = lambda/2: last-iterate decay
-    rep_b = run_experiment(absolute_experiment(ConstantSchedule(0.5),
-                                               VarianceSchedule("power", 0.01, 2.0), seed=802))
-    verdict_b = slope_verdict(windowed(rep_b.curve("last_iterate")), bound=-0.85, check_id="c8b")
-    ok_b = verdict_b.passed
-
-    # (c) square-summable steps eta_t = 0.5/t^0.75: iterates settle near the Nash set
-    rep_c = run_experiment(absolute_experiment(PowerSchedule(0.5, 0.75),
-                                               VarianceSchedule("constant", 0.01), seed=803))
-    dists = [t.final_distance for t in rep_c.trials]
-    ok_c = not any(t.diverged for t in rep_c.trials) and max(dists) < 1e-2
-
-    conclude(8, ok_a and ok_b and ok_c,
-             f"(a) tavg slope {fit_a.slope:+.3f}<=-0.4: {ok_a}; "
-             f"(b) last-iterate bound met: {ok_b}; "
-             f"(c) max distance {max(dists):.3g}<1e-2: {ok_c}")
 
 
 def test_criterion_9_oracle_and_property_suite():
@@ -251,7 +176,11 @@ def test_criterion_9_oracle_and_property_suite():
         fit_ok &= abs(fit_rate(pts).slope - exponent) <= 1e-9
 
     # harness byte-determinism on repeated runs
-    cfg = relative_experiment(VarianceSchedule("constant", 0.25), horizon=512, trials=5, seed=909)
+    cfg = ExperimentConfig(
+        game=GameSpec.from_dict({"name": "quad_1d"}),
+        dynamics=DynamicsConfig(ConstantSchedule(0.3), horizon=512, x0=(1.0,), noise=RelativeNoise(
+            VarianceSchedule("constant", 0.25), shape="sphere")),
+        trials=5, master_seed=909)
     dump = lambda r: json.dumps(r.to_dict(), sort_keys=True)  # noqa: E731
     det_ok = dump(run_experiment(cfg)) == dump(run_experiment(cfg))
 

@@ -146,11 +146,12 @@ def test_verify_game_needs_exactly_one_source(runner):
     assert result.exit_code == 2
 
 
-def test_verify_game_rejects_too_few_pairs(runner):
-    result = runner.invoke(main, ["verify-game", "--name", "quad_1d", "--pairs", "1"])
+@pytest.mark.parametrize("option, value", [("--pairs", "1"), ("--seed", "-1")])
+def test_verify_game_rejects_too_few_pairs(runner, option, value):
+    result = runner.invoke(main, ["verify-game", "--name", "quad_1d", option, value])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
-    assert "--pairs" in result.output
+    assert option in result.output
 
 
 def test_unknown_builtin_game_is_one_config_error_everywhere(runner, tmp_path):

@@ -111,28 +111,20 @@ def test_tail_product_inverse_square_decreases():
     assert np.all(np.diff(series.value[1:]) < 0)
 
 
-def test_tail_product_truncation_flag():
-    series = tail_product(np.ones(8), doublings=6)
-    assert series.truncated
-    assert len(series.T) == 3  # T in {1, 2, 4} needs gap indices 1, 3, 7
-
-
 def test_tail_product_points_match_dyadic_loop():
     gap = np.linspace(1.0, 0.0, 70) ** 2
     for size in range(1, 71):
-        for doublings in (None, 0, 1, 3, 6, 7):
-            ts, T = [], 1  # the reference: T = 1, 2, 4, ... while gap[2T - 1] exists
-            while 2 * T - 1 < size and (doublings is None or len(ts) < doublings):
-                ts.append(T)
-                T *= 2
-            if not ts:
-                with pytest.raises(ValueError):
-                    tail_product(gap[:size], doublings)
-                continue
-            series = tail_product(gap[:size], doublings)
-            assert series.T.tolist() == ts
-            assert series.value.tolist() == [t * gap[2 * t - 1] for t in ts]
-            assert series.truncated == (doublings is not None and len(ts) < doublings)
+        ts, T = [], 1  # the reference: T = 1, 2, 4, ... while gap[2T - 1] exists
+        while 2 * T - 1 < size:
+            ts.append(T)
+            T *= 2
+        if not ts:
+            with pytest.raises(ValueError):
+                tail_product(gap[:size])
+            continue
+        series = tail_product(gap[:size])
+        assert series.T.tolist() == ts
+        assert series.value.tolist() == [t * gap[2 * t - 1] for t in ts]
 
 
 def test_vanishes_monotonically_rules():
