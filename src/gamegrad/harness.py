@@ -3,8 +3,11 @@
 Trials draw independent Philox streams keyed by (master_seed, trial index),
 so results do not depend on execution order or worker count; aggregation is
 a fixed-order reduction over trial indices. An experiment builds its game
-once, and its trials run in contiguous blocks, one per worker; a pool worker
-builds its own copy of the game, whose closures do not pickle. Games
+once, and its trials run in contiguous blocks, one per worker. A one-block
+run steps in the calling process; only two or more blocks import and start
+a process pool (``concurrent.futures.process``, ``multiprocessing``), whose
+workers each build their own copy of the game, as its closures do not
+pickle. Games
 without an unrolled runner body step a whole block in lock-step, whose rows
 are block-independent. Reports serialize to JSON with sorted keys, making
 repeated runs of the same config byte-identical.
@@ -18,7 +21,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -491,6 +493,7 @@ def _run_trials(config: ExperimentConfig, game: Game, workers: int) -> list[dict
     blocks = _blocks(config.trials, workers)
     if len(blocks) == 1:
         return _block_payloads(config, game, blocks[0])
+    from concurrent.futures import ProcessPoolExecutor  # only a multi-block run pays for the pool
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
         return [p for payloads in pool.map(_pool_block, [config] * len(blocks), blocks)
                 for p in payloads]  # trial order preserved

@@ -315,18 +315,17 @@ def _check_no_divergence(spec, record, game) -> list[ConvergenceVerdict]:
 def _check_tail_to_zero(spec, record, game) -> list[ConvergenceVerdict]:
     series = tail_product(record)
     burn = burnin_count(len(series.value))
-    check_id = f"tail_to_zero:{spec.value:g}"
     if burn == len(series.value):  # a trial that diverged by step 2: no point after burn-in
-        return [ConvergenceVerdict(check_id, passed=False, worst_violation=math.inf)]
+        return [ConvergenceVerdict(spec.check_id, passed=False, worst_violation=math.inf)]
     ok = vanishes_monotonically(series.value, burnin=burn, drop_factor=spec.value)
     final, first = series.value[-1], series.value[burn]
     worst = 0.0 if first == 0.0 else float(final / max(first, 1e-300))
-    return [ConvergenceVerdict(check_id, passed=ok, worst_violation=worst)]
+    return [ConvergenceVerdict(spec.check_id, passed=ok, worst_violation=worst)]
 
 
 def _check_distance_below(spec, record, game) -> list[ConvergenceVerdict]:
     dist = distance_to_nash(game, record.final_state)
-    return [ConvergenceVerdict(f"distance_below:{spec.value:g}", passed=dist < spec.value,
+    return [ConvergenceVerdict(spec.check_id, passed=dist < spec.value,
                                worst_violation=dist - spec.value)]
 
 

@@ -314,7 +314,7 @@ def test_run_check_tail_to_zero():
 def test_tail_to_zero_fails_a_record_with_no_point_after_burn_in(gap):
     spec = parse_check("tail_to_zero", DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,)))
     verdicts = run_check(spec, fabricate(gap, diverged=True), make_named_game("quad_1d"))
-    assert verdicts == [ConvergenceVerdict("tail_to_zero:0.001", passed=False,
+    assert verdicts == [ConvergenceVerdict("tail_to_zero", passed=False,
                                            worst_violation=math.inf)]
 
 
