@@ -89,23 +89,19 @@ def _apply_overrides(doc: dict, overrides: tuple[str, ...]) -> None:
         harness.set_by_path(doc, path, value)
 
 
-def _exit(code: int):
-    sys.exit(code)
-
-
 def _guard(fn):
     try:
         code = fn()
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
-        _exit(EXIT_CONFIG_ERROR)
+        sys.exit(EXIT_CONFIG_ERROR)
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
-        _exit(EXIT_IO_ERROR)
+        sys.exit(EXIT_IO_ERROR)
     except Exception:  # a fault in the program, not a failed check
         traceback.print_exc()
-        _exit(EXIT_INTERNAL_ERROR)
-    _exit(code)
+        sys.exit(EXIT_INTERNAL_ERROR)
+    sys.exit(code)
 
 
 @click.group()

@@ -7,8 +7,9 @@ The shared schedules (constant, power) ignore those observations, so their
 only step-size method is step_sizes(T): the whole sequence as an array,
 computed once per block, which the loops read from as a list of floats.
 The adaptive schedules (step_norm, grad_norm) keep per-run state from
-fresh(): the loops call next_step on Python floats after every step (or
-next_steps on the (trials,) vectors of a lock-step block).
+fresh(): the loops call next_step after every step, whose one arithmetic
+runs on the Python floats of one trial and on the (trials,) vectors of a
+lock-step block alike.
 Hot loops come in three bodies that execute the identical recursion, and
 tests pin them against each other:
 
@@ -195,27 +196,27 @@ class GradNormSchedule(_Schedule):
         self.r = float(r)
 
     def fresh(self, trials: Optional[int] = None) -> "GradNormSchedule":
-        """A copy in its starting state: scalar, or one entry per trial of a lock-step block."""
+        """A copy in its starting state: floats, or one entry per trial of a lock-step block."""
         sched = GradNormSchedule(self.beta1, self.r)
         sched.beta = self.beta1 if trials is None else np.full(trials, self.beta1)
         sched.grad_sq_sum = 0.0 if trials is None else np.zeros(trials)
+        sched._sqrt = math.sqrt if trials is None else np.sqrt
         return sched
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta1)
 
-    def next_step(self, t, eta, g_prev, g_next, step_sq) -> float:
-        """The step size of step t + 1, after step t moved the gap from g_prev to g_next."""
-        if g_next > g_prev:
-            self.beta *= self.r
-        self.grad_sq_sum += g_prev
-        return 1.0 / math.sqrt(self.beta + self.grad_sq_sum)
+    def next_step(self, t, eta, g_prev, g_next, step_sq):
+        """The step size of step t + 1, after step t moved the gap from g_prev to g_next.
 
-    def next_steps(self, t, eta, g_prev, g_next, step_sq):
-        """next_step over the trials of a lock-step block (state from fresh(trials))."""
-        self.beta = np.where(g_next > g_prev, self.beta * self.r, self.beta)
-        self.grad_sq_sum = self.grad_sq_sum + g_prev
-        return self._steps(self.grad_sq_sum)
+        Each argument and the result is a float, or a (trials,) vector for a
+        lock-step block. r ** True is r and r ** False is 1.0, so beta is
+        multiplied by r exactly where the gap grew.
+        """
+        self.beta *= self.r ** (g_next > g_prev)
+        self.grad_sq_sum += g_prev
+        sqrt = self._sqrt  # a plain load: CPython 3.11 does not specialize self._sqrt(...)
+        return 1.0 / sqrt(self.beta + self.grad_sq_sum)
 
     def settled_steps(self, t, eta, g, count) -> Array:
         """What next_step returns over a settled tail; see StepNormSchedule's.
@@ -225,10 +226,7 @@ class GradNormSchedule(_Schedule):
         """
         sums = np.add.accumulate(np.concatenate(([self.grad_sq_sum], np.full(count, g))))
         self.grad_sq_sum = float(sums[-1])
-        return self._steps(sums[1:])
-
-    def _steps(self, grad_sq_sum):
-        return 1.0 / np.sqrt(self.beta + grad_sq_sum)
+        return 1.0 / np.sqrt(self.beta + sums[1:])
 
     def keep(self, live) -> None:
         """Drop the state of the trials that left a lock-step block."""
@@ -255,23 +253,24 @@ class StepNormSchedule(_Schedule):
         self.beta = float(beta)
 
     def fresh(self, trials: Optional[int] = None) -> "StepNormSchedule":
-        """A copy in its starting state: scalar, or one entry per trial of a lock-step block."""
+        """A copy in its starting state: floats, or one entry per trial of a lock-step block."""
         sched = StepNormSchedule(self.beta)
         sched.delta = 0.0 if trials is None else np.zeros(trials)
+        sched._sqrt = math.sqrt if trials is None else np.sqrt
         return sched
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta)
 
-    def next_step(self, t, eta, g_prev, g_next, step_sq) -> float:
-        """The step size of step t + 1, after step t of size eta moved x by sqrt(step_sq)."""
-        self.delta += step_sq / (eta * eta)
-        return 1.0 / math.sqrt(self.beta + math.log(t + 2.0) + self.delta)
+    def next_step(self, t, eta, g_prev, g_next, step_sq):
+        """The step size of step t + 1, after step t of size eta moved x by sqrt(step_sq).
 
-    def next_steps(self, t, eta, g_prev, g_next, step_sq):
-        """next_step over the trials of a lock-step block (state from fresh(trials))."""
-        self.delta = self.delta + step_sq / (eta * eta)
-        return self._steps(math.log(t + 2.0))
+        eta, step_sq and the result are floats, or (trials,) vectors for a
+        lock-step block.
+        """
+        self.delta += step_sq / (eta * eta)
+        sqrt = self._sqrt  # a plain load: CPython 3.11 does not specialize self._sqrt(...)
+        return 1.0 / sqrt(self.beta + math.log(t + 2.0) + self.delta)
 
     def settled_steps(self, t, eta, g, count) -> Array:
         """The step sizes of a settled tail as one array.
@@ -284,10 +283,7 @@ class StepNormSchedule(_Schedule):
         """
         if count:
             self.delta += 0.0 / (eta * eta)
-        return self._steps(_log_table(t + count)[t:])
-
-    def _steps(self, log_t):
-        return 1.0 / np.sqrt(self.beta + log_t + self.delta)
+        return 1.0 / np.sqrt(self.beta + _log_table(t + count)[t:] + self.delta)
 
     def keep(self, live) -> None:
         """Drop the state of the trials that left a lock-step block."""
@@ -471,7 +467,8 @@ class DynamicsConfig:
     """Everything the runner needs besides the game itself.
 
     thinning = 0 logs full states at step 0, dyadic steps and the horizon;
-    thinning = k >= 1 additionally logs every k-th step.
+    thinning = k >= 1 additionally logs every k-th step. One trial's record
+    must fit in _BLOCK_BYTES, which bounds the horizon.
     """
 
     schedule: Schedule
@@ -499,6 +496,9 @@ class DynamicsConfig:
                 "the grad_norm schedule compares exact gradient norms and cannot run "
                 "with noisy feedback; use the step_norm schedule instead"
             )
+        if _record_bytes(self, len(x0)) > _BLOCK_BYTES:
+            raise ConfigError(f"horizon is too large: one trial's record (n = {len(x0)}, "
+                              f"thinning {self.thinning}) would exceed {_BLOCK_BYTES >> 20} MiB")
 
     def to_dict(self) -> dict:
         return {
@@ -613,6 +613,9 @@ class _Log:
         self.step = np.empty((m, T))
         self.beta = np.empty((m, T + 1)) if schedule.tracks_beta else None
         self.steps = _log_steps(T, config.thinning)
+        # The logged steps as ints, ending in the sentinel T + 1, which no step
+        # reaches: a loop's index into it never runs past the end.
+        self.log_list = [*self.steps.tolist(), T + 1]
         self.states = np.empty((m, len(self.steps), n))
         self.stop = [T] * m
         self.diverged = [False] * m
@@ -636,7 +639,7 @@ class _Log:
             self.stop[i], self.diverged[i] = t, True
         if self.beta is not None:
             self.beta[rows, t] = beta
-        if log_ptr < len(self.steps) and self.steps[log_ptr] == t:
+        if self.log_list[log_ptr] == t:
             self.states[rows, log_ptr] = x
 
     def fill(self, s: int, x, g: float, eta: float, log_ptr: int) -> None:
@@ -676,10 +679,17 @@ class _Log:
 
 
 def _record_bytes(config: DynamicsConfig, n: int) -> int:
-    """Bytes _Log allocates per trial: gap, step norms, states, and eta and beta rows it owns."""
-    T, schedule = config.horizon, config.schedule
+    """Bytes _Log allocates per trial: gap, step norms, states, and eta and beta rows it owns.
+
+    It allocates nothing itself: the logged states are counted as _log_steps
+    lays them out (the grid, then the dyadic steps off it), so any horizon
+    can be checked.
+    """
+    T, k, schedule = config.horizon, config.thinning, config.schedule
+    dyadic = dyadic_steps(T)
+    logged = 1 + len(dyadic) if k < 1 else T // k + 1 + sum(s % k != 0 for s in dyadic)
     rows = 2 * T + 1 + T * (not schedule.shared) + (T + 1) * schedule.tracks_beta
-    return 8 * (rows + len(_log_steps(T, config.thinning)) * n)
+    return 8 * (rows + logged * n)
 
 
 def _generator(rng: int | np.random.Generator | None):
@@ -731,10 +741,13 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> Iterator[Tra
     game's own field, called on the whole block as it is, np.vecdot,
     elementwise arithmetic) gives the same bits whatever the number of rows,
     so a trial's record does not depend on which block it ran in. A single
-    trial runs on 1-D arrays through the same code, which was checked
-    bit-equal to its row of a block.
+    trial runs on 1-D arrays and floats through the same code, which was
+    checked bit-equal to its row of a block. That branch stays because it
+    is its own cost regime: run as a (1, n) block, one trial took 1.5-2x
+    as long (2-vCPU host, CPU time: quad_1d, 20,000 steps, 197 -> 312 ms; a
+    64-d random game, 4,096 steps, 58 -> 114 ms).
     """
-    size = max(1, _BLOCK_BYTES // _record_bytes(config, game.n))
+    size = _BLOCK_BYTES // _record_bytes(config, len(config.x0))  # >= 1: DynamicsConfig caps it
     for lo in range(0, len(rngs), size):
         yield from _run(_run_lockstep, game, config, rngs[lo:lo + size])
 
@@ -768,7 +781,7 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     rows = 0 if flat else slice(None)  # the log rows of the live trials
     gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states
     etas = log.etas
-    log_list = log.steps.tolist()
+    log_list = log.log_list
     r2 = radius * radius
     inf = math.inf
 
@@ -776,11 +789,10 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     G = dot(V, V)
     log.begin(G, X)
     log_ptr = 1
-    next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
+    next_log = log_list[1]
 
     if etas is None:
-        eta_next = schedule.first_step()
-        update = schedule.next_step if flat else schedule.next_steps
+        eta_next, next_step = schedule.first_step(), schedule.next_step
     relative = draws is not None and draws.relative
     t = 0
     while t < T:
@@ -826,9 +838,9 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
             if t + 1 == next_log:
                 states[rows, log_ptr] = X_new
                 log_ptr += 1
-                next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
+                next_log = log_list[log_ptr]
             if etas is None:
-                eta_next = update(t, eta, G, G_new, S)
+                eta_next = next_step(t, eta, G, G_new, S)
             if beta_log is not None:
                 beta_log[rows, t + 1] = schedule.beta
             X, V, G = X_new, V_new, G_new
@@ -853,9 +865,9 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
     v = f(x)
     g = v * v
     log.begin(g, x)
-    log_list = log.steps.tolist()
+    log_list = log.log_list
     log_ptr = 1
-    next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
+    next_log = log_list[1]
 
     eta_next = next_step = None  # a shared schedule's step sizes are all in etas
     if etas is None:
@@ -895,7 +907,7 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
             if t + 1 == next_log:
                 states[log_ptr, 0] = x_new
                 log_ptr += 1
-                next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
+                next_log = log_list[log_ptr]
             if etas is None:
                 eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:
@@ -920,9 +932,9 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
     v1 = b1 - (a10 * x0_ + a11 * x1_)
     g = v0 * v0 + v1 * v1
     log.begin(g, (x0_, x1_))
-    log_list = log.steps.tolist()
+    log_list = log.log_list
     log_ptr = 1
-    next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
+    next_log = log_list[1]
 
     eta_next = next_step = None  # a shared schedule's step sizes are all in etas
     if etas is None:
@@ -968,7 +980,7 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
                 states[log_ptr, 0] = y0
                 states[log_ptr, 1] = y1
                 log_ptr += 1
-                next_log = log_list[log_ptr] if log_ptr < len(log_list) else T + 1
+                next_log = log_list[log_ptr]
             if etas is None:
                 eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:

@@ -184,6 +184,22 @@ def test_fit_rate_malformed_window_is_a_config_error(runner, tmp_path, window, m
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("horizon,thinning", [("1" + "0" * 400, 0), (str(10 ** 12), 1)],
+                         ids=["401_digits", "thinning_1"])
+def test_run_rejects_a_horizon_whose_record_outgrows_a_block(runner, tmp_path, monkeypatch,
+                                                             horizon, thinning):
+    def no_log_grid(*args):
+        raise AssertionError("sized a log grid before the horizon was bounded")
+
+    monkeypatch.setattr("gamegrad.dynamics._log_steps", no_log_grid)  # a fault exits 4
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", f"dynamics.horizon={horizon}",
+                                  "--set", f"dynamics.thinning={thinning}"])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error: horizon is too large")
+    assert not list(tmp_path.iterdir())
+
+
 def test_fit_rate_constant_curve(runner, tmp_path):
     # constant gradient field: gap is identically 1, slope 0
     doc = {"game": {"kind": "quadratic", "matrix": [[0.0]], "offset": [1.0]},

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gamegrad.dynamics import (
+    _BLOCK_BYTES,
     _NOISE_KINDS,
     _SCHEDULE_KINDS,
     _VARIANCE_KINDS,
@@ -324,10 +325,55 @@ def test_trajectory_step_norm_schedule_eta_monotone_under_noise():
     assert np.all(np.diff(rec.eta) <= 0)
 
 
+@pytest.mark.parametrize("make", [lambda: GradNormSchedule(1.0, 2.0),
+                                  lambda: GradNormSchedule(0.3, 1.7), lambda: StepNormSchedule(0.7)],
+                         ids=["grad_norm_2", "grad_norm_1.7", "step_norm"])
+def test_block_next_step_matches_each_row_on_floats_bitwise(make):
+    # at every step two rows' gaps grow, two hold and two fall; row 4 leaves halfway
+    m, steps = 6, 200
+    rng = np.random.default_rng(4)
+    block, rows = make().fresh(m), [make().fresh() for _ in range(m)]
+    state = ("beta", "grad_sq_sum") if block.kind == "grad_norm" else ("delta",)
+    eta, etas = np.full(m, block.first_step()), [sched.first_step() for sched in rows]
+    g = rng.uniform(0.5, 2.0, m)
+    for t in range(steps):
+        if t == steps // 2:
+            live = np.arange(len(rows)) != 4
+            block.keep(live)
+            eta, g = eta[live], g[live]
+            del rows[4], etas[4]
+        kind = (np.arange(len(rows)) + t) % 3  # 0: the gap grows, 1: it holds, 2: it falls
+        grown, fallen = g * rng.uniform(1.01, 2.0, g.size), g * rng.uniform(0.3, 0.99, g.size)
+        g_next = np.where(kind == 0, grown, np.where(kind == 1, g, fallen))
+        step_sq = rng.uniform(0.0, 1e-2, g.size) * (kind != 1)
+        eta = block.next_step(t, eta, g, g_next, step_sq)
+        for i, sched in enumerate(rows):
+            etas[i] = sched.next_step(t, etas[i], *(a[i].item() for a in (g, g_next, step_sq)))
+            assert all(type(v) is float for v in (etas[i], *(getattr(sched, k) for k in state)))
+        assert eta.tobytes() == np.array(etas).tobytes()
+        for key in state:
+            assert getattr(block, key).tobytes() == np.array([getattr(s, key) for s in rows]).tobytes()
+        g = g_next
+    if block.kind == "grad_norm":
+        assert len(set(block.beta.tolist())) > 1  # the rows' offsets grew apart
+
+
 def test_grad_norm_schedule_refuses_noise():
     with pytest.raises(ConfigError, match="grad_norm"):
         DynamicsConfig(GradNormSchedule(1.0, 2.0), horizon=10, x0=(1.0,),
                        noise=RelativeNoise(VarianceSchedule("constant", 0.1)))
+
+
+@pytest.mark.parametrize("make,cap", [(lambda: ConstantSchedule(0.5), 4_194_291),
+                                      (lambda: StepNormSchedule(1.0), 2_796_194),
+                                      (lambda: GradNormSchedule(1.0, 2.0), 2_097_145)],
+                         ids=["constant", "step_norm", "grad_norm"])
+def test_horizon_is_capped_by_one_trial_record_per_block(make, cap):
+    # n = 1, thinning 0: the caps README states; a record of the cap fits _BLOCK_BYTES
+    cfg = DynamicsConfig(make(), horizon=cap, x0=(1.0,))
+    assert _record_bytes(cfg, 1) <= _BLOCK_BYTES
+    with pytest.raises(ConfigError, match="horizon is too large"):
+        DynamicsConfig(make(), horizon=cap + 1, x0=(1.0,))
 
 
 def test_trajectory_x0_dimension_checked():
@@ -839,7 +885,7 @@ def test_shared_step_sizes_match_per_step_calls_bitwise(make, horizon):
 @pytest.mark.parametrize("game_name", ["quad_1d", "quad_2d", "rand_4d"])
 def test_shared_schedules_make_no_per_step_call(make, game_name):
     schedule = make()
-    for per_step in ("first_step", "next_step", "next_steps", "settled_steps", "fresh"):
+    for per_step in ("first_step", "next_step", "settled_steps", "fresh"):
         assert not hasattr(schedule, per_step)  # step_sizes is the only way in
     game = (make_game(dataclasses.replace(GameSpec.random_cocoercive(4, seed=3), name=game_name))
             if game_name == "rand_4d" else make_named_game(game_name))
@@ -851,7 +897,7 @@ def test_shared_schedules_make_no_per_step_call(make, game_name):
     assert rec.eta.tobytes() == schedule.step_sizes(300)[0].tobytes()
 
 
-@pytest.mark.parametrize("thinning", [0, 7])
+@pytest.mark.parametrize("thinning", [0, 1, 7, 64, 101])  # 64: on a dyadic step; 101 > T
 @pytest.mark.parametrize("n", [1, 16])
 @pytest.mark.parametrize("make", [lambda: ConstantSchedule(0.3), lambda: PowerSchedule(0.5, 0.5),
                                   lambda: StepNormSchedule(1.0), lambda: GradNormSchedule(1.0, 2.0)],
