@@ -38,7 +38,6 @@ from .metrics import (
     CheckSpec,
     ConvergenceVerdict,
     RateFit,
-    check_descent_invariants,
     distance_to_nash,
     fit_rate,
     optimality_gap,
@@ -59,7 +58,7 @@ __all__ = [
     "gradient_field", "make_game", "make_named_game", "project_to_nash", "verify_gradient",
     "ExperimentConfig", "ExperimentReport", "read_report", "run_experiment", "sweep",
     "write_report",
-    "CheckSpec", "ConvergenceVerdict", "RateFit", "check_descent_invariants", "distance_to_nash",
-    "fit_rate", "optimality_gap", "parse_check", "run_check", "tail_product", "time_average_gap",
+    "CheckSpec", "ConvergenceVerdict", "RateFit", "distance_to_nash", "fit_rate",
+    "optimality_gap", "parse_check", "run_check", "tail_product", "time_average_gap",
     "variance_budget",
 ]

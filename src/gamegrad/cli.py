@@ -73,7 +73,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path!r} not found") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also json's int-digit and nesting limits
         raise ConfigError(f"could not parse {path}: {exc}") from None
 
 
@@ -86,6 +86,8 @@ def _apply_overrides(doc: dict, overrides: tuple[str, ...]) -> None:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except (ValueError, RecursionError) as exc:  # json's int-digit and nesting limits
+            raise ConfigError(f"could not parse the value of override {path!r}: {exc}") from None
         harness.set_by_path(doc, path, value)
 
 

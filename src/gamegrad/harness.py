@@ -75,7 +75,7 @@ class ExperimentConfig:
         if self.trajectory_dir is not None and not isinstance(self.trajectory_dir, str):
             raise ConfigError(f"trajectory_dir must be a string or null, got {self.trajectory_dir!r}")
         object.__setattr__(self, "check_specs",
-                           tuple(metrics.parse_check(cid, self.dynamics) for cid in self.checks))
+                           tuple(metrics.parse_check(cid) for cid in self.checks))
 
     def to_dict(self) -> dict:
         return {
@@ -238,7 +238,7 @@ def read_report(path: str) -> ExperimentReport:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also json's int-digit and nesting limits
         raise ConfigError(f"malformed report {path}: {exc}") from None
     return ExperimentReport.from_dict(doc)
 
@@ -295,12 +295,8 @@ def _step_lines(record: TrajectoryRecord, lo: int, hi: int,
         ends[t - lo] = f', "x": [{", ".join(xs[k * n:(k + 1) * n])}]}}\n'
     lines = [f'{{{bt}"eta": {e}, "gap": {g}, "step_norm_sq": {s}, "t": {t}{x}'
              for t, bt, e, g, s, x in zip(range(lo, hi), beta, eta, gap, step, ends)]
-    # zip stops at the shortest column; the rows past it (the final row,
-    # which has no step) are written key by key.
-    for i in range(len(lines), hi - lo):
-        bt = beta[i] if i < len(beta) else ""
-        e, s = (f'"eta": {eta[i]}, ', f'"step_norm_sq": {step[i]}, ') if i < len(eta) else ("", "")
-        lines.append(f'{{{bt}{e}"gap": {gap[i]}, {s}"t": {lo + i}{ends[i]}')
+    if hi == len(record.gap):  # the final row, past the eta column's end, has no step
+        lines.append(f'{{{beta[-1]}"gap": {gap[-1]}, "t": {hi - 1}{ends[-1]}')
     return lines
 
 
@@ -336,14 +332,14 @@ def build_game(config: ExperimentConfig) -> Game:
     """The config's game, checked for what its dynamics and checks read of it.
 
     Raises ConfigError when make_game rejects the spec, when x0's length
-    differs from the game's dimension, or when the game lacks what a check
-    reads (a Nash oracle, a known cocoercivity).
+    differs from the game's dimension, or when a check does not apply to
+    runs of the config's dynamics on the game (CheckSpec.require).
     """
     game = make_game(config.game)
     if len(config.dynamics.x0) != game.n:
         raise ConfigError(f"x0 has length {len(config.dynamics.x0)}, game dimension is {game.n}")
     for spec in config.check_specs:
-        spec.require_game(game)
+        spec.require(game, config.dynamics)
     return game
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import (AbsoluteNoise, DynamicsConfig, NoiseModel, NoNoise, RelativeNoise,
                        TrajectoryRecord)
-from .errors import ConfigError, IndeterminateResult, UnsupportedOperation, config_float
+from .errors import ConfigError, IndeterminateResult, config_float
 from .games import Game, _as_flat, gradient_field, project_to_nash
 
 Array = np.ndarray
@@ -160,42 +160,6 @@ class ConvergenceVerdict:
                 else int(self.first_violation_step)}
 
 
-def check_descent_invariants(record: TrajectoryRecord, game: Game, eta: float, lam: float) -> list[ConvergenceVerdict]:
-    """Gradient-norm monotonicity, iterate boundedness and gap summability
-    for a noiseless constant-step run with eta in (0, lambda].
-    """
-    if (record.config.get("schedule", {}).get("kind") != "constant"
-            or record.config.get("noise", {}).get("kind", "none") != "none"):
-        raise UnsupportedOperation("descent invariants apply to noiseless constant-step runs only")
-    verdicts = []
-
-    norms = np.sqrt(record.gap)
-    tol_mono = 1e-10 * (1.0 + float(norms[0]))
-    diffs = norms[1:] - norms[:-1]
-    worst = float(diffs.max()) if diffs.size else -math.inf
-    bad = np.nonzero(diffs > tol_mono)[0]
-    verdicts.append(ConvergenceVerdict(
-        "descent.grad_norm_monotone", passed=worst <= tol_mono, worst_violation=worst,
-        first_violation_step=int(bad[0]) + 1 if bad.size else None))
-
-    x0 = record.states[0]
-    p0 = project_to_nash(game, x0)
-    d0 = float(np.linalg.norm(x0 - p0))
-    dists = np.linalg.norm(record.states - p0, axis=1)
-    worst = float((dists - d0).max())
-    bad = np.nonzero(dists > d0 + 1e-9)[0]
-    verdicts.append(ConvergenceVerdict(
-        "descent.iterate_bounded", passed=worst <= 1e-9, worst_violation=worst,
-        first_violation_step=int(record.state_steps[bad[0]]) if bad.size else None))
-
-    total = float(record.gap.sum())
-    bound = d0 * d0 / (eta * lam)
-    verdicts.append(ConvergenceVerdict(
-        "descent.gap_summable", passed=total <= bound + 1e-6, worst_violation=total - bound,
-        first_violation_step=None))
-    return verdicts
-
-
 def distance_to_nash(game: Game, x) -> float:
     """Euclidean distance from x to the game's Nash set, via its oracle."""
     vec = _as_flat(game, x)
@@ -255,8 +219,8 @@ CURVES = ("last_iterate", "time_average", "distance")
 @dataclass(frozen=True)
 class CheckSpec:
     """A parsed check id. ``value`` is the tail_to_zero factor, distance_below
-    threshold, slope_below bound, or descent_invariants' constant step size;
-    ``curve`` and ``window`` belong to slope_below, the one report-level check.
+    threshold or slope_below bound; ``curve`` and ``window`` belong to
+    slope_below, the one report-level check.
     """
 
     check_id: str
@@ -269,9 +233,19 @@ class CheckSpec:
     def report_level(self) -> bool:
         return self.curve is not None
 
-    def require_game(self, game: Game) -> None:
-        """Raise ConfigError unless the game carries what this check reads."""
+    def require(self, game: Game, dynamics: DynamicsConfig) -> None:
+        """Raise ConfigError unless runs of these dynamics on this game have
+        everything the check needs (its CHECKS entry)."""
         needs = CHECKS[self.name]
+        schedule, noise = dynamics.schedule.kind, dynamics.noise.kind
+        if needs.schedules is not None and schedule not in needs.schedules:
+            raise ConfigError(f"check {self.check_id!r} does not apply to this configuration: it needs "
+                              f"the {' or '.join(needs.schedules)} schedule, got {schedule}")
+        if needs.noiseless and noise != "none":
+            raise ConfigError(f"check {self.check_id!r} does not apply to this configuration: it needs "
+                              f"noiseless runs, got {noise} noise")
+        if dynamics.horizon < needs.horizon:
+            raise ConfigError(f"check {self.check_id!r} needs a horizon of at least {needs.horizon}")
         if (needs.oracle or self.curve == "distance") and game.nash_oracle is None:
             raise ConfigError(f"check {self.check_id!r} needs a game with a Nash oracle")
         if needs.cocoercivity and game.cocoercivity is None:
@@ -279,21 +253,51 @@ class CheckSpec:
 
 
 def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
-    return check_descent_invariants(record, game, spec.value, game.cocoercivity)
+    """Gradient-norm monotonicity, iterate boundedness and gap summability
+    for a noiseless constant-step run with eta in (0, lambda], where eta is
+    the record's step size and lambda the game's cocoercivity.
+    """
+    verdicts = []
+
+    norms = np.sqrt(record.gap)
+    tol_mono = 1e-10 * (1.0 + float(norms[0]))
+    diffs = norms[1:] - norms[:-1]
+    worst = float(diffs.max()) if diffs.size else -math.inf
+    bad = np.nonzero(diffs > tol_mono)[0]
+    verdicts.append(ConvergenceVerdict(
+        "descent.grad_norm_monotone", passed=worst <= tol_mono, worst_violation=worst,
+        first_violation_step=int(bad[0]) + 1 if bad.size else None))
+
+    x0 = record.states[0]
+    p0 = project_to_nash(game, x0)
+    d0 = float(np.linalg.norm(x0 - p0))
+    dists = np.linalg.norm(record.states - p0, axis=1)
+    worst = float((dists - d0).max())
+    bad = np.nonzero(dists > d0 + 1e-9)[0]
+    verdicts.append(ConvergenceVerdict(
+        "descent.iterate_bounded", passed=worst <= 1e-9, worst_violation=worst,
+        first_violation_step=int(record.state_steps[bad[0]]) if bad.size else None))
+
+    total = float(record.gap.sum())
+    bound = d0 * d0 / (record.config["schedule"]["eta"] * game.cocoercivity)
+    verdicts.append(ConvergenceVerdict(
+        "descent.gap_summable", passed=total <= bound + 1e-6, worst_violation=total - bound,
+        first_violation_step=None))
+    return verdicts
 
 
 def _check_eta_monotone(spec, record, game) -> list[ConvergenceVerdict]:
     diffs = np.diff(record.eta)
     worst = float(diffs.max()) if diffs.size else -math.inf
     bad = np.nonzero(diffs > 0)[0]
-    return [ConvergenceVerdict("eta_monotone", passed=worst <= 0, worst_violation=worst,
+    return [ConvergenceVerdict(spec.check_id, passed=worst <= 0, worst_violation=worst,
                                first_violation_step=int(bad[0]) + 1 if bad.size else None)]
 
 
 def _check_beta_stable(spec, record, game) -> list[ConvergenceVerdict]:
     T = len(record.beta) - 1
     worst = float(record.beta[T] - record.beta[T // 2])
-    return [ConvergenceVerdict("beta_stable", passed=worst == 0.0, worst_violation=worst)]
+    return [ConvergenceVerdict(spec.check_id, passed=worst == 0.0, worst_violation=worst)]
 
 
 def _check_gap_step_consistency(spec, record, game) -> list[ConvergenceVerdict]:
@@ -302,12 +306,12 @@ def _check_gap_step_consistency(spec, record, game) -> list[ConvergenceVerdict]:
     rel = np.abs(record.step_norm_sq - expected) / scale
     worst = float(rel.max()) if rel.size else 0.0
     bad = np.nonzero(rel > 1e-12)[0]
-    return [ConvergenceVerdict("gap_step_consistency", passed=worst <= 1e-12, worst_violation=worst,
+    return [ConvergenceVerdict(spec.check_id, passed=worst <= 1e-12, worst_violation=worst,
                                first_violation_step=int(bad[0]) if bad.size else None)]
 
 
 def _check_no_divergence(spec, record, game) -> list[ConvergenceVerdict]:
-    return [ConvergenceVerdict("no_divergence", passed=not record.diverged,
+    return [ConvergenceVerdict(spec.check_id, passed=not record.diverged,
                                worst_violation=1.0 if record.diverged else 0.0,
                                first_violation_step=record.divergence_step)]
 
@@ -333,12 +337,12 @@ class _Needs(NamedTuple):
     run: Optional[Callable]                      # per-trial check; None: report-level
     schedules: Optional[tuple[str, ...]] = None  # schedule kinds it applies to; None: any
     noiseless: bool = False                      # applies to noiseless runs only
+    horizon: int = 1                             # the shortest horizon it applies to
     oracle: bool = False                         # the game must have a Nash oracle
     cocoercivity: bool = False                   # the game must know its cocoercivity
 
 
-# Every check and what it needs: parse_check rejects dynamics without the
-# schedule or noise it needs, CheckSpec.require_game a game without the rest.
+# Every check and what it needs of a run; CheckSpec.require tests each need.
 CHECKS = {
     "descent_invariants": _Needs(_check_descent_invariants, ("constant",), noiseless=True,
                                  oracle=True, cocoercivity=True),
@@ -346,7 +350,8 @@ CHECKS = {
     "beta_stable": _Needs(_check_beta_stable, ("grad_norm",)),
     "gap_step_consistency": _Needs(_check_gap_step_consistency, noiseless=True),
     "no_divergence": _Needs(_check_no_divergence),
-    "tail_to_zero": _Needs(_check_tail_to_zero),
+    # no tail point of a shorter run survives burn-in
+    "tail_to_zero": _Needs(_check_tail_to_zero, horizon=3),
     "distance_below": _Needs(_check_distance_below, oracle=True),
     "slope_below": _Needs(None),  # needs an oracle only on the distance curve
 }
@@ -363,20 +368,18 @@ def _number(text: str, what: str) -> float:
     return config_float(_float(text, what), what)  # rejects nan and inf
 
 
-def parse_check(check_id, dynamics: DynamicsConfig) -> CheckSpec:
-    """Parse a config check id for runs with these dynamics.
+def parse_check(check_id) -> CheckSpec:
+    """Parse a config check id.
 
     The one place check ids are split. An unknown check, a malformed
-    argument, an unknown slope curve, and a check whose schedule or noise
-    needs (CHECKS) the dynamics lack are each a ConfigError.
+    argument and an unknown slope curve are each a ConfigError; what the
+    check needs of a run is tested by CheckSpec.require.
     """
     if not isinstance(check_id, str):
         raise ConfigError(f"check ids must be strings, got {check_id!r}")
     name, sep, arg = check_id.partition(":")
-    needs = CHECKS.get(name)
-    if needs is None:
+    if name not in CHECKS:
         raise ConfigError(f"unknown check id {check_id!r}; available: {sorted(CHECKS)}")
-    spec = CheckSpec(check_id, name)
     if name == "slope_below":  # slope_below:<curve>:<bound>[:Tmin:Tmax]
         parts = check_id.split(":")
         if len(parts) not in (3, 5):
@@ -388,28 +391,16 @@ def parse_check(check_id, dynamics: DynamicsConfig) -> CheckSpec:
         window = (None if len(parts) == 3 else
                   fit_window(_float(parts[3], "slope_below Tmin"),
                              _float(parts[4], "slope_below Tmax"), f"slope check {check_id!r}"))
-        spec = CheckSpec(check_id, name, _number(parts[2], "slope_below bound"), parts[1], window)
-    elif name == "tail_to_zero":
-        if dynamics.horizon < 3:  # no tail point of a shorter run survives burn-in
-            raise ConfigError(f"check {check_id!r} needs a horizon of at least 3")
-        spec = CheckSpec(check_id, name, _number(arg, "tail_to_zero factor") if arg else 1e-3)
-    elif name == "distance_below":
+        return CheckSpec(check_id, name, _number(parts[2], "slope_below bound"), parts[1], window)
+    if name == "tail_to_zero":
+        return CheckSpec(check_id, name, _number(arg, "tail_to_zero factor") if arg else 1e-3)
+    if name == "distance_below":
         if not sep:
             raise ConfigError("distance_below needs a threshold, e.g. distance_below:1e-3")
-        spec = CheckSpec(check_id, name, _number(arg, "distance_below threshold"))
-    elif sep:
+        return CheckSpec(check_id, name, _number(arg, "distance_below threshold"))
+    if sep:
         raise ConfigError(f"check {name!r} takes no argument, got {check_id!r}")
-
-    schedule, noise = dynamics.schedule.kind, dynamics.noise.kind
-    if needs.schedules is not None and schedule not in needs.schedules:
-        raise ConfigError(f"check {check_id!r} does not apply to this configuration: it needs "
-                          f"the {' or '.join(needs.schedules)} schedule, got {schedule}")
-    if needs.noiseless and noise != "none":
-        raise ConfigError(f"check {check_id!r} does not apply to this configuration: it needs "
-                          f"noiseless runs, got {noise} noise")
-    if name == "descent_invariants":
-        spec = CheckSpec(check_id, name, dynamics.schedule.eta)
-    return spec
+    return CheckSpec(check_id, name)
 
 
 def run_check(spec: CheckSpec, record: TrajectoryRecord, game: Game) -> list[ConvergenceVerdict]:

@@ -43,7 +43,7 @@ from gamegrad.games import (
     verify_gradient,
 )
 from gamegrad.harness import ExperimentConfig, read_report, run_experiment
-from gamegrad.metrics import check_descent_invariants, fit_rate
+from gamegrad.metrics import fit_rate, parse_check, run_check
 
 BUILTINS = sorted(builtin_game_specs())
 CONFIGS = resources.files("gamegrad").joinpath("configs")
@@ -120,6 +120,7 @@ def test_criterion_1_noiseless_constant_step_invariants():
     rng = np.random.default_rng(1234)
     start = time.perf_counter()
     runs = 0
+    spec = parse_check("descent_invariants")
     for name in BUILTINS:
         game = make_named_game(name)
         lam = game.cocoercivity
@@ -128,9 +129,9 @@ def test_criterion_1_noiseless_constant_step_invariants():
             for x0 in starts:
                 cfg = DynamicsConfig(ConstantSchedule(frac * lam), horizon=100_000,
                                      x0=tuple(x0), thinning=1)
+                spec.require(game, cfg)
                 rec = run_trajectory(game, cfg)
-                verdicts = check_descent_invariants(rec, game, eta=frac * lam, lam=lam)
-                for v in verdicts:
+                for v in run_check(spec, rec, game):
                     assert v.passed, (name, frac, x0, v)
                 runs += 1
     elapsed = time.perf_counter() - start

@@ -60,12 +60,25 @@ def test_run_missing_config_is_config_error(runner, tmp_path):
     assert "not found" in result.output
 
 
-def test_run_malformed_config(runner, tmp_path):
+LONG_INT = "1" + "0" * 4400  # past Python's 4,300-digit limit on int conversion
+DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON reader's recursion limit
+
+
+@pytest.mark.parametrize("command, message", [
+    (["run", "--config"], "could not parse"),
+    (["sweep", "--config"], "could not parse"),
+    (["verify-game", "--config"], "could not parse"),
+    (["fit-rate", "--report"], "malformed report"),
+], ids=["run", "sweep", "verify-game", "fit-rate"])
+@pytest.mark.parametrize("data", [b"{not json", b'{"trials": ' + LONG_INT.encode() + b"}",
+                                  DEEP.encode(), b'{"trials": "\xff"}'],
+                         ids=["not_json", "long_int", "deep", "not_utf8"])
+def test_malformed_json_is_a_config_error(runner, tmp_path, command, message, data):
     path = tmp_path / "bad.cfg"
-    path.write_text("{not json")
-    result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 2
-    assert "parse" in result.output
+    path.write_bytes(data)
+    result = runner.invoke(main, [*command, str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"config error: {message} {path}: " in result.output
 
 
 def test_run_check_failure_exits_one(runner, tmp_path):
@@ -91,6 +104,16 @@ def test_run_bad_override_path(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path),
                                   "--set", "dynamics.schedule.warp=1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value", [LONG_INT, DEEP], ids=["long_int", "deep"])
+def test_run_override_past_the_json_limits_is_a_config_error(runner, tmp_path, monkeypatch, value):
+    forbid_dynamics(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", f"dynamics.x0={value}"])
+    assert result.exit_code == 2, result.output
+    assert "config error: could not parse the value of override 'dynamics.x0': " in result.output
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_io_error_exits_three(runner, tmp_path):

@@ -31,6 +31,7 @@ from gamegrad.harness import (
     _WRITE_ROWS,
     ExperimentConfig,
     _blocks,
+    build_game,
     config_hash,
     dyadic_steps,
     iter_trajectory,
@@ -199,8 +200,8 @@ def test_experiment_config_round_trip_and_validation():
     cfg = noisy_config(checks=("eta_monotone",))
     doc = cfg.to_dict()
     assert ExperimentConfig.from_dict(doc).to_dict() == doc
-    with pytest.raises(ConfigError, match="does not apply"):
-        ExperimentConfig.from_dict({**doc, "checks": ["descent_invariants"]})
+    with pytest.raises(ConfigError, match="does not apply"):  # tested as the game is built
+        run_experiment(ExperimentConfig.from_dict({**doc, "checks": ["descent_invariants"]}))
     with pytest.raises(ConfigError, match="unknown check"):
         ExperimentConfig.from_dict({**doc, "checks": ["nope"]})
     with pytest.raises(ConfigError):
@@ -249,6 +250,7 @@ def test_bundled_configs_and_benchmark_workloads_parse():
     for name, doc in docs.items():
         for point in _experiment_docs(doc):
             cfg = ExperimentConfig.from_dict(point)
+            build_game(cfg)  # the game, x0's length and every check's needs
             out = cfg.to_dict()
             again = ExperimentConfig.from_dict(out).to_dict()
             # the hash also tells 1 from 1.0 and 0.0 from -0.0, which == does not
@@ -584,7 +586,7 @@ def test_sweep_over_noise_schedules_reports_budget_slopes():
 
 def test_incompatible_check_is_config_error():
     with pytest.raises(ConfigError, match="does not apply"):
-        noisy_config(checks=("descent_invariants",))  # needs a noiseless run
+        run_experiment(noisy_config(checks=("descent_invariants",)))  # needs a noiseless run
 
 
 _SCHEDULES = {
@@ -616,14 +618,14 @@ def test_checks_that_parse_run_and_the_rest_are_config_errors(schedule, noise):
     game = GameSpec.from_dict({"name": "quad_1d"})
     accepted = []
     for cid in _PER_TRIAL_CHECKS:
+        config = ExperimentConfig(game, dynamics, trials=2, checks=(cid,))
         try:
-            parse_check(cid, dynamics)
+            parse_check(cid).require(make_game(game), dynamics)
         except ConfigError:
             with pytest.raises(ConfigError, match="does not apply"):
-                ExperimentConfig(game, dynamics, checks=(cid,))
+                run_experiment(config)
             continue
         accepted.append(cid)
-        config = ExperimentConfig(game, dynamics, trials=2, checks=(cid,))
         assert {c["trial"] for c in run_experiment(config).checks} == {0, 1}, cid
     assert {"eta_monotone", "no_divergence", "tail_to_zero", "distance_below:1e-3"} <= set(accepted)
 

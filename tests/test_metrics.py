@@ -14,11 +14,10 @@ from gamegrad.dynamics import (
     VarianceSchedule,
     run_trajectory,
 )
-from gamegrad.errors import ConfigError, IndeterminateResult, UnsupportedOperation
+from gamegrad.errors import ConfigError, IndeterminateResult
 from gamegrad.games import GameSpec, make_game, make_named_game
 from gamegrad.metrics import (
     ConvergenceVerdict,
-    check_descent_invariants,
     distance_to_nash,
     fit_rate,
     optimality_gap,
@@ -217,11 +216,18 @@ def test_variance_budget_absolute_weighting():
 # descent-invariant checks
 # ---------------------------------------------------------------------------
 
+def run_named_check(check_id, rec, game):
+    """run_check on the spec, after its needs are tested against the record's own dynamics."""
+    spec = parse_check(check_id)
+    spec.require(game, DynamicsConfig.from_dict(rec.config))
+    return run_check(spec, rec, game)
+
+
 def test_check_descent_invariants_geometric_case():
-    game = make_named_game("quad_1d")
+    game = make_named_game("quad_1d")  # lambda = 1
     cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=100, x0=(1.0,), thinning=1)
     rec = run_trajectory(game, cfg)
-    verdicts = check_descent_invariants(rec, game, eta=0.5, lam=1.0)
+    verdicts = run_named_check("descent_invariants", rec, game)
     assert all(v.passed for v in verdicts)
     total = rec.gap.sum()
     assert total == pytest.approx(4.0 / 3.0, rel=1e-12)  # geometric series
@@ -229,40 +235,32 @@ def test_check_descent_invariants_geometric_case():
 
 
 def test_check_descent_invariants_piecewise_boundary_tight():
-    game = make_named_game("piecewise")
+    game = make_named_game("piecewise")  # lambda = 0.5
     cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=50, x0=(-1.0,), thinning=1)
     rec = run_trajectory(game, cfg)
-    verdicts = check_descent_invariants(rec, game, eta=0.5, lam=0.5)
+    verdicts = run_named_check("descent_invariants", rec, game)
     assert all(v.passed for v in verdicts)
     assert rec.gap.sum() == pytest.approx(4.0, abs=1e-12)  # bound is 1/(0.5*0.5) = 4
+    assert verdicts[2].worst_violation == pytest.approx(0.0, abs=1e-12)
 
 
 def test_check_descent_invariants_negative_control():
     gap = np.array([4.0, 2.0, 1.0, 0.5, 0.9, 0.1, 0.0])
-    rec = fabricate(gap, states=np.array([[-2.0]]))
+    rec = fabricate(gap, states=np.array([[-2.0]]))  # eta = 0.5
     game = make_named_game("quad_1d")
-    verdicts = check_descent_invariants(rec, game, eta=0.5, lam=1.0)
+    verdicts = run_named_check("descent_invariants", rec, game)
     mono = verdicts[0]
     assert not mono.passed
     assert mono.first_violation_step == 4  # sqrt(gap) rises entering index 4
     assert mono.worst_violation > 0
-
-
-def test_check_descent_invariants_rejects_wrong_kind():
-    rec = fabricate([1.0, 0.5], schedule={"kind": "power", "c": 1.0, "p": 0.5})
-    game = make_named_game("quad_1d")
-    with pytest.raises(UnsupportedOperation):
-        check_descent_invariants(rec, game, eta=0.5, lam=1.0)
+    # gap sum 8.5 against d0^2 / (eta * lambda) = 4 / (0.5 * 1): eta is the
+    # record's step size, lambda the game's cocoercivity
+    assert verdicts[2].worst_violation == pytest.approx(8.5 - 8.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # named checks
 # ---------------------------------------------------------------------------
-
-def run_named_check(check_id, rec, game):
-    """run_check on the spec parsed against the record's own dynamics."""
-    return run_check(parse_check(check_id, DynamicsConfig.from_dict(rec.config)), rec, game)
-
 
 def test_run_check_descent_invariants_matrix():
     for name in ("quad_1d", "quad_2d", "piecewise", "rand_2d"):
@@ -312,16 +310,15 @@ def test_run_check_tail_to_zero():
 @pytest.mark.parametrize("gap", [[1.0, math.inf], [1.0, 4.0, math.inf]],
                          ids=["diverged_at_step_1", "diverged_at_step_2"])
 def test_tail_to_zero_fails_a_record_with_no_point_after_burn_in(gap):
-    spec = parse_check("tail_to_zero", DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,)))
+    spec = parse_check("tail_to_zero")
     verdicts = run_check(spec, fabricate(gap, diverged=True), make_named_game("quad_1d"))
     assert verdicts == [ConvergenceVerdict("tail_to_zero", passed=False,
                                            worst_violation=math.inf)]
 
 
 def test_parse_check_unknown_id():
-    rec = fabricate([1.0, 0.5])
     with pytest.raises(ConfigError, match="unknown check id"):
-        parse_check("mystery", DynamicsConfig.from_dict(rec.config))
+        parse_check("mystery")
 
 
 def test_verdict_to_dict_writes_non_finite_worst_violation_as_null():
