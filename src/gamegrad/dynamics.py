@@ -25,30 +25,49 @@ quadratic, a lock-step block only overtakes them from about 32 trials up.
 run_trajectory and run_lockstep share one set-up, and all three bodies take
 the same arguments. Each writes its per-step entries in its loop and the
 rest of the record through _Log: begin writes step 0, end stops the trials
-that diverged, and fill fast-forwards a settled trial.
+that diverged, and coast writes the tail of a trial whose steps no longer
+change its gap.
 
-Settled trials. In double precision the runs reach an exact fixed point: a
-state the update maps to itself bit for bit. The unrolled bodies stop
-stepping there. A trial is settled at the end of step t when
+Coasting trials. In double precision the runs reach an exact zero gap, and
+later an exact fixed point: a state the update maps to itself bit for bit.
+The unrolled bodies stop taking full steps at the end of a step t when
 
-- (a) the new state equals the old one bit for bit: every coordinate
-  compares equal and no old coordinate is -0.0 (-0.0 + 0.0 gives +0.0), and
+- (a) its step norm is exactly 0.0;
 - (b) the noise term of every later step is exactly +-0: no noise, or
   relative noise with the new gap exactly 0.0, whose amplitude is
-  sqrt(tau_t) * sqrt(0). Absolute noise never settles.
+  sqrt(tau_t) * sqrt(0). Absolute noise never coasts;
+- (c) no old coordinate is -0.0 (-0.0 + 0.0 gives +0.0; see below);
+- (d) the new state compares equal to the old one (the trial has settled;
+  by (c) the bits are equal too), or the gap was 0.0 both before and
+  after the step.
 
-_Log.fill then fills the rest of the record instead of stepping it: the
-same state, gap and beta, and step norm 0.0. A shared schedule's step sizes
-are in the record from the start; an adaptive one's tail comes from its
-settled_steps, which gives as one array what next_step(t, eta, g, g, 0.0)
-would return step by step. Why this is exact: every later step starts from
-the same bits, so it sees the same field and gap and a noise term of +-0,
-which leaves a nonzero field as it is and a zero one zero. With equal gaps
-and a zero step norm, beta no longer grows and every schedule's eta is
-nonincreasing (eta_monotone checks it). Rounding is monotone (IEEE 754):
-the increment eta * v vanished against the state at step t, so the no
-larger increment of any smaller eta vanishes too. The lock-step body does
-not fast-forward.
+_Log.coast then writes the rest of the record as slices, taking each later
+step to keep the gap and a step norm of 0.0: so beta holds, and the step
+sizes are fixed. A shared schedule's are in the record from the start; an
+adaptive one's come from its settled_steps, which gives as one array what
+next_step(t, eta, g, g, 0.0) would return step by step. A settled trial's
+state is fixed too. Why: every later step starts from the same bits, so it
+sees the same field and gap and a noise term of +-0, which leaves a nonzero
+field as it is and a zero one zero. With equal gaps and a zero step norm,
+beta no longer grows and every schedule's eta is nonincreasing
+(eta_monotone checks it). Rounding is monotone (IEEE 754): the increment
+eta * v vanished against the state at step t, so the no larger increment
+of any smaller eta vanishes too.
+
+At a zero gap the state may still move, shrinking through the subnormals
+for about as many steps again as it took to reach the zero gap. Then only
+the state map x + eta * v runs, in each body's own arithmetic (the advance
+function it passes to coast), until the state stops changing (the trial
+settles there, at settle_step) or the horizon; the states are logged at the
+logged steps. The map gives the bits of the full step: a +-0 noise term
+leaves a sum unchanged unless its other term is -0.0, and a state with no
+-0.0 coordinate never gets one (x + y is -0.0 only when both are). Each
+coasted step is checked: one whose gap or step norm is not 0.0, or that
+leaves the ball, hands back, and the body takes that step in full and steps
+on from there. The noise draws of the coasted steps are drawn and dropped
+(_NoiseDraws.chunk), and the schedule's state is what the per-step calls
+would leave, since at a zero gap and step norm they change nothing. The
+lock-step body does not coast.
 
 The step-size arrays have the same bits as Python's float arithmetic step
 by step. The transcendental values, log(t + 2) for step_norm and
@@ -79,6 +98,10 @@ from .games import Game
 Array = np.ndarray
 
 _CHUNK = 4096
+
+# Step sizes a coast reads as floats at a time: a coast often ends after a
+# few hundred steps, and converting 4,096 would cost a quarter of its time.
+_COAST_CHUNK = 512
 
 # Record memory one lock-step block may hold; run_lockstep splits larger runs.
 _BLOCK_BYTES = 64 << 20
@@ -219,7 +242,7 @@ class GradNormSchedule(_Schedule):
         return 1.0 / sqrt(self.beta + self.grad_sq_sum)
 
     def settled_steps(self, t, eta, g, count) -> Array:
-        """What next_step returns over a settled tail; see StepNormSchedule's.
+        """What next_step returns over a coasted tail; see StepNormSchedule's.
 
         With equal gaps beta holds, and the running sum takes in g once per
         step, summed left to right as the per-step calls sum it.
@@ -273,7 +296,7 @@ class StepNormSchedule(_Schedule):
         return 1.0 / sqrt(self.beta + math.log(t + 2.0) + self.delta)
 
     def settled_steps(self, t, eta, g, count) -> Array:
-        """The step sizes of a settled tail as one array.
+        """The step sizes of a coasted tail (see _Log.coast) as one array.
 
         Element k is what the k-th of the calls next_step(t + k, eta_k, g, g,
         0.0), k = 0..count-1, returns, bit for bit, where eta_0 = eta and
@@ -439,11 +462,23 @@ class _NoiseDraws:
         self.rngs = list(rngs)
         self.rows = min(horizon, max(1, _CHUNK // len(self.rngs)))
         self.buf = np.empty((len(self.rngs), self.rows, n))
+        self.drawn = 0  # the steps whose draws the generators have given
 
     def chunk(self, t0: int, count: int):
         """Unit draws, shape (m, count, n), and the trial-independent sqrt-variance
-        amplitudes, shape (count,), for steps t0..t0+count-1 (count <= rows)."""
+        amplitudes, shape (count,), for steps t0..t0+count-1 (count <= rows).
+
+        t0 is at least the first step not yet drawn; the draws of the steps
+        between, which a coasting trial did not take, are drawn and dropped,
+        so step t0 gets the draws it gets when every step is taken.
+        """
         z = self.buf[:len(self.rngs), :count]
+        while self.drawn < t0:
+            skip = z[:, :min(count, t0 - self.drawn)]
+            for rng, out in zip(self.rngs, skip):
+                rng.standard_normal(out=out)
+            self.drawn += skip.shape[1]
+        self.drawn += count
         for rng, out in zip(self.rngs, z):
             rng.standard_normal(out=out)
         if self.sphere:
@@ -541,8 +576,8 @@ class TrajectoryRecord:
     horizon: int
     diverged: bool
     divergence_step: Optional[int]
-    # First step filled instead of stepped once the trial settled (see the
-    # module docstring); None when every step ran. Kept in memory only.
+    # First step filled with an unchanged state once the trial settled (see
+    # the module docstring); None when it never settled. Kept in memory only.
     settle_step: Optional[int] = None
 
     @property
@@ -593,8 +628,8 @@ class _Log:
     """The record of m trials, row i belonging to the block's i-th trial.
 
     It is the only writer of a trial's record outside the stepping loops:
-    begin writes step 0, end stops diverged trials and fill fast-forwards a
-    settled one. For a shared schedule (constant, power) every eta row is a
+    begin writes step 0, end stops diverged trials and coast writes the
+    zero-step tail of one. For a shared schedule (constant, power) every eta row is a
     read-only view of the one array step_sizes gives, and ``etas`` holds its
     floats for the stepping loops; it is None for the adaptive schedules,
     whose loops log each step size in the trial's own row as they compute it.
@@ -642,21 +677,70 @@ class _Log:
         if self.log_list[log_ptr] == t:
             self.states[rows, log_ptr] = x
 
-    def fill(self, s: int, x, g: float, eta: float, log_ptr: int) -> None:
-        """Fill steps s..T-1 of trial 0, settled in state x at the end of step s-1.
+    def coast(self, s: int, x, v, g: float, eta: float, still: bool, advance, log_ptr: int):
+        """Write steps s..T-1 of trial 0 without stepping them, unless one hands back.
 
-        eta is the step size of step s, already computed by the stepping loop. A
-        shared schedule's step sizes are in the record from the start.
+        Step s starts from state x, a tuple of its coordinates, whose field
+        is v and gap g, with step size eta. Each step from s is taken to
+        keep the gap at g and the step norm at 0.0, so beta holds and the
+        step sizes are what settled_steps gives; those entries are written
+        as slices. If ``still`` (step s-1 left x unchanged), the trial has
+        settled and its state is filled too. Otherwise g is 0.0, and
+        ``advance(x, v, eta)``, the body's step without noise, moves the
+        state on step by step, which is logged at the logged steps, until
+        it stops changing (the trial settles there) or the horizon. advance
+        gives None for a step whose gap or step norm is not 0.0 or that
+        leaves the ball: that step hands back, and coast returns (its step,
+        x, v, eta, log_ptr) for the body to step on from. Otherwise it
+        returns None: the record is complete. A hand-back finds the
+        schedule's state as the per-step calls leave it, whatever the number
+        of steps coasted: at a zero gap and step norm they add +0.0 to an
+        adaptive schedule's sums and multiply beta by 1.0, and so does
+        settled_steps.
         """
-        self.settle[0] = s
+        T = self.step.shape[1]
+        schedule = self.schedule
         self.gap[0, s + 1:] = g
         self.step[0, s:] = 0.0
         if self.beta is not None:
-            self.beta[0, s + 1:] = self.schedule.beta
-        self.states[0, log_ptr:] = x
-        if not self.schedule.shared:
+            self.beta[0, s + 1:] = schedule.beta
+        if not schedule.shared:
             self.eta[0, s] = eta
-            self.eta[0, s + 1:] = self.schedule.settled_steps(s, eta, g, self.eta.shape[1] - s - 1)
+            self.eta[0, s + 1:] = schedule.settled_steps(s, eta, g, T - s - 1)
+        if still:
+            self.settle[0] = s
+            self.states[0, log_ptr:] = x
+            return None
+        states, log_list, eta_row = self.states[0], self.log_list, self.eta[0]
+        t, done = s, False
+        while not done and t < T:
+            # A chunk's logged states go in as one flat slice: a row written
+            # from a tuple costs 0.3 us, more than the step.
+            logged, first = [], log_ptr
+            next_log = log_list[log_ptr]
+            for eta in eta_row[t:t + _COAST_CHUNK].tolist():
+                moved = advance(x, v, eta)
+                if moved is None:  # step t hands back
+                    done = True
+                    break
+                y, v = moved
+                t += 1
+                if y == x:  # step t - 1 left the state unchanged: settled at step t
+                    done = True
+                    break
+                if t == next_log:
+                    logged += y
+                    log_ptr += 1
+                    next_log = log_list[log_ptr]
+                x = y
+            states[first:log_ptr].reshape(-1)[:] = logged
+        if moved is None:
+            return t, x, v, eta, log_ptr
+        if done:
+            states[log_ptr:] = x
+            if t < T:
+                self.settle[0] = t
+        return None
 
     def record(self, i: int, game: Game, config: DynamicsConfig, seed) -> TrajectoryRecord:
         t_stop = self.stop[i]
@@ -726,8 +810,8 @@ def run_trajectory(game: Game, config: DynamicsConfig,
 
     Divergence (non-finite values or leaving the blow-up ball) sets a flag
     and truncates the record instead of raising, so sweeps can aggregate
-    failures. A settled trial skips its remaining noise draws, so the
-    position of a generator passed in is unspecified after the run.
+    failures. A trial that coasts to its end skips the noise draws left, so
+    the position of a generator passed in is unspecified after the run.
     """
     return _run(_BODIES[runner_body(game)], game, config, [rng])[0]
 
@@ -847,11 +931,11 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
             t += 1
 
 
-def _settled(old: tuple, draws, g_new: float) -> bool:
-    """Whether a step that left every coordinate comparing equal settled the trial.
+def _may_coast(old: tuple, draws, g_new: float) -> bool:
+    """Whether a zero step from state ``old`` to one of gap g_new may start a coast.
 
-    The rest of the module docstring's (a) and (b): no old coordinate is -0.0,
-    and every later noise term is exactly +-0.
+    Rules (b) and (c) of the module docstring: every later noise term is
+    exactly +-0, and no old coordinate is -0.0.
     """
     if draws is not None and not (draws.relative and g_new == 0.0):
         return False
@@ -877,14 +961,25 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
     sqrt = math.sqrt
     inf = math.inf
     r2 = radius * radius
-    t = 0
+
+    def advance(state, v, eta):
+        x = state[0]
+        y = x + eta * v
+        w = f(y)
+        d = y - x
+        if w * w == 0.0 and d * d == 0.0 and y * y <= r2:
+            return (y,), w
+        return None
+
+    t = lo = hi = 0  # the draws in hand are those of steps lo..hi-1
     while t < T:
-        count = min(draws.rows, T - t) if draws is not None else T - t
-        if draws is not None:
-            z_chunk, amp_chunk = draws.chunk(t, count)
-            zs = z_chunk[0, :, 0].tolist()
-            amps = amp_chunk.tolist()
-        for k in range(count):
+        if t >= hi:
+            lo, hi = t, min(t + draws.rows, T) if draws is not None else T
+            if draws is not None:
+                z_chunk, amp_chunk = draws.chunk(lo, hi - lo)
+                zs = z_chunk[0, :, 0].tolist()
+                amps = amp_chunk.tolist()
+        for k in range(t - lo, hi - lo):
             if etas is None:
                 eta = eta_next
                 eta_arr[t] = eta
@@ -912,9 +1007,17 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
                 eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
-            if step_sq == 0.0 and x_new == x and t + 1 < T and _settled((x,), draws, g_new):
-                log.fill(t + 1, x_new, g_new, eta_next, log_ptr)
-                return
+            if step_sq == 0.0 and t + 1 < T:
+                still = x_new == x
+                if (still or g == g_new == 0.0) and _may_coast((x,), draws, g_new):
+                    back = log.coast(t + 1, (x_new,), v_new, g_new, eta_next, still, advance,
+                                     log_ptr)
+                    if back is None:
+                        return
+                    t, (x,), v, eta_next, log_ptr = back
+                    g = 0.0
+                    next_log = log_list[log_ptr]
+                    break
             x, v, g = x_new, v_new, g_new
             t += 1
 
@@ -944,14 +1047,29 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
     sqrt = math.sqrt
     inf = math.inf
     r2 = radius * radius
-    t = 0
+
+    def advance(x, v, eta):
+        (x0_, x1_), (v0, v1) = x, v
+        y0 = x0_ + eta * v0
+        y1 = x1_ + eta * v1
+        w0 = b0 - (a00 * y0 + a01 * y1)
+        w1 = b1 - (a10 * y0 + a11 * y1)
+        d0 = y0 - x0_
+        d1 = y1 - x1_
+        if (w0 * w0 + w1 * w1 == 0.0 and d0 * d0 + d1 * d1 == 0.0
+                and y0 * y0 + y1 * y1 <= r2):
+            return (y0, y1), (w0, w1)
+        return None
+
+    t = lo = hi = 0  # the draws in hand are those of steps lo..hi-1
     while t < T:
-        count = min(draws.rows, T - t) if draws is not None else T - t
-        if draws is not None:
-            z_chunk, amp_chunk = draws.chunk(t, count)
-            zs = z_chunk[0].tolist()
-            amps = amp_chunk.tolist()
-        for k in range(count):
+        if t >= hi:
+            lo, hi = t, min(t + draws.rows, T) if draws is not None else T
+            if draws is not None:
+                z_chunk, amp_chunk = draws.chunk(lo, hi - lo)
+                zs = z_chunk[0].tolist()
+                amps = amp_chunk.tolist()
+        for k in range(t - lo, hi - lo):
             if etas is None:
                 eta = eta_next
                 eta_arr[t] = eta
@@ -985,10 +1103,17 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
                 eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:
                 beta_arr[t + 1] = schedule.beta
-            if (step_sq == 0.0 and y0 == x0_ and y1 == x1_ and t + 1 < T
-                    and _settled((x0_, x1_), draws, g_new)):
-                log.fill(t + 1, (y0, y1), g_new, eta_next, log_ptr)
-                return
+            if step_sq == 0.0 and t + 1 < T:
+                still = y0 == x0_ and y1 == x1_
+                if (still or g == g_new == 0.0) and _may_coast((x0_, x1_), draws, g_new):
+                    back = log.coast(t + 1, (y0, y1), (w0, w1), g_new, eta_next, still,
+                                     advance, log_ptr)
+                    if back is None:
+                        return
+                    t, (x0_, x1_), (v0, v1), eta_next, log_ptr = back
+                    g = 0.0
+                    next_log = log_list[log_ptr]
+                    break
             x0_, x1_, v0, v1, g = y0, y1, w0, w1, g_new
             t += 1
 

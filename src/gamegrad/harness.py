@@ -260,11 +260,11 @@ def write_trajectory(record: TrajectoryRecord, path: str,
     seed. The columns are formatted and written ``_WRITE_ROWS`` rows at a
     time: one repr pass over each column slice and one f-string per line.
 
-    ``eta_text`` is the eta column's text, formatted once from the
-    schedule's step sizes when the schedule gives every trial the same ones
-    (constant, power; see _block_payloads): each record's eta is a prefix
-    of that sequence, so its rows take their share of the list, and a
-    diverged record a shorter share.
+    ``eta_text`` is the eta column's text, formatted from the schedule's
+    step sizes when the schedule gives every trial the same ones (constant,
+    power; see _EtaText), at least as far as this record's eta reaches:
+    each record's eta is a prefix of that sequence, so its rows take their
+    share of the list, and a diverged record a shorter share.
     """
     with open(path, "w", encoding="utf-8") as fh:
         header = {"type": "header", "game": record.game_name, "config": record.config,
@@ -343,6 +343,20 @@ def build_game(config: ExperimentConfig) -> Game:
     return game
 
 
+class _EtaText:
+    """A shared schedule's step sizes as text, formatted once per block as far as asked."""
+
+    def __init__(self, steps: np.ndarray):
+        self.steps = steps
+        self.text: list[str] = []
+
+    def upto(self, count: int) -> list[str]:
+        """The text of at least the first count step sizes."""
+        if len(self.text) < count:
+            self.text += _reprs(self.steps[len(self.text):count])
+        return self.text
+
+
 def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list[dict]:
     """Run a contiguous block of trials on the config's game (from build_game).
 
@@ -350,15 +364,16 @@ def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list
     run one trial at a time; every other game steps the block in lock-step
     (run_lockstep, which splits it to bound the record memory). When the
     block writes trajectories and its schedule gives every trial the same
-    step sizes, their text is formatted once from the schedule's sequence
-    and each trial's file takes its share (see write_trajectory).
+    step sizes, their text is formatted once, as far as the longest record
+    of the block reaches, and each trial's file takes its share (see
+    write_trajectory).
     """
     seed, dynamics = config.master_seed, config.dynamics
     eta_text = None
     if config.trajectory_dir:
         os.makedirs(config.trajectory_dir, exist_ok=True)
         if dynamics.schedule.shared:
-            eta_text = _reprs(dynamics.schedule.step_sizes(dynamics.horizon)[0])
+            eta_text = _EtaText(dynamics.schedule.step_sizes(dynamics.horizon)[0])
     if runner_body(game) != "lockstep":
         records = (run_trajectory(game, dynamics, rng=trial_rng(seed, i)) for i in trials)
     else:
@@ -367,11 +382,11 @@ def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list
 
 
 def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: TrajectoryRecord,
-                   eta_text: Optional[list[str]]) -> dict:
+                   eta_text: Optional[_EtaText]) -> dict:
     """Reduce one trial to the small summary the aggregator needs."""
     if config.trajectory_dir:
         write_trajectory(record, os.path.join(config.trajectory_dir, f"trial_{trial:04d}.jsonl"),
-                         eta_text)
+                         None if eta_text is None else eta_text.upto(len(record.eta)))
 
     steps = dyadic_steps(config.dynamics.horizon)
     has_oracle = game.nash_oracle is not None

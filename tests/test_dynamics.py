@@ -32,7 +32,7 @@ from gamegrad.dynamics import (
     schedule_from_dict,
 )
 from gamegrad.errors import ConfigError
-from gamegrad.games import GameSpec, make_game, make_named_game
+from gamegrad.games import Game, GameSpec, make_game, make_named_game
 from gamegrad.harness import trial_rng
 
 
@@ -778,6 +778,99 @@ def test_grad_norm_beta_and_eta_after_settling():
     _, eta, _, beta, _ = _affine2_by_steps(game, cfg, None)
     assert eta.tobytes() == rec.eta.tobytes()
     assert beta.tobytes() == rec.beta.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# coasting trials
+# ---------------------------------------------------------------------------
+
+def _expanding_game(n, calls=None):
+    """A test-only game with an expanding direction: v = 0.01 x (n = 1), or
+    v = -A x with A = diag(1, -0.01) (n = 2). From a tiny x0 its gap is 0.0
+    until the expanding coordinate grows out of the underflow range."""
+    if n == 1:
+        def scalar(x):
+            if calls is not None:
+                calls.append(x)
+            return 0.01 * x
+        return Game(dims=(1,), field=lambda X: 0.01 * np.asarray(X, dtype=float),
+                    scalar_field=scalar, name="expand_1d")
+    A, b = np.diag([1.0, -0.01]), np.zeros(2)
+    return Game(dims=(2,), field=lambda X: b - (np.asarray(X)[..., None, :] @ A.T)[..., 0, :],
+                affine=(A, b), name="expand_2d")
+
+
+_COAST_NOISE = {"none": NoNoise(),
+                "relative": RelativeNoise(VarianceSchedule("constant", 0.25), "gaussian")}
+_COAST_CASES = [(s, n) for s in _SETTLE_SCHEDULES for n in _COAST_NOISE
+                if not (s == "grad_norm" and n != "none")]
+
+
+# From 1e-165 the gap comes back at steps 1,202-5,060 of the schedules here,
+# from 1e-170 at 2,359-7,837 (never for power): inside the first 4,096 steps
+# of noise draws and past them, or not at all.
+@pytest.mark.parametrize("tiny", [1e-165, 1e-170])
+@pytest.mark.parametrize("schedule,noise", _COAST_CASES)
+def test_coast_hands_back_when_the_gap_returns_scalar(schedule, noise, tiny):
+    calls = []
+    game = _expanding_game(1, calls)
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=8000, x0=(tiny,),
+                         noise=_COAST_NOISE[noise], thinning=7)
+    rec = run_trajectory(game, cfg, rng=3)
+    assert rec.gap[1] == 0.0 and rec.settle_step is None
+    assert _same_bits(rec, run_trajectory(_force_generic(game), cfg, rng=3))
+    assert len(calls) <= 2 * cfg.horizon
+
+
+@pytest.mark.parametrize("tiny", [1e-165, 1e-170])
+@pytest.mark.parametrize("schedule,noise", _COAST_CASES)
+def test_coast_hands_back_when_the_gap_returns_affine2(schedule, noise, tiny):
+    game = _expanding_game(2)
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=8000, x0=(1e-170, tiny),
+                         noise=_COAST_NOISE[noise], thinning=7)
+    rec = run_trajectory(game, cfg, rng=3)
+    gap, eta, step, beta, states = _affine2_by_steps(game, cfg, 3)
+    assert gap[1] == 0.0 and rec.settle_step is None
+    assert gap.tobytes() == rec.gap.tobytes()
+    assert eta.tobytes() == rec.eta.tobytes()
+    assert step.tobytes() == rec.step_norm_sq.tobytes()
+    assert states[rec.state_steps].tobytes() == rec.states.tobytes()
+    if rec.beta is not None:
+        assert beta.tobytes() == rec.beta.tobytes()
+
+
+@pytest.mark.parametrize("noise", list(_COAST_NOISE))
+def test_coast_hands_back_a_step_that_leaves_the_ball(noise):
+    # the state leaves a ball of radius 1e-161 while the gap is still 0.0
+    game = _expanding_game(1)
+    cfg = DynamicsConfig(StepNormSchedule(1.0), horizon=8000, x0=(1e-165,),
+                         noise=_COAST_NOISE[noise], blow_up_radius=1e-161, thinning=7)
+    rec = run_trajectory(game, cfg, rng=3)
+    assert rec.diverged and rec.gap[-1] == 0.0
+    assert _same_bits(rec, run_trajectory(_force_generic(game), cfg, rng=3))
+
+
+def test_coast_starts_at_the_first_zero_gap(monkeypatch):
+    # scalar_trials' settings: the gap reaches 0.0 near step 1,000 and the
+    # state settles near step 2,000; the steps between coast, and only the
+    # steps up to the first zero gap call the schedule
+    calls = []
+    per_step = StepNormSchedule.next_step
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return per_step(self, *args)
+
+    monkeypatch.setattr(StepNormSchedule, "next_step", counted)
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(StepNormSchedule(1.0), horizon=4096, x0=(1.0,),
+                         noise=RelativeNoise(VarianceSchedule("power", 1.0, 0.5), "sphere"))
+    for trial in range(4):
+        calls.clear()
+        rec = run_trajectory(game, cfg, rng=trial_rng(123, trial))
+        first_zero = int(np.flatnonzero(rec.gap == 0.0)[0])
+        assert rec.settle_step > first_zero + 500
+        assert len(calls) <= first_zero + 2
 
 
 # ---------------------------------------------------------------------------

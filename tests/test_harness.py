@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gamegrad import dynamics as dynamics_module
+from gamegrad import harness as harness_module
 from gamegrad.dynamics import (
     AbsoluteNoise,
     ConstantSchedule,
@@ -340,6 +341,29 @@ def test_block_with_a_diverged_trial_shares_eta_text_exactly(tmp_path, master_se
         record = run_trajectory(game, dynamics, rng=trial_rng(master_seed, i))
         path = tmp_path / "trajs" / f"trial_{i:04d}.jsonl"
         assert path.read_bytes() == reference_trajectory_text(record).encode()
+
+
+@pytest.mark.parametrize("schedule", [ConstantSchedule(5.0), PowerSchedule(5.0, 0.01)],
+                         ids=["constant", "power"])
+def test_eta_text_is_formatted_only_as_far_as_the_block_reaches(tmp_path, monkeypatch, schedule):
+    # every trial leaves the blow-up ball within 20 of its 65,536 steps
+    formatted = []
+    reprs = harness_module._reprs
+    monkeypatch.setattr(harness_module, "_reprs", lambda v: formatted.append(len(v)) or reprs(v))
+    dynamics = DynamicsConfig(schedule, horizon=65536, x0=(1.0,),
+                              noise=AbsoluteNoise(VarianceSchedule("constant", 0.04), "gaussian"))
+    cfg = ExperimentConfig(game=GameSpec.from_dict({"name": "quad_1d"}), dynamics=dynamics,
+                           trials=3, master_seed=5, trajectory_dir=str(tmp_path / "trajs"))
+    report = run_experiment(cfg)
+    assert all(t.diverged and t.divergence_step < 20 for t in report.trials)
+    assert 0 < max(formatted) <= max(t.divergence_step for t in report.trials) + 1
+    monkeypatch.setattr(harness_module, "_reprs", reprs)
+    game = make_named_game("quad_1d")
+    for i in range(3):
+        record = run_trajectory(game, dynamics, rng=trial_rng(5, i))
+        write_trajectory(record, str(tmp_path / "reference.jsonl"), None)
+        path = tmp_path / "trajs" / f"trial_{i:04d}.jsonl"
+        assert path.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
 
 def test_lockstep_blocks_split_at_the_record_cap_write_the_same_files(tmp_path, monkeypatch):

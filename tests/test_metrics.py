@@ -290,6 +290,24 @@ def test_run_check_gap_step_consistency_and_negative_control():
     assert not run_named_check("gap_step_consistency", bad, game)[0].passed
 
 
+@pytest.mark.parametrize("offset,x0,eta", [([0.0], (1.0,), 0.5), ([5.0], (1.0,), 0.5),
+                                           ([-1e6], (3.0,), 0.5), ([3.0, -1e3], (1.5, -2.0), 0.25)])
+def test_gap_step_consistency_holds_to_rounding_and_catches_a_1e_9_step_size(offset, x0, eta):
+    # offset [5] is quadratic_1d.cfg's run around a nonzero Nash point: its
+    # increments reach the last bits of x near 5, which a fixed relative
+    # tolerance of 1e-12 failed
+    A = np.eye(len(offset)) if len(offset) == 1 else [[2.0, 0.5], [0.5, 1.0]]
+    game = make_game(GameSpec.quadratic(A, offset))
+    rec = run_trajectory(game, DynamicsConfig(ConstantSchedule(eta), horizon=64, x0=x0,
+                                              thinning=1))
+    (ok,) = run_named_check("gap_step_consistency", rec, game)
+    assert ok.passed and ok.worst_violation <= 1.0
+    for mutated in (rec.eta * (1 + 1e-9), rec.eta * (1 - 1e-9)):
+        bad = fabricate(rec.gap, eta=mutated, states=rec.states, step_norm_sq=rec.step_norm_sq)
+        (verdict,) = run_named_check("gap_step_consistency", bad, game)
+        assert not verdict.passed and verdict.first_violation_step == 0
+
+
 def test_run_check_distance_and_divergence():
     game = make_named_game("quad_1d")
     cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,))
