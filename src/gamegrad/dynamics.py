@@ -56,10 +56,12 @@ of any smaller eta vanishes too.
 
 At a zero gap the state may still move, shrinking through the subnormals
 for about as many steps again as it took to reach the zero gap. Then only
-the state map x + eta * v runs, in each body's own arithmetic (the advance
-function it passes to coast), until the state stops changing (the trial
-settles there, at settle_step) or the horizon; the states are logged at the
-logged steps. The map gives the bits of the full step: a +-0 noise term
+the state map x + eta * v runs, in each body's own arithmetic: the advance
+function it passes to coast takes up to _COAST_CHUNK steps per call in a
+local loop, so a coasted step costs no Python call of its own. It runs
+until the state stops changing (the trial settles there, at settle_step)
+or the horizon, and coast logs the states at the logged steps with one
+gather per chunk. The map gives the bits of the full step: a +-0 noise term
 leaves a sum unchanged unless its other term is -0.0, and a state with no
 -0.0 coordinate never gets one (x + y is -0.0 only when both are). Each
 coasted step is checked: one whose gap or step norm is not 0.0, or that
@@ -68,6 +70,17 @@ on from there. The noise draws of the coasted steps are drawn and dropped
 (_NoiseDraws.chunk), and the schedule's state is what the per-step calls
 would leave, since at a zero gap and step norm they change nothing. The
 lock-step body does not coast.
+
+Noise draws. A one-trial run draws its normals only about as far as it
+steps: its chunks grow (_FIRST_DRAWS steps, then twice the last chunk, up
+to _CHUNK), so a trial that starts to coast near step 1,000 has drawn 1,792
+steps' normals, not 4,096. A lock-step block draws fixed chunks.
+Consecutive draws from one generator concatenate bit for bit, so the chunk
+lengths never change the noise. The amplitudes, sqrt(tau_t) or
+sqrt(sigma_t^2 / n), do not depend on the trial: they come from one
+read-only table per variance schedule, n and horizon. The unrolled bodies
+write their per-step entries through memoryviews of the trial's rows, which
+store a float for about half what a numpy scalar store costs.
 
 The step-size arrays have the same bits as Python's float arithmetic step
 by step. The transcendental values, log(t + 2) for step_norm and
@@ -83,6 +96,7 @@ last bit for 111 of t < 2,000,000, first at t = 9,168.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -99,9 +113,19 @@ Array = np.ndarray
 
 _CHUNK = 4096
 
-# Step sizes a coast reads as floats at a time: a coast often ends after a
-# few hundred steps, and converting 4,096 would cost a quarter of its time.
+# Steps a one-trial run's first noise chunk covers; each later chunk doubles,
+# up to _NoiseDraws.rows, so a trial that coasts from step ~1,000 on draws
+# about 1,800 steps' normals rather than 4,096.
+_FIRST_DRAWS = 256
+
+# Step sizes a coast reads as floats at a time, and the steps one call of a
+# body's advance may take: a coast often ends after a few hundred steps, and
+# converting 4,096 would cost a quarter of its time.
 _COAST_CHUNK = 512
+
+# Why a body's advance stopped: it took every step of its chunk, the state
+# stopped changing (the trial settled), or a step failed the coast's check.
+_RAN, _SETTLED, _HANDS_BACK = range(3)
 
 # Record memory one lock-step block may hold; run_lockstep splits larger runs.
 _BLOCK_BYTES = 64 << 20
@@ -110,10 +134,13 @@ _BLOCK_BYTES = 64 << 20
 _TABLES = 8
 
 
-def _table(values) -> Array:
-    out = np.array(list(values), dtype=float)
+def _readonly(out: Array) -> Array:
     out.flags.writeable = False  # shared by every caller of the cache
     return out
+
+
+def _table(values) -> Array:
+    return _readonly(np.array(list(values), dtype=float))
 
 
 @functools.lru_cache(maxsize=_TABLES)
@@ -444,23 +471,40 @@ def noise_from_dict(doc: dict) -> NoiseModel:
                doc.get("shape", "sphere"))
 
 
+@functools.lru_cache(maxsize=_TABLES)
+def _amp_table(var: VarianceSchedule, n: int, horizon: int) -> Array:
+    """sqrt(var.values(t, 1) / n) for t = 0..horizon-1: the noise amplitudes.
+
+    They do not depend on the trial, so every trial of a config reads one
+    table. A slice of it has the bits of sqrt(var.values(t0, count) / n):
+    each value is computed elementwise from t alone.
+    """
+    return _readonly(np.sqrt(var.values(0, horizon) / n))
+
+
 class _NoiseDraws:
     """Chunked unit draws for a block of trials, one generator per trial.
 
-    Each trial's normals go straight into its rows of one block buffer. A trial
-    gets about _CHUNK // m rows per chunk, so the buffer holds about _CHUNK x n
-    doubles at any block size m. Consecutive draws from a generator
-    concatenate bit-exactly, so neither the chunk length nor the block a
-    trial shares changes its noise: every step consumes exactly n normals.
+    Each trial's normals go straight into its rows of one block buffer. A
+    trial of a block gets about _CHUNK // m rows per chunk, so the buffer
+    holds about _CHUNK x n doubles at any block size m. A one-trial run
+    draws only about as far as it steps: its first chunk covers
+    _FIRST_DRAWS steps and each later one twice the last, up to rows, since
+    a trial that coasts to its horizon reads no draws past the coast's
+    start. ``size`` is the length of the next chunk. Consecutive draws from
+    a generator concatenate bit-exactly, so neither the chunk lengths nor
+    the block a trial shares changes its noise: every step consumes exactly
+    n normals. The sqrt-variance amplitudes are slices of one _amp_table.
     """
 
     def __init__(self, model: NoiseModel, n: int, rngs: list, horizon: int):
         self.relative = isinstance(model, RelativeNoise)
         self.sphere = model.shape == "sphere"
-        self.var = model.tau if self.relative else model.sigma_sq
-        self.n = n
+        var = model.tau if self.relative else model.sigma_sq
+        self.amps = _amp_table(var, 1 if self.sphere else n, horizon)
         self.rngs = list(rngs)
         self.rows = min(horizon, max(1, _CHUNK // len(self.rngs)))
+        self.size = min(self.rows, _FIRST_DRAWS) if len(self.rngs) == 1 else self.rows
         self.buf = np.empty((len(self.rngs), self.rows, n))
         self.drawn = 0  # the steps whose draws the generators have given
 
@@ -470,23 +514,25 @@ class _NoiseDraws:
 
         t0 is at least the first step not yet drawn; the draws of the steps
         between, which a coasting trial did not take, are drawn and dropped,
-        so step t0 gets the draws it gets when every step is taken.
+        so step t0 gets the draws it gets when every step is taken. Each
+        call doubles ``size``, up to rows.
         """
-        z = self.buf[:len(self.rngs), :count]
+        m = len(self.rngs)
         while self.drawn < t0:
-            skip = z[:, :min(count, t0 - self.drawn)]
+            skip = self.buf[:m, :min(self.rows, t0 - self.drawn)]
             for rng, out in zip(self.rngs, skip):
                 rng.standard_normal(out=out)
             self.drawn += skip.shape[1]
         self.drawn += count
+        self.size = min(2 * self.size, self.rows)
+        z = self.buf[:m, :count]
         for rng, out in zip(self.rngs, z):
             rng.standard_normal(out=out)
         if self.sphere:
             nrm = np.sqrt(np.einsum("ijk,ijk->ij", z, z))
             nrm[nrm == 0.0] = 1.0
             z /= nrm[:, :, None]
-            return z, np.sqrt(self.var.values(t0, count))
-        return z, np.sqrt(self.var.values(t0, count) / self.n)
+        return z, self.amps[t0:t0 + count]
 
     def keep(self, live) -> None:
         """Drop the generators of the trials that left a lock-step block."""
@@ -685,18 +731,23 @@ class _Log:
         keep the gap at g and the step norm at 0.0, so beta holds and the
         step sizes are what settled_steps gives; those entries are written
         as slices. If ``still`` (step s-1 left x unchanged), the trial has
-        settled and its state is filled too. Otherwise g is 0.0, and
-        ``advance(x, v, eta)``, the body's step without noise, moves the
-        state on step by step, which is logged at the logged steps, until
-        it stops changing (the trial settles there) or the horizon. advance
-        gives None for a step whose gap or step norm is not 0.0 or that
-        leaves the ball: that step hands back, and coast returns (its step,
-        x, v, eta, log_ptr) for the body to step on from. Otherwise it
-        returns None: the record is complete. A hand-back finds the
-        schedule's state as the per-step calls leave it, whatever the number
-        of steps coasted: at a zero gap and step norm they add +0.0 to an
-        adaptive schedule's sums and multiply beta by 1.0, and so does
-        settled_steps.
+        settled and its state is filled too. Otherwise g is 0.0, and the
+        body's step without noise moves the state on, one chunk of up to
+        _COAST_CHUNK steps at a time: ``advance(x, v, etas)`` steps through
+        the step sizes etas in a local loop and returns the states after
+        its steps as one flat list, the last state and its field, the
+        number of steps taken, and why it stopped: _RAN (end of chunk),
+        _SETTLED (the last step left the state unchanged: the trial settles
+        after it) or _HANDS_BACK (the next step's gap or step norm is not
+        0.0, or it leaves the ball; that step is not taken). The logged
+        steps among those taken are written with one gather per chunk. A
+        step that hands back is the body's to take in full: coast returns
+        (its step, x, v, eta, log_ptr) for the body to step on from.
+        Otherwise it returns None: the record is complete. A hand-back
+        finds the schedule's state as the per-step calls leave it, whatever
+        the number of steps coasted: at a zero gap and step norm they add
+        +0.0 to an adaptive schedule's sums and multiply beta by 1.0, and so
+        does settled_steps.
         """
         T = self.step.shape[1]
         schedule = self.schedule
@@ -707,39 +758,25 @@ class _Log:
         if not schedule.shared:
             self.eta[0, s] = eta
             self.eta[0, s + 1:] = schedule.settled_steps(s, eta, g, T - s - 1)
-        if still:
-            self.settle[0] = s
-            self.states[0, log_ptr:] = x
-            return None
-        states, log_list, eta_row = self.states[0], self.log_list, self.eta[0]
-        t, done = s, False
-        while not done and t < T:
-            # A chunk's logged states go in as one flat slice: a row written
-            # from a tuple costs 0.3 us, more than the step.
-            logged, first = [], log_ptr
-            next_log = log_list[log_ptr]
-            for eta in eta_row[t:t + _COAST_CHUNK].tolist():
-                moved = advance(x, v, eta)
-                if moved is None:  # step t hands back
-                    done = True
-                    break
-                y, v = moved
-                t += 1
-                if y == x:  # step t - 1 left the state unchanged: settled at step t
-                    done = True
-                    break
-                if t == next_log:
-                    logged += y
-                    log_ptr += 1
-                    next_log = log_list[log_ptr]
-                x = y
-            states[first:log_ptr].reshape(-1)[:] = logged
-        if moved is None:
-            return t, x, v, eta, log_ptr
-        if done:
-            states[log_ptr:] = x
-            if t < T:
-                self.settle[0] = t
+        t = s
+        if not still:
+            states, log_list, eta_row = self.states[0], self.log_list, self.eta[0]
+            why = _RAN
+            while why == _RAN and t < T:
+                etas = eta_row[t:t + _COAST_CHUNK].tolist()
+                flat, x, v, k, why = advance(x, v, etas)
+                end = bisect.bisect_right(log_list, t + k, log_ptr)
+                if end > log_ptr:  # flat holds the states after steps t + 1..t + k
+                    ys = np.array(flat).reshape(k, -1)
+                    states[log_ptr:end] = ys[self.steps[log_ptr:end] - (t + 1)]
+                    log_ptr = end
+                t += k
+                if why == _HANDS_BACK:
+                    return t, x, v, etas[k], log_ptr
+            if t == T:
+                return None
+        self.settle[0] = t
+        self.states[0, log_ptr:] = x
         return None
 
     def record(self, i: int, game: Game, config: DynamicsConfig, seed) -> TrajectoryRecord:
@@ -783,6 +820,25 @@ def _generator(rng: int | np.random.Generator | None):
     return rng, seed
 
 
+def _norm(x) -> float:
+    return math.sqrt(sum(v * v for v in x))
+
+
+def _default_radius(game: Game, x0: tuple) -> float:
+    """1e8 * (1 + max(||x0||, ||x*||)), x* the Nash point the game's oracle gives for x0.
+
+    Without the Nash point a run that converges to an equilibrium far from
+    x0 would leave the ball. A game without an oracle, or whose oracle gives
+    no finite point, uses ||x0|| alone.
+    """
+    scale = _norm(x0)
+    if game.nash_oracle is not None:
+        far = _norm(np.asarray(game.nash_oracle(np.array(x0)), dtype=float).reshape(-1).tolist())
+        if far > scale and far < math.inf:
+            scale = far
+    return 1e8 * (1.0 + scale)
+
+
 def _run(body, game: Game, config: DynamicsConfig, rngs: list) -> list[TrajectoryRecord]:
     """The set-up both entry points share: checks, generators, schedule state, records."""
     if len(config.x0) != game.n:
@@ -791,7 +847,7 @@ def _run(body, game: Game, config: DynamicsConfig, rngs: list) -> list[Trajector
     gens, seeds = zip(*(_generator(rng) for rng in rngs))
     radius = config.blow_up_radius
     if radius is None:
-        radius = 1e8 * (1.0 + math.sqrt(sum(v * v for v in config.x0)))
+        radius = _default_radius(game, config.x0)
     draws = None
     if not isinstance(config.noise, NoNoise):
         draws = _NoiseDraws(config.noise, game.n, list(gens), config.horizon)
@@ -880,7 +936,7 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     relative = draws is not None and draws.relative
     t = 0
     while t < T:
-        count = min(draws.rows, T - t) if draws is not None else T - t
+        count = min(draws.size, T - t) if draws is not None else T - t
         if draws is not None:
             z, amp = draws.chunk(t, count)
             Z = z[0] if flat else z.transpose(1, 0, 2)  # Z[k]: the draws of step t0 + k
@@ -942,10 +998,20 @@ def _may_coast(old: tuple, draws, g_new: float) -> bool:
     return not any(a == 0.0 and math.copysign(1.0, a) < 0.0 for a in old)
 
 
+def _row_views(log: _Log) -> tuple:
+    """Trial 0's gap, step norm, eta (adaptive schedules) and beta rows and
+    its logged states, flat, as memoryviews: a store of a float through one
+    costs about half what a numpy scalar store does."""
+    return (memoryview(log.gap[0]), memoryview(log.step[0]),
+            None if log.etas is not None else memoryview(log.eta[0]),
+            None if log.beta is None else memoryview(log.beta[0]),
+            memoryview(log.states[0].reshape(-1)))
+
+
 def _run_scalar(game, x0, T, schedule, draws, radius, log):
     f, x = game.scalar_field, x0[0]
-    gap, eta_arr, step_arr, states = log.gap[0], log.eta[0], log.step[0], log.states[0]
-    beta_arr, etas = None if log.beta is None else log.beta[0], log.etas
+    gap, step_arr, eta_arr, beta_arr, states = _row_views(log)
+    etas = log.etas
     v = f(x)
     g = v * v
     log.begin(g, x)
@@ -962,19 +1028,25 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
     inf = math.inf
     r2 = radius * radius
 
-    def advance(state, v, eta):
-        x = state[0]
-        y = x + eta * v
-        w = f(y)
-        d = y - x
-        if w * w == 0.0 and d * d == 0.0 and y * y <= r2:
-            return (y,), w
-        return None
+    def advance(state, v, etas):
+        x, = state
+        ys = []
+        for eta in etas:
+            y = x + eta * v
+            w = f(y)
+            d = y - x
+            if not (w * w == 0.0 and d * d == 0.0 and y * y <= r2):
+                return ys, (x,), v, len(ys), _HANDS_BACK
+            ys.append(y)
+            if y == x:
+                return ys, (y,), w, len(ys), _SETTLED
+            x, v = y, w
+        return ys, (x,), v, len(ys), _RAN
 
     t = lo = hi = 0  # the draws in hand are those of steps lo..hi-1
     while t < T:
         if t >= hi:
-            lo, hi = t, min(t + draws.rows, T) if draws is not None else T
+            lo, hi = t, min(t + draws.size, T) if draws is not None else T
             if draws is not None:
                 z_chunk, amp_chunk = draws.chunk(lo, hi - lo)
                 zs = z_chunk[0, :, 0].tolist()
@@ -1000,7 +1072,7 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
                 log.end([0], t + 1, x_new, schedule.beta if track_beta else None, log_ptr)
                 return
             if t + 1 == next_log:
-                states[log_ptr, 0] = x_new
+                states[log_ptr] = x_new
                 log_ptr += 1
                 next_log = log_list[log_ptr]
             if etas is None:
@@ -1024,8 +1096,8 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
 
 def _run_affine2(game, x0, T, schedule, draws, radius, log):
     A, b = game.affine
-    gap, eta_arr, step_arr, states = log.gap[0], log.eta[0], log.step[0], log.states[0]
-    beta_arr, etas = None if log.beta is None else log.beta[0], log.etas
+    gap, step_arr, eta_arr, beta_arr, states = _row_views(log)
+    etas = log.etas
     a00, a01 = float(A[0, 0]), float(A[0, 1])
     a10, a11 = float(A[1, 0]), float(A[1, 1])
     b0, b1 = float(b[0]), float(b[1])
@@ -1048,23 +1120,29 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
     inf = math.inf
     r2 = radius * radius
 
-    def advance(x, v, eta):
+    def advance(x, v, etas):
         (x0_, x1_), (v0, v1) = x, v
-        y0 = x0_ + eta * v0
-        y1 = x1_ + eta * v1
-        w0 = b0 - (a00 * y0 + a01 * y1)
-        w1 = b1 - (a10 * y0 + a11 * y1)
-        d0 = y0 - x0_
-        d1 = y1 - x1_
-        if (w0 * w0 + w1 * w1 == 0.0 and d0 * d0 + d1 * d1 == 0.0
-                and y0 * y0 + y1 * y1 <= r2):
-            return (y0, y1), (w0, w1)
-        return None
+        ys = []
+        for eta in etas:
+            y0 = x0_ + eta * v0
+            y1 = x1_ + eta * v1
+            w0 = b0 - (a00 * y0 + a01 * y1)
+            w1 = b1 - (a10 * y0 + a11 * y1)
+            d0 = y0 - x0_
+            d1 = y1 - x1_
+            if not (w0 * w0 + w1 * w1 == 0.0 and d0 * d0 + d1 * d1 == 0.0
+                    and y0 * y0 + y1 * y1 <= r2):
+                return ys, (x0_, x1_), (v0, v1), len(ys) >> 1, _HANDS_BACK
+            ys += y0, y1
+            if y0 == x0_ and y1 == x1_:
+                return ys, (y0, y1), (w0, w1), len(ys) >> 1, _SETTLED
+            x0_, x1_, v0, v1 = y0, y1, w0, w1
+        return ys, (x0_, x1_), (v0, v1), len(ys) >> 1, _RAN
 
     t = lo = hi = 0  # the draws in hand are those of steps lo..hi-1
     while t < T:
         if t >= hi:
-            lo, hi = t, min(t + draws.rows, T) if draws is not None else T
+            lo, hi = t, min(t + draws.size, T) if draws is not None else T
             if draws is not None:
                 z_chunk, amp_chunk = draws.chunk(lo, hi - lo)
                 zs = z_chunk[0].tolist()
@@ -1095,8 +1173,8 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
                 log.end([0], t + 1, (y0, y1), schedule.beta if track_beta else None, log_ptr)
                 return
             if t + 1 == next_log:
-                states[log_ptr, 0] = y0
-                states[log_ptr, 1] = y1
+                states[2 * log_ptr] = y0
+                states[2 * log_ptr + 1] = y1
                 log_ptr += 1
                 next_log = log_list[log_ptr]
             if etas is None:

@@ -571,6 +571,18 @@ def test_diverged_trials_fail_tail_to_zero_without_stopping_the_run(runner, tmp_
         (i, check, False) for i in range(3) for check in ("tail_to_zero", "no_divergence")]
 
 
+def test_default_blow_up_radius_reaches_a_distant_nash_point(runner, tmp_path):
+    # x* = -1e12 lies far outside 1e8 * (1 + ||x0||); step 0 moves x0 = 1 to about -5e11
+    game = '{"kind": "quadratic", "matrix": [[1]], "offset": [-1e12]}'
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", f"game={game}"])
+    assert result.exit_code == 0, result.output
+    report = read_report(str(tmp_path / "report.json"))
+    assert [t.divergence_step for t in report.trials] == [None]
+    verdicts = {c["check_id"]: c["passed"] for c in report.checks}
+    assert verdicts["no_divergence"] is True and all(verdicts.values())
+
+
 def test_run_set_trajectory_dir_on_a_bundled_config(runner, tmp_path):
     traj = tmp_path / "traj"
     result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),

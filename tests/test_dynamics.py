@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from gamegrad import dynamics
 from gamegrad.dynamics import (
     _BLOCK_BYTES,
+    _COAST_CHUNK,
+    _FIRST_DRAWS,
     _NOISE_KINDS,
     _SCHEDULE_KINDS,
     _VARIANCE_KINDS,
     _Log,
+    _amp_table,
     _log_steps,
     _log_table,
     _NoiseDraws,
@@ -127,7 +131,7 @@ def test_schedule_serialization_round_trip():
 
 def noise_draws(model, v, rng, t0=0, count=1):
     """count noise vectors for steps t0.. at a fixed gradient v, from the runner's sampler."""
-    draws = _NoiseDraws(model, v.size, [rng], horizon=count)
+    draws = _NoiseDraws(model, v.size, [rng], horizon=t0 + count)
     out = []
     for t in range(t0, t0 + count, draws.rows):
         z, amp = draws.chunk(t, min(draws.rows, t0 + count - t))
@@ -871,6 +875,119 @@ def test_coast_starts_at_the_first_zero_gap(monkeypatch):
         first_zero = int(np.flatnonzero(rec.gap == 0.0)[0])
         assert rec.settle_step > first_zero + 500
         assert len(calls) <= first_zero + 2
+
+
+# scalar_trials' settings: the gap reaches 0.0 near step 1,000 and the trial
+# coasts about 1,000 steps more before it settles
+_SCALAR_TRIALS_CFG = dict(schedule=StepNormSchedule(1.0), horizon=4096, x0=(1.0,),
+                          noise=RelativeNoise(VarianceSchedule("power", 1.0, 0.5), "sphere"))
+
+
+def _matches_per_step(rec, game, cfg, seed):
+    """Bitwise equality with the per-step reference: the lock-step body for
+    one dimension, _affine2_by_steps for two."""
+    if game.n == 1:
+        return _same_bits(rec, run_trajectory(_force_generic(game), cfg, rng=seed))
+    gap, eta, step, beta, states = _affine2_by_steps(game, cfg, seed)
+    return (gap.tobytes() == rec.gap.tobytes() and eta.tobytes() == rec.eta.tobytes()
+            and step.tobytes() == rec.step_norm_sq.tobytes()
+            and states[rec.state_steps].tobytes() == rec.states.tobytes()
+            and (rec.beta is None or beta.tobytes() == rec.beta.tobytes()))
+
+
+@pytest.mark.parametrize("thinning", [0, 1])
+@pytest.mark.parametrize("name,cfg", [
+    ("quad_1d", _SCALAR_TRIALS_CFG),
+    ("quad_2d", dict(schedule=ConstantSchedule(1 / 6), horizon=8000, x0=(1.5, -2.0))),
+    ("quad_2d", dict(schedule=StepNormSchedule(1.0), horizon=8000, x0=(1.5, -2.0),
+                     noise=RelativeNoise(VarianceSchedule("constant", 0.25), "gaussian"))),
+], ids=["scalar", "affine2", "affine2-relative"])
+def test_coast_longer_than_a_chunk_matches_per_step_bitwise(name, cfg, thinning):
+    game = make_named_game(name)
+    cfg = DynamicsConfig(**cfg, thinning=thinning)
+    rec = run_trajectory(game, cfg, rng=5)
+    first_zero = int(np.flatnonzero(rec.gap == 0.0)[0])
+    assert rec.settle_step - first_zero > 2 * _COAST_CHUNK
+    assert _matches_per_step(rec, game, cfg, 5)
+
+
+def _largest_proper_divisor(k):
+    return max(d for d in range(1, k // 2 + 1) if k % d == 0)
+
+
+@pytest.mark.parametrize("at", ["chunk_start", "mid_chunk"])
+@pytest.mark.parametrize("noise", list(_COAST_NOISE))
+@pytest.mark.parametrize("n", [1, 2])
+def test_coast_hands_back_at_a_chunk_start_and_mid_chunk(monkeypatch, n, noise, at):
+    # From a tiny x0 the coast starts at step 1 and hands back at step h, the
+    # first step whose gap or step norm is not 0.0; a chunk length that
+    # divides h - 1 puts h at a chunk's first step, one that does not puts
+    # it inside a chunk
+    game = _expanding_game(n)
+    cfg = DynamicsConfig(StepNormSchedule(1.0), horizon=4000, x0=(1e-170, 1e-165)[-n:],
+                         noise=_COAST_NOISE[noise], thinning=7)
+    rec = run_trajectory(game, cfg, rng=3)
+    assert rec.gap[1] == 0.0 and rec.step_norm_sq[0] == 0.0 and rec.settle_step is None
+    h = 1 + int(np.flatnonzero((rec.step_norm_sq[1:] != 0.0) | (rec.gap[2:] != 0.0))[0])
+    span = h - 1  # the steps coasted before the hand-back
+    chunk = _largest_proper_divisor(span) if at == "chunk_start" else (2 * span) // 5
+    assert (span % chunk == 0) == (at == "chunk_start") and span // chunk >= 2
+    monkeypatch.setattr(dynamics, "_COAST_CHUNK", chunk)
+    rec = run_trajectory(game, cfg, rng=3)
+    assert _matches_per_step(rec, game, cfg, 3)
+
+
+# ---------------------------------------------------------------------------
+# noise drawn as far as a trial steps
+# ---------------------------------------------------------------------------
+
+def test_a_coasting_trial_draws_fewer_steps_than_its_horizon(monkeypatch):
+    made = []
+
+    class Recorded(_NoiseDraws):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(dynamics, "_NoiseDraws", Recorded)
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(**_SCALAR_TRIALS_CFG)
+    doubling = {_FIRST_DRAWS * (2 ** k - 1) for k in range(1, 5)}  # 256, 768, 1,792, 3,840
+    for trial in range(4):
+        made.clear()
+        rec = run_trajectory(game, cfg, rng=trial_rng(123, trial))
+        first_zero = int(np.flatnonzero(rec.gap == 0.0)[0])
+        (draws,) = made
+        assert first_zero < draws.drawn < cfg.horizon
+        assert draws.drawn in doubling and draws.drawn < 2 * first_zero + _FIRST_DRAWS
+
+
+@pytest.mark.parametrize("shape", ["sphere", "gaussian"])
+def test_growing_draws_match_a_lockstep_row_bitwise(shape):
+    # 5,000 steps are no sum of the chunks 256, 512, ..., 4,096: the last
+    # chunk is cut at the horizon; a block of 3 draws 1,365 steps per chunk
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(PowerSchedule(0.5, 0.5), horizon=5000, x0=(1.0,), thinning=3,
+                         noise=AbsoluteNoise(VarianceSchedule("constant", 0.01), shape))
+    rec = run_trajectory(game, cfg, rng=trial_rng(81, 1))
+    assert rec.settle_step is None
+    block = list(run_lockstep(_force_generic(game), cfg, [trial_rng(81, i) for i in range(3)]))
+    assert _same_bits(rec, block[1])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("var", [
+    VarianceSchedule("constant", 0.25), VarianceSchedule("power", 1.0, 0.5),
+    VarianceSchedule("power", 2.0, 0.75), VarianceSchedule("inv_t_log", 1.0),
+    VarianceSchedule("inv_loglog", 0.5),
+], ids=["constant", "power_0.5", "power_0.75", "inv_t_log", "inv_loglog"])
+def test_amplitude_table_slices_match_values_bitwise(var, n):
+    horizon = 20000
+    table = _amp_table(var, n, horizon)
+    assert _amp_table(var, n, horizon) is table and not table.flags.writeable
+    for t0, count in [(0, 1), (0, 256), (1, 7), (255, 512), (1001, 333), (9167, 4096),
+                      (19999, 1)]:
+        assert table[t0:t0 + count].tobytes() == np.sqrt(var.values(t0, count) / n).tobytes()
 
 
 # ---------------------------------------------------------------------------
