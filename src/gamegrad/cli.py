@@ -3,8 +3,8 @@
 Exit codes are stable for CI gating: 0 success, 1 check or verification
 failure, 2 config error, 3 I/O error, 4 internal error (an unexpected
 exception, whose traceback goes to stderr). Reports are written as JSON plus a
-plot-ready CSV with fixed columns
-``t,mean_gap,stderr_gap,mean_time_avg_gap,mean_distance``.
+plot-ready CSV whose columns are the report's curves (harness.CURVE_KEYS),
+the steps column headed ``t``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
-CSV_HEADER = "t,mean_gap,stderr_gap,mean_time_avg_gap,mean_distance"
+CSV_HEADER = ",".join(("t",) + harness.CURVE_KEYS[1:])
 
 
 def _fmt(v) -> str:
@@ -44,17 +44,11 @@ def _fmt(v) -> str:
 
 
 def report_csv(report: harness.ExperimentReport) -> str:
-    lines = [CSV_HEADER]
-    dist = report.mean_distance
-    for i, t in enumerate(report.curve_steps):
-        lines.append(",".join([
-            str(t),
-            _fmt(report.mean_gap[i]),
-            _fmt(report.stderr_gap[i]),
-            _fmt(report.mean_time_avg_gap[i]),
-            _fmt(dist[i]) if dist is not None else "",
-        ]))
-    return "\n".join(lines) + "\n"
+    """The report's curves as CSV, one row per dyadic step (see CSV_HEADER)."""
+    steps, *series = (report.curves[key] for key in harness.CURVE_KEYS)
+    series = [[None] * len(steps) if s is None else s for s in series]
+    rows = (",".join([str(t), *map(_fmt, values)]) for t, *values in zip(steps, *series))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def resolve_config(path: str) -> str:
@@ -230,13 +224,18 @@ def cmd_verify_game(config_path, game_name, pairs, seed):
         else:
             click.echo("gradient check: skipped (no payoffs)")
 
-        est = estimate_cocoercivity(game, -5.0, 5.0, pairs=pairs, seed=seed)
-        click.echo(f"cocoercivity estimate: lambda_hat={est.lambda_hat:.6g} "
-                   f"over {est.pairs_used} pairs"
-                   + (f" (known lambda={game.cocoercivity:.6g})" if game.cocoercivity else ""))
-        if est.monotone_violation or est.lambda_hat <= 0:
-            click.echo("monotonicity VIOLATED on sampled pairs")
+        try:
+            est = estimate_cocoercivity(game, -5.0, 5.0, pairs=pairs, seed=seed)
+        except IndeterminateResult as exc:  # a constant field: no pair to estimate from
+            click.echo(f"cocoercivity estimate: indeterminate ({exc})")
             ok = False
+        else:
+            click.echo(f"cocoercivity estimate: lambda_hat={est.lambda_hat:.6g} "
+                       f"over {est.pairs_used} pairs"
+                       + (f" (known lambda={game.cocoercivity:.6g})" if game.cocoercivity else ""))
+            if est.monotone_violation or est.lambda_hat <= 0:
+                click.echo("monotonicity VIOLATED on sampled pairs")
+                ok = False
 
         if game.nash_oracle is not None:
             worst_v = worst_idem = 0.0

@@ -16,13 +16,14 @@ repeated runs of the same config byte-identical.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,49 +128,39 @@ class TrialSummary:
     diverged: bool
     divergence_step: Optional[int]
 
-    def to_dict(self) -> dict:
-        return {"trial": self.trial, "final_gap": self.final_gap,
-                "final_distance": self.final_distance, "diverged": self.diverged,
-                "divergence_step": self.divergence_step}
-
     @staticmethod
     def from_dict(doc: dict) -> "TrialSummary":
         return TrialSummary(doc["trial"], doc["final_gap"], doc["final_distance"],
                             doc["diverged"], doc.get("divergence_step"))
 
 
+# The report's curves, in curves.csv column order: the dyadic steps, then one
+# value (or null) per step of each mean curve. The last, the mean distance to
+# the Nash set, is null as a whole when the game has no Nash oracle or every
+# trial diverged.
+CURVE_KEYS = ("steps", "mean_gap", "stderr_gap", "mean_time_avg_gap", "mean_distance")
+
+
 @dataclass
 class ExperimentReport:
+    """An experiment's report; its fields are report.json's top-level keys.
+
+    ``curves`` maps each of CURVE_KEYS to its list, as curves.csv has them in
+    columns; ``checks`` holds one verdict per check per trial (``trial`` its
+    index), then one per report-level check (``trial`` null).
+    """
+
     schema_version: str
     provenance: dict
     config: dict
     trials: list[TrialSummary]
-    curve_steps: list[int]
-    mean_gap: list[Optional[float]]
-    stderr_gap: list[Optional[float]]
-    mean_time_avg_gap: list[Optional[float]]
-    mean_distance: Optional[list[Optional[float]]]
+    curves: dict[str, Optional[list]]
     fits: dict[str, Optional[dict]]
     checks: list[dict]
     all_diverged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "provenance": self.provenance,
-            "config": self.config,
-            "trials": [t.to_dict() for t in self.trials],
-            "curves": {
-                "steps": self.curve_steps,
-                "mean_gap": self.mean_gap,
-                "stderr_gap": self.stderr_gap,
-                "mean_time_avg_gap": self.mean_time_avg_gap,
-                "mean_distance": self.mean_distance,
-            },
-            "fits": self.fits,
-            "checks": self.checks,
-            "all_diverged": self.all_diverged,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentReport":
@@ -179,7 +170,7 @@ class ExperimentReport:
             if str(version).split(".")[0] != SCHEMA_VERSION.split(".")[0]:
                 raise ConfigError(f"unsupported report schema major version {version!r}")
             curves = config_dict(doc["curves"], "report curves")
-            steps = _curve_values(curves, "steps", None)
+            steps = _curve_values(curves, CURVE_KEYS[0], None)
             trials = doc["trials"]
             if not isinstance(trials, list):
                 raise ConfigError(f"report trials must be a list, got {trials!r}")
@@ -189,12 +180,8 @@ class ExperimentReport:
                 config=doc["config"],
                 trials=[TrialSummary.from_dict(config_dict(t, f"report trials[{i}]"))
                         for i, t in enumerate(trials)],
-                curve_steps=steps,
-                mean_gap=_curve_values(curves, "mean_gap", len(steps)),
-                stderr_gap=_curve_values(curves, "stderr_gap", len(steps)),
-                mean_time_avg_gap=_curve_values(curves, "mean_time_avg_gap", len(steps)),
-                mean_distance=(None if curves["mean_distance"] is None
-                               else _curve_values(curves, "mean_distance", len(steps))),
+                curves={CURVE_KEYS[0]: steps,
+                        **{key: _curve_values(curves, key, steps) for key in CURVE_KEYS[1:]}},
                 fits=doc["fits"],
                 checks=doc["checks"],
                 all_diverged=doc["all_diverged"],
@@ -204,32 +191,38 @@ class ExperimentReport:
 
     def curve(self, name: str) -> list[tuple[float, float]]:
         """Dyadic (step, value) points of a named mean curve, skipping gaps."""
-        series = dict(zip(metrics.CURVES,
-                          (self.mean_gap, self.mean_time_avg_gap, self.mean_distance)))
-        if name not in series or series[name] is None:
-            available = [k for k, v in series.items() if v is not None]
+        key = metrics.CURVES.get(name)
+        if key is None or self.curves[key] is None:
+            available = [n for n, k in metrics.CURVES.items() if self.curves[k] is not None]
             raise ConfigError(f"report has no curve {name!r}; available: {available}")
-        return [(float(t), float(v)) for t, v in zip(self.curve_steps, series[name]) if v is not None]
+        return [(float(t), float(v)) for t, v in zip(self.curves[CURVE_KEYS[0]], self.curves[key])
+                if v is not None]
 
     def failed_checks(self) -> list[dict]:
         return [c for c in self.checks if not c["passed"]]
 
 
-def _curve_values(curves: dict, key: str, length: Optional[int]) -> list:
-    """curves[key], checked: the steps (length None), or a number or null per step."""
+def _curve_values(curves: dict, key: str, steps: Optional[list]) -> Optional[list]:
+    """curves[key], checked: the steps themselves (steps None), else a number
+    or null per step, or null as a whole for the distance (CURVE_KEYS[-1])."""
     values = curves[key]
+    if values is None and key == CURVE_KEYS[-1]:
+        return None
     if not isinstance(values, list):
         raise ConfigError(f"report curves.{key} must be a list, got {values!r}")
-    if length not in (None, len(values)):
-        raise ConfigError(f"report curves.{key} has {len(values)} entries, curves.steps has {length}")
+    if steps is not None and len(steps) != len(values):
+        raise ConfigError(f"report curves.{key} has {len(values)} entries, "
+                          f"curves.{CURVE_KEYS[0]} has {len(steps)}")
     for i, v in enumerate(values):
-        if v is not None or length is None:
+        if v is not None or steps is None:
             config_float(v, f"report curves.{key}[{i}]")
     return values
 
 
 def write_report(report: ExperimentReport, path: str) -> None:
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    # What to_dict gives, without its copy of every value: the report and its
+    # TrialSummary entries are written as their fields (vars).
+    text = json.dumps(report, default=vars, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -357,7 +350,7 @@ class _EtaText:
         return self.text
 
 
-def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list[dict]:
+def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list[tuple]:
     """Run a contiguous block of trials on the config's game (from build_game).
 
     Each trial is reduced to its payload. Games with an unrolled runner body
@@ -382,46 +375,45 @@ def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list
 
 
 def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: TrajectoryRecord,
-                   eta_text: Optional[_EtaText]) -> dict:
-    """Reduce one trial to the small summary the aggregator needs."""
+                   eta_text: Optional[_EtaText]
+                   ) -> tuple[TrialSummary, Optional[tuple[list, list, Optional[list]]], list[dict]]:
+    """Reduce one trial to what the report keeps of it, writing its trajectory
+    file first if the config asks for one.
+
+    Returns the trial's TrialSummary; its gap, time-average gap and (on a game
+    with a Nash oracle, else None) distance at the dyadic steps, or None if
+    it diverged; and its per-trial check verdicts, as report ``checks`` entries.
+    """
     if config.trajectory_dir:
         write_trajectory(record, os.path.join(config.trajectory_dir, f"trial_{trial:04d}.jsonl"),
                          None if eta_text is None else eta_text.upto(len(record.eta)))
 
-    steps = dyadic_steps(config.dynamics.horizon)
     has_oracle = game.nash_oracle is not None
-    payload: dict[str, Any] = {
-        "trial": trial,
-        "final_gap": _json_float(record.gap[-1]),
-        "diverged": record.diverged,
-        "divergence_step": record.divergence_step,
-        "final_distance": None,
-        "gap_dyadic": None,
-        "tavg_dyadic": None,
-        "dist_dyadic": None,
-        "verdicts": [],
-    }
-    if has_oracle and not record.diverged:
-        payload["final_distance"] = _json_float(metrics.distance_to_nash(game, record.final_state))
+    final_distance = dyadic = None
     if not record.diverged:
-        idx = np.asarray(steps, dtype=np.int64)
-        payload["gap_dyadic"] = record.gap[idx].tolist()
-        payload["tavg_dyadic"] = metrics.time_average_gap(record.gap)[idx].tolist()
+        idx = np.asarray(dyadic_steps(config.dynamics.horizon), dtype=np.int64)
+        dist = None
         if has_oracle:
+            final_distance = _json_float(metrics.distance_to_nash(game, record.final_state))
             pos = np.searchsorted(record.state_steps, idx)  # dyadics are always logged
             proj = np.stack([np.asarray(game.nash_oracle(record.states[p]), dtype=float)
                              for p in pos])
-            payload["dist_dyadic"] = np.linalg.norm(record.states[pos] - proj, axis=1).tolist()
-    for spec in config.check_specs:
-        if not spec.report_level:
-            payload["verdicts"].extend({"trial": trial, **verdict.to_dict()}
-                                       for verdict in metrics.run_check(spec, record, game))
-    return payload
+            dist = np.linalg.norm(record.states[pos] - proj, axis=1).tolist()
+        dyadic = (record.gap[idx].tolist(),
+                  metrics.time_average_gap(record.gap)[idx].tolist(), dist)
+    summary = TrialSummary(trial, _json_float(record.gap[-1]), final_distance,
+                           record.diverged, record.divergence_step)
+    verdicts = [{"trial": trial, **verdict.to_dict()}
+                for spec in config.check_specs if not spec.report_level
+                for verdict in metrics.run_check(spec, record, game)]
+    return summary, dyadic, verdicts
 
 
-def _mean_stderr(columns: list[list[float]]) -> tuple[list[Optional[float]], list[Optional[float]]]:
+def _mean_stderr(columns: list[list[float]], steps: list[int]
+                 ) -> tuple[list[Optional[float]], list[Optional[float]]]:
+    """The mean and standard error over trials at each step; nulls when no trial survived."""
     if not columns:
-        return [], []
+        return [None] * len(steps), [None] * len(steps)
     arr = np.asarray(columns)  # trials x steps, fixed trial order
     mean = arr.mean(axis=0)
     if arr.shape[0] >= 2:
@@ -444,32 +436,22 @@ def _experiment(config: ExperimentConfig, game: Game, workers: int) -> Experimen
     payloads = _run_trials(config, game, workers)
 
     steps = dyadic_steps(config.dynamics.horizon)
-    summaries = [TrialSummary(p["trial"], p["final_gap"], p["final_distance"],
-                              p["diverged"], p["divergence_step"]) for p in payloads]
-    live = [p for p in payloads if not p["diverged"]]
+    live = [dyadic for _, dyadic, _ in payloads if dyadic is not None]
     all_diverged = not live
-
-    mean_gap, stderr_gap = _mean_stderr([p["gap_dyadic"] for p in live])
-    mean_tavg, _ = _mean_stderr([p["tavg_dyadic"] for p in live])
-    has_dist = bool(live) and live[0]["dist_dyadic"] is not None
-    mean_dist = _mean_stderr([p["dist_dyadic"] for p in live])[0] if has_dist else None
-    if all_diverged:
-        mean_gap = stderr_gap = mean_tavg = [None] * len(steps)
-        mean_dist = None
+    mean_gap, stderr_gap = _mean_stderr([d[0] for d in live], steps)
+    mean_tavg, _ = _mean_stderr([d[1] for d in live], steps)
+    mean_dist = (None if all_diverged or game.nash_oracle is None
+                 else _mean_stderr([d[2] for d in live], steps)[0])
 
     report = ExperimentReport(
         schema_version=SCHEMA_VERSION,
         provenance={"config_hash": config_hash(doc), "master_seed": config.master_seed,
                     "code_version": f"gamegrad {__version__}"},
         config=doc,
-        trials=summaries,
-        curve_steps=steps,
-        mean_gap=mean_gap,
-        stderr_gap=stderr_gap,
-        mean_time_avg_gap=mean_tavg,
-        mean_distance=mean_dist,
+        trials=[summary for summary, _, _ in payloads],
+        curves=dict(zip(CURVE_KEYS, (steps, mean_gap, stderr_gap, mean_tavg, mean_dist))),
         fits={},
-        checks=[v for p in payloads for v in p["verdicts"]],
+        checks=[v for _, _, verdicts in payloads for v in verdicts],
         all_diverged=all_diverged,
     )
     burn = metrics.burnin_count(len(steps))
@@ -500,7 +482,7 @@ def _blocks(trials: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_trials(config: ExperimentConfig, game: Game, workers: int) -> list[dict]:
+def _run_trials(config: ExperimentConfig, game: Game, workers: int) -> list[tuple]:
     blocks = _blocks(config.trials, workers)
     if len(blocks) == 1:
         return _block_payloads(config, game, blocks[0])
@@ -510,7 +492,7 @@ def _run_trials(config: ExperimentConfig, game: Game, workers: int) -> list[dict
                 for p in payloads]  # trial order preserved
 
 
-def _pool_block(config: ExperimentConfig, trials: range) -> list[dict]:
+def _pool_block(config: ExperimentConfig, trials: range) -> list[tuple]:
     """A pool worker's block: a game's closures do not pickle, so it builds its own."""
     return _block_payloads(config, build_game(config), trials)
 

@@ -212,8 +212,9 @@ def slope_verdict(points: Sequence[tuple[float, float]], bound: float, check_id:
 # Named checks (config `checks` entries, "name[:arg]")
 # ---------------------------------------------------------------------------
 
-# The mean curves a report carries, in report order; a slope check names one.
-CURVES = ("last_iterate", "time_average", "distance")
+# The mean curves a slope check can name, each with its key in report curves.
+CURVES = {"last_iterate": "mean_gap", "time_average": "mean_time_avg_gap",
+          "distance": "mean_distance"}
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from gamegrad.cli import CSV_HEADER, main
 from gamegrad.errors import ConfigError
 from gamegrad.games import make_named_game
-from gamegrad.harness import read_report
+from gamegrad.harness import CURVE_KEYS, ExperimentReport, read_report
 
 
 @pytest.fixture
@@ -52,6 +53,25 @@ def test_run_bundled_demo_config(runner, tmp_path):
         assert float(cells[1]) == 0.25 ** int(cells[0])
     report = read_report(str(tmp_path / "report.json"))
     assert not report.failed_checks()
+
+
+@pytest.mark.parametrize("eta", [0.5, 3.0], ids=["converges", "all_diverged"])
+def test_report_layout_is_the_report_dataclass(runner, tmp_path, eta):
+    doc = quad1d_doc(eta=eta, checks=())
+    doc["dynamics"]["blow_up_radius"] = 100.0
+    result = runner.invoke(main, ["run", "--config", write_cfg(tmp_path, doc),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    written = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(str(tmp_path / "out" / "report.json"))
+    assert report.all_diverged == (eta == 3.0)
+    for layout in (written, report.to_dict()):  # report.json's keys are sorted
+        assert sorted(layout) == sorted(f.name for f in dataclasses.fields(ExperimentReport))
+        assert sorted(layout["curves"]) == sorted(CURVE_KEYS)
+    assert CSV_HEADER == ",".join(("t",) + CURVE_KEYS[1:])
+    lines = (tmp_path / "out" / "curves.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + len(report.curves["steps"])
 
 
 def test_run_missing_config_is_config_error(runner, tmp_path):
@@ -136,6 +156,48 @@ def test_sweep_cli(runner, tmp_path):
     assert last.trials[0].final_gap == 0.0
 
 
+def noisy_quad1d_doc():
+    doc = quad1d_doc(checks=())
+    doc["dynamics"]["noise"] = {"kind": "relative", "shape": "gaussian",
+                                "tau": {"kind": "constant", "c": 0.25}}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_option_is_the_master_seed(runner, tmp_path, command):
+    doc = noisy_quad1d_doc()
+    names = ["report.json"]
+    if command == "sweep":
+        doc = {"template": doc, "grid": {"dynamics.schedule.eta": [0.1, 0.5]}}
+        names = ["report_000.json", "report_001.json"]
+    cfg = write_cfg(tmp_path, doc)
+    outputs = []
+    for name, args in [("seed", ["--seed", "7"]), ("set", ["--set", "master_seed=7"]),
+                       ("default", [])]:
+        out = tmp_path / name
+        result = runner.invoke(main, [command, "--config", cfg, "--out", str(out), *args])
+        assert result.exit_code == 0, result.output
+        outputs.append([(out / n).read_bytes() for n in names])
+    assert outputs[0] == outputs[1]
+    assert all(a != b for a, b in zip(outputs[0], outputs[2]))  # the config's own seed is 5
+
+
+def test_sweep_point_that_fails_while_running_is_an_error_entry(runner, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("file, not a directory")
+    doc = {"template": quad1d_doc(checks=(), trajectory_dir=None),
+           "grid": {"trajectory_dir": [None, str(blocker / "traj")]}}
+    cfg = write_cfg(tmp_path, doc, "sweep.cfg")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == "[000] trajectory_dir=None: ok"
+    assert lines[1].startswith(f"[001] trajectory_dir={blocker / 'traj'}: ERROR ")
+    assert "Not a directory" in lines[1]
+    assert sorted(os.listdir(out)) == ["report_000.json"]
+
+
 def test_sweep_requires_template_and_grid(runner, tmp_path):
     cfg = write_cfg(tmp_path, {"template": quad1d_doc()}, "sweep.cfg")
     result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path)])
@@ -162,6 +224,31 @@ def test_verify_game_rejects_indefinite(runner, tmp_path):
     result = runner.invoke(main, ["verify-game", "--config", cfg])
     assert result.exit_code == 1
     assert "rejected" in result.output
+
+
+@pytest.mark.parametrize("matrix,offset,oracle", [
+    ([[0.0]], [0.0], "nash oracle: max"),
+    ([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0], "nash oracle: absent"),
+], ids=["zero_1d", "zero_2d_offset"])
+def test_verify_game_constant_field_is_indeterminate(runner, tmp_path, matrix, offset, oracle):
+    # every sampled pair has the same field value, so no cocoercivity estimate exists
+    cfg = write_cfg(tmp_path, {"kind": "quadratic", "matrix": matrix, "offset": offset})
+    result = runner.invoke(main, ["verify-game", "--config", cfg])
+    assert result.exit_code == 1, result.output
+    assert ("cocoercivity estimate: indeterminate "
+            "(all sampled pairs had identical field values)") in result.output
+    assert oracle in result.output
+    assert "verdict: FAIL" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("dims", [[1, 1], [2]], ids=["two_players", "one_player"])
+def test_verify_game_accepts_player_dims(runner, tmp_path, dims):
+    cfg = write_cfg(tmp_path, {"kind": "quadratic", "matrix": [[2.0, 1.0], [1.0, 2.0]],
+                               "offset": [0.0, 0.0], "dims": dims})
+    result = runner.invoke(main, ["verify-game", "--config", cfg, "--pairs", "2000"])
+    assert result.exit_code == 0, result.output
+    assert "verdict: pass" in result.output
 
 
 def test_verify_game_needs_exactly_one_source(runner):
@@ -421,8 +508,13 @@ def test_run_rejects_non_string_trajectory_dir(runner, tmp_path, monkeypatch, tr
      "offset length 2 does not match matrix size 1"),
     ('game={"kind": "quadratic", "matrix": [[1, 0], [0, 1]], "offset": [0, 0], "dims": [0, 2]}',
      "game.dims must be positive"),
+    ('game={"kind": "quadratic", "matrix": [[1, 0], [0, 1]], "offset": [0, 0], "dims": [1, 2]}',
+     "do not sum to matrix size 2"),
+    ('game={"kind": "quadratic", "matrix": [[1, 0], [0, 1]], "offset": [0, 0], "dims": 2}',
+     "game.dims must be a list of integers"),
     ('game={"kind": "random_cocoercive", "n": 2, "seed": -1}', "game.seed must be nonnegative"),
-], ids=["matrix_string", "n_string", "offset_scalar", "offset_length", "dims_zero", "seed_negative"])
+], ids=["matrix_string", "n_string", "offset_scalar", "offset_length", "dims_zero", "dims_sum",
+        "dims_scalar", "seed_negative"])
 def test_run_rejects_malformed_game_parameters_before_any_dynamics(runner, tmp_path, monkeypatch,
                                                                    override, message):
     forbid_dynamics(monkeypatch)

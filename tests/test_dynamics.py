@@ -527,6 +527,24 @@ def test_divergence_stays_inside_its_row_of_a_block(schedule, radius):
             assert np.linalg.norm(rec.states[-1]) > radius  # the state that left the ball
 
 
+
+def test_adaptive_block_keeps_each_rows_step_size_past_a_late_divergence():
+    # Started at the Nash point, just inside the ball, the rows random-walk
+    # out at different steps >= 2, after step_norm's step sizes have become
+    # one per row; the rows left behind must keep their own.
+    game = _highdim_game()
+    x_star = np.asarray(game.nash_oracle(np.zeros(16)), dtype=float)
+    noise = AbsoluteNoise(VarianceSchedule("constant", 1.0), shape="gaussian")
+    cfg = DynamicsConfig(StepNormSchedule(4.0), horizon=200, x0=tuple(x_star.tolist()),
+                         noise=noise, blow_up_radius=float(np.linalg.norm(x_star)) + 0.2,
+                         thinning=1)
+    block = list(run_lockstep(game, cfg, [trial_rng(2, i) for i in range(8)]))
+    steps = [rec.divergence_step for rec in block if rec.diverged]
+    assert steps and min(steps) >= 2 and len(set(steps)) > 1
+    assert any(not rec.diverged and len(rec.gap) == cfg.horizon + 1 for rec in block)
+    for i, rec in enumerate(block):
+        assert _records_equal(rec, run_trajectory(game, cfg, rng=trial_rng(2, i)))
+
 # ---------------------------------------------------------------------------
 # divergence in every body
 # ---------------------------------------------------------------------------

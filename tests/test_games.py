@@ -182,7 +182,10 @@ def test_unknown_kind_rejected():
 
 def test_spec_round_trip():
     named = dataclasses.replace(QUAD_2D, name="coupled")
-    for spec in (QUAD_2D, named, *builtin_game_specs().values()):
+    two_players = GameSpec.quadratic([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], dims=(1, 1))
+    assert two_players.to_dict()["dims"] == [1, 1]
+    assert make_game(two_players).players == 2
+    for spec in (QUAD_2D, named, two_players, *builtin_game_specs().values()):
         assert GameSpec.from_dict(spec.to_dict()) == spec
         assert make_game(spec).name == (spec.name or spec.kind)
     for name, spec in builtin_game_specs().items():

@@ -80,7 +80,7 @@ def test_run_experiment_closed_form_final_gap():
     assert report.trials[0].final_gap == pytest.approx(0.25 ** 64, rel=1e-12)
     assert all(c["passed"] for c in report.checks)
     # gap at dyadic t is exactly 0.25^t
-    for t, g in zip(report.curve_steps, report.mean_gap):
+    for t, g in zip(report.curves["steps"], report.curves["mean_gap"]):
         assert g == pytest.approx(0.25 ** t, rel=1e-12)
 
 
@@ -88,7 +88,7 @@ def test_run_experiment_noiseless_trials_identical():
     report = run_experiment(quad1d_config(trials=3))
     finals = [t.final_gap for t in report.trials]
     assert finals[0] == finals[1] == finals[2]
-    assert all(s == 0.0 for s in report.stderr_gap)  # zero cross-trial variance
+    assert all(s == 0.0 for s in report.curves["stderr_gap"])  # zero cross-trial variance
 
 
 def test_run_experiment_byte_determinism(tmp_path):
@@ -118,10 +118,10 @@ def test_run_experiment_aggregates_match_manual_reduction():
     per_trial = []
     for i in range(4):
         rec = run_trajectory(game, cfg.dynamics, rng=trial_rng(cfg.master_seed, i))
-        per_trial.append(rec.gap[np.asarray(report.curve_steps)])
+        per_trial.append(rec.gap[np.asarray(report.curves["steps"])])
     arr = np.stack(per_trial)
-    assert np.allclose(report.mean_gap, arr.mean(axis=0), rtol=0, atol=0)
-    assert np.allclose(report.stderr_gap, arr.std(axis=0, ddof=1) / math.sqrt(4), rtol=1e-15)
+    assert np.allclose(report.curves["mean_gap"], arr.mean(axis=0), rtol=0, atol=0)
+    assert np.allclose(report.curves["stderr_gap"], arr.std(axis=0, ddof=1) / math.sqrt(4), rtol=1e-15)
 
 
 def test_run_experiment_workers_match_sequential():
@@ -142,7 +142,7 @@ def test_run_experiment_divergence_isolated():
     assert all(t.diverged for t in report.trials)
     assert [c["trial"] for c in report.checks] == [0, 1, None]  # no curve left to fit
     assert not any(c["passed"] for c in report.checks)
-    assert all(v is None for v in report.mean_gap)
+    assert all(v is None for v in report.curves["mean_gap"])
 
 
 def test_slope_check_on_report_curves():
@@ -582,8 +582,8 @@ def test_set_by_path_leaf_must_exist():
 def test_mean_time_average_gap_contracts_under_relative_noise():
     cfg = noisy_config(trials=20, horizon=4096)
     report = run_experiment(cfg)
-    steps = report.curve_steps
-    tavg = dict(zip(steps, report.mean_time_avg_gap))
+    steps = report.curves["steps"]
+    tavg = dict(zip(steps, report.curves["mean_time_avg_gap"]))
     assert tavg[4096] < tavg[64]
     assert all(not t.diverged for t in report.trials)
 
