@@ -13,20 +13,24 @@ lock-step block alike.
 Hot loops come in three bodies that execute the identical recursion, and
 tests pin them against each other:
 
-- scalar: one-dimensional games, on Python floats;
+- scalar: one-dimensional games with a scalar field, on Python floats;
 - unrolled 2-d: affine two-dimensional games, on Python floats;
-- lock-step: every other game, stepping a block of trials together as
-  (trials, n) arrays, each trial with its own noise stream. It calls the
-  game's own field on the whole block, which gives each row the bits it
-  gives that row alone (see Game).
+- lock-step: every other game, and a block of _LOCKSTEP_TRIALS (32) or
+  more trials of a one-dimensional game with a scalar field, stepping the
+  block together as (trials, n) arrays, each trial with its own noise
+  stream. It calls the game's own field on the whole block, which gives
+  each row the bits it gives that row alone (see Game).
 
-The unrolled bodies run one trial at a time; measured on a one-dimensional
-quadratic, a lock-step block only overtakes them from about 32 trials up.
-run_trajectory and run_lockstep share one set-up, and all three bodies take
-the same arguments. Each writes its per-step entries in its loop and the
-rest of the record through _Log: begin writes step 0, end stops the trials
-that diverged, and coast writes the tail of a trial whose steps no longer
-change its gap.
+The unrolled bodies run one trial at a time; measured on one-dimensional
+quadratics, a lock-step block only overtakes the scalar body from about 32
+trials up, so runner_body picks the body from the game and the block's
+size. run_trajectory and run_lockstep share one set-up, and all three
+bodies take the same arguments. Each writes its per-step entries in its
+loop and the rest of the record through _Log: begin writes step 0, end
+stops the trials that diverged, and coast writes the tail of a trial whose
+steps no longer change its gap. The step norms get record rows only when
+the caller asks for them (step_norms); the adaptive step_norm schedule
+reads them inside the loop either way.
 
 Coasting trials. In double precision the runs reach an exact zero gap, and
 later an exact fixed point: a state the update maps to itself bit for bit.
@@ -68,8 +72,14 @@ coasted step is checked: one whose gap or step norm is not 0.0, or that
 leaves the ball, hands back, and the body takes that step in full and steps
 on from there. The noise draws of the coasted steps are drawn and dropped
 (_NoiseDraws.chunk), and the schedule's state is what the per-step calls
-would leave, since at a zero gap and step norm they change nothing. The
-lock-step body does not coast.
+would leave, since at a zero gap and step norm they change nothing.
+
+A lock-step block of a game with a scalar field coasts row by row: after
+the same step, by the same rule, a row leaves the block as a diverged row
+does, and _Log.coast writes its tail through the scalar body's advance,
+from a one-trial copy of its schedule state. A row whose coast hands back
+is run again from step 0 on the scalar body (see _run_lockstep), so every
+row's record is the one the scalar body writes for that trial.
 
 Noise draws. A one-trial run draws its normals only about as far as it
 steps: its chunks grow (_FIRST_DRAWS steps, then twice the last chunk, up
@@ -97,6 +107,7 @@ last bit for 111 of t < 2,000,000, first at t = 9,168.
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import itertools
 import math
@@ -127,8 +138,18 @@ _COAST_CHUNK = 512
 # stopped changing (the trial settled), or a step failed the coast's check.
 _RAN, _SETTLED, _HANDS_BACK = range(3)
 
-# Record memory one lock-step block may hold; run_lockstep splits larger runs.
+# Record memory one lock-step block may hold; run_lockstep splits larger runs
+# into near-equal parts.
 _BLOCK_BYTES = 64 << 20
+
+# Trials from which a block of a one-dimensional game with a scalar field
+# steps in lock-step rather than one trial at a time on the scalar body.
+# Median CPU ratios, lock-step over scalar, of alternating in-process runs on
+# quad_1d (2-vCPU Xeon VM, one BLAS thread): under step_norm and relative
+# noise, 4,096 steps (most rows coast from step ~1,000), 1.44 at 16 trials,
+# 1.15 at 24, 0.93 at 32 and 0.76 at 48; under power and absolute noise,
+# which never coasts, 1.40 at 16, 0.83 at 32 and 0.49 at 64.
+_LOCKSTEP_TRIALS = 32
 
 # Libm tables cached per process: one per horizon (and p) in use at a time.
 _TABLES = 8
@@ -147,6 +168,12 @@ def _table(values) -> Array:
 def _log_table(n: int) -> Array:
     """math.log(t + 2.0) for t = 0..n-1."""
     return _table(map(math.log, map(float, range(2, n + 2))))
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _log_floats(n: int) -> tuple:
+    """_log_table(n) as Python floats: indexing them costs a fraction of a math.log call."""
+    return tuple(_log_table(n).tolist())
 
 
 @functools.lru_cache(maxsize=_TABLES)
@@ -193,6 +220,7 @@ class ConstantSchedule(_SharedStep):
     kind = "constant"
     needs_exact_gradients = False
     tracks_beta = False
+    reads_step_norm = False
 
     def __init__(self, eta: float):
         if not 0 < eta < math.inf:
@@ -209,6 +237,7 @@ class PowerSchedule(_SharedStep):
     kind = "power"
     needs_exact_gradients = False
     tracks_beta = False
+    reads_step_norm = False
 
     def __init__(self, c: float, p: float):
         if not 0 < c < math.inf:
@@ -235,6 +264,7 @@ class GradNormSchedule(_Schedule):
     kind = "grad_norm"
     needs_exact_gradients = True
     tracks_beta = True
+    reads_step_norm = False
     shared = False
 
     def __init__(self, beta1: float, r: float):
@@ -245,12 +275,22 @@ class GradNormSchedule(_Schedule):
         self.beta1 = float(beta1)
         self.r = float(r)
 
-    def fresh(self, trials: Optional[int] = None) -> "GradNormSchedule":
-        """A copy in its starting state: floats, or one entry per trial of a lock-step block."""
+    def fresh(self, trials: Optional[int] = None, *, horizon: int) -> "GradNormSchedule":
+        """A copy in its starting state: floats, or one entry per trial of a lock-step block.
+
+        The horizon is unused: every adaptive schedule's fresh takes it.
+        """
         sched = GradNormSchedule(self.beta1, self.r)
         sched.beta = self.beta1 if trials is None else np.full(trials, self.beta1)
         sched.grad_sq_sum = 0.0 if trials is None else np.zeros(trials)
         sched._sqrt = math.sqrt if trials is None else np.sqrt
+        return sched
+
+    def trial(self, j: int) -> "GradNormSchedule":
+        """A one-trial copy, on floats, of row j of a lock-step block's state."""
+        sched = copy.copy(self)
+        sched.beta, sched.grad_sq_sum = float(self.beta[j]), float(self.grad_sq_sum[j])
+        sched._sqrt = math.sqrt
         return sched
 
     def first_step(self) -> float:
@@ -295,6 +335,7 @@ class StepNormSchedule(_Schedule):
     kind = "step_norm"
     needs_exact_gradients = False
     tracks_beta = False
+    reads_step_norm = True
     shared = False
 
     def __init__(self, beta: float):
@@ -302,11 +343,21 @@ class StepNormSchedule(_Schedule):
             raise ConfigError("beta must be positive and finite")
         self.beta = float(beta)
 
-    def fresh(self, trials: Optional[int] = None) -> "StepNormSchedule":
-        """A copy in its starting state: floats, or one entry per trial of a lock-step block."""
+    def fresh(self, trials: Optional[int] = None, *, horizon: int) -> "StepNormSchedule":
+        """A copy in its starting state: floats, or one entry per trial of a lock-step block.
+
+        It reads log(t + 2) for t < horizon from the shared libm table.
+        """
         sched = StepNormSchedule(self.beta)
         sched.delta = 0.0 if trials is None else np.zeros(trials)
         sched._sqrt = math.sqrt if trials is None else np.sqrt
+        sched._logs, sched._log_table = _log_floats(horizon), _log_table(horizon)
+        return sched
+
+    def trial(self, j: int) -> "StepNormSchedule":
+        """A one-trial copy, on floats, of row j of a lock-step block's state."""
+        sched = copy.copy(self)
+        sched.delta, sched._sqrt = float(self.delta[j]), math.sqrt
         return sched
 
     def first_step(self) -> float:
@@ -320,7 +371,7 @@ class StepNormSchedule(_Schedule):
         """
         self.delta += step_sq / (eta * eta)
         sqrt = self._sqrt  # a plain load: CPython 3.11 does not specialize self._sqrt(...)
-        return 1.0 / sqrt(self.beta + math.log(t + 2.0) + self.delta)
+        return 1.0 / sqrt(self.beta + self._logs[t] + self.delta)
 
     def settled_steps(self, t, eta, g, count) -> Array:
         """The step sizes of a coasted tail (see _Log.coast) as one array.
@@ -333,7 +384,7 @@ class StepNormSchedule(_Schedule):
         """
         if count:
             self.delta += 0.0 / (eta * eta)
-        return 1.0 / np.sqrt(self.beta + _log_table(t + count)[t:] + self.delta)
+        return 1.0 / np.sqrt(self.beta + self._log_table[t:t + count] + self.delta)
 
     def keep(self, live) -> None:
         """Drop the state of the trials that left a lock-step block."""
@@ -614,7 +665,7 @@ class TrajectoryRecord:
     config: dict
     gap: Array               # ||v(x_t)||^2 for t = 0..T
     eta: Array               # step size used at each step, length T (read-only if shared)
-    step_norm_sq: Array      # ||x_{t+1} - x_t||^2, length T
+    step_norm_sq: Optional[Array]  # ||x_{t+1} - x_t||^2, length T; None unless kept
     beta: Optional[Array]    # offset in force entering each step (grad_norm runs)
     state_steps: Array       # indices of logged states, increasing
     states: Array            # logged states, shape (len(state_steps), n)
@@ -661,10 +712,14 @@ def _log_steps(horizon: int, thinning: int) -> Array:
     return np.insert(grid, np.searchsorted(grid, missing), missing)
 
 
-def runner_body(game: Game) -> str:
-    """The body run_trajectory steps a game with: 'scalar', 'affine2' or 'lockstep'."""
+def runner_body(game: Game, trials: int = 1) -> str:
+    """The body that steps a block of trials of a game: 'scalar', 'affine2' or 'lockstep'.
+
+    The unrolled bodies run one trial at a time; a one-dimensional game with
+    a scalar field steps a block of _LOCKSTEP_TRIALS or more in lock-step.
+    """
     if game.n == 1 and game.scalar_field is not None:
-        return "scalar"
+        return "scalar" if trials < _LOCKSTEP_TRIALS else "lockstep"
     if game.n == 2 and game.affine is not None:
         return "affine2"
     return "lockstep"
@@ -674,15 +729,19 @@ class _Log:
     """The record of m trials, row i belonging to the block's i-th trial.
 
     It is the only writer of a trial's record outside the stepping loops:
-    begin writes step 0, end stops diverged trials and coast writes the
-    zero-step tail of one. For a shared schedule (constant, power) every eta row is a
-    read-only view of the one array step_sizes gives, and ``etas`` holds its
-    floats for the stepping loops; it is None for the adaptive schedules,
-    whose loops log each step size in the trial's own row as they compute it.
+    begin writes step 0, end stops diverged trials, coast writes the
+    zero-step tail of one and take writes a row run again alone. For a
+    shared schedule (constant, power) every eta row is a read-only view of
+    the one array step_sizes gives, and ``etas`` holds its floats for the
+    stepping loops; it is None for the adaptive schedules, whose loops log
+    each step size in the trial's own row as they compute it. The step
+    norms get rows only if ``step_norms`` (``step`` is None otherwise).
     """
 
-    def __init__(self, m: int, n: int, config: DynamicsConfig, schedule: Schedule):
+    def __init__(self, m: int, n: int, config: DynamicsConfig, schedule: Schedule,
+                 step_norms: bool = True):
         T = config.horizon
+        self.config = config
         self.schedule = schedule
         self.gap = np.empty((m, T + 1))
         self.etas = None
@@ -691,7 +750,7 @@ class _Log:
             self.eta = np.broadcast_to(steps, (m, T))
         else:
             self.eta = np.empty((m, T))
-        self.step = np.empty((m, T))
+        self.step = np.empty((m, T)) if step_norms else None
         self.beta = np.empty((m, T + 1)) if schedule.tracks_beta else None
         self.steps = _log_steps(T, config.thinning)
         # The logged steps as ints, ending in the sentinel T + 1, which no step
@@ -723,11 +782,13 @@ class _Log:
         if self.log_list[log_ptr] == t:
             self.states[rows, log_ptr] = x
 
-    def coast(self, s: int, x, v, g: float, eta: float, still: bool, advance, log_ptr: int):
-        """Write steps s..T-1 of trial 0 without stepping them, unless one hands back.
+    def coast(self, s: int, x, v, g: float, eta: float, still: bool, advance, log_ptr: int,
+              row: int, schedule: Schedule):
+        """Write steps s..T-1 of trial ``row`` without stepping them, unless one hands back.
 
         Step s starts from state x, a tuple of its coordinates, whose field
-        is v and gap g, with step size eta. Each step from s is taken to
+        is v and gap g, with step size eta; ``schedule`` holds the trial's
+        own schedule state, on floats. Each step from s is taken to
         keep the gap at g and the step norm at 0.0, so beta holds and the
         step sizes are what settled_steps gives; those entries are written
         as slices. If ``still`` (step s-1 left x unchanged), the trial has
@@ -749,18 +810,18 @@ class _Log:
         +0.0 to an adaptive schedule's sums and multiply beta by 1.0, and so
         does settled_steps.
         """
-        T = self.step.shape[1]
-        schedule = self.schedule
-        self.gap[0, s + 1:] = g
-        self.step[0, s:] = 0.0
+        T = self.eta.shape[1]
+        self.gap[row, s + 1:] = g
+        if self.step is not None:
+            self.step[row, s:] = 0.0
         if self.beta is not None:
-            self.beta[0, s + 1:] = schedule.beta
+            self.beta[row, s + 1:] = schedule.beta
         if not schedule.shared:
-            self.eta[0, s] = eta
-            self.eta[0, s + 1:] = schedule.settled_steps(s, eta, g, T - s - 1)
+            self.eta[row, s] = eta
+            self.eta[row, s + 1:] = schedule.settled_steps(s, eta, g, T - s - 1)
         t = s
         if not still:
-            states, log_list, eta_row = self.states[0], self.log_list, self.eta[0]
+            states, log_list, eta_row = self.states[row], self.log_list, self.eta[row]
             why = _RAN
             while why == _RAN and t < T:
                 etas = eta_row[t:t + _COAST_CHUNK].tolist()
@@ -775,9 +836,22 @@ class _Log:
                     return t, x, v, etas[k], log_ptr
             if t == T:
                 return None
-        self.settle[0] = t
-        self.states[0, log_ptr:] = x
+        self.settle[row] = t
+        self.states[row, log_ptr:] = x
         return None
+
+    def take(self, i: int, rec: TrajectoryRecord) -> None:
+        """Write a one-trial record over row i: a lock-step row run again on its own."""
+        k = rec.steps_completed
+        self.gap[i, :k + 1] = rec.gap
+        if not self.schedule.shared:
+            self.eta[i, :k] = rec.eta
+        if self.step is not None:
+            self.step[i, :k] = rec.step_norm_sq
+        if self.beta is not None:
+            self.beta[i, :k + 1] = rec.beta
+        self.states[i, :len(rec.states)] = rec.states
+        self.stop[i], self.diverged[i], self.settle[i] = k, rec.diverged, rec.settle_step
 
     def record(self, i: int, game: Game, config: DynamicsConfig, seed) -> TrajectoryRecord:
         t_stop = self.stop[i]
@@ -787,7 +861,7 @@ class _Log:
             config=config.to_dict(),
             gap=self.gap[i, :t_stop + 1],
             eta=self.eta[i, :t_stop],
-            step_norm_sq=self.step[i, :t_stop],
+            step_norm_sq=None if self.step is None else self.step[i, :t_stop],
             beta=None if self.beta is None else self.beta[i, :t_stop + 1],
             state_steps=self.steps[:logged],
             states=self.states[i, :logged],
@@ -799,8 +873,9 @@ class _Log:
         )
 
 
-def _record_bytes(config: DynamicsConfig, n: int) -> int:
-    """Bytes _Log allocates per trial: gap, step norms, states, and eta and beta rows it owns.
+def _record_bytes(config: DynamicsConfig, n: int, step_norms: bool = True) -> int:
+    """Bytes _Log allocates per trial: gap, states, and the step-norm (if
+    step_norms), eta and beta rows it owns.
 
     It allocates nothing itself: the logged states are counted as _log_steps
     lays them out (the grid, then the dyadic steps off it), so any horizon
@@ -809,7 +884,7 @@ def _record_bytes(config: DynamicsConfig, n: int) -> int:
     T, k, schedule = config.horizon, config.thinning, config.schedule
     dyadic = dyadic_steps(T)
     logged = 1 + len(dyadic) if k < 1 else T // k + 1 + sum(s % k != 0 for s in dyadic)
-    rows = 2 * T + 1 + T * (not schedule.shared) + (T + 1) * schedule.tracks_beta
+    rows = T + 1 + T * step_norms + T * (not schedule.shared) + (T + 1) * schedule.tracks_beta
     return 8 * (rows + logged * n)
 
 
@@ -839,7 +914,8 @@ def _default_radius(game: Game, x0: tuple) -> float:
     return 1e8 * (1.0 + scale)
 
 
-def _run(body, game: Game, config: DynamicsConfig, rngs: list) -> list[TrajectoryRecord]:
+def _run(body, game: Game, config: DynamicsConfig, rngs: list,
+         step_norms: bool = True) -> list[TrajectoryRecord]:
     """The set-up both entry points share: checks, generators, schedule state, records."""
     if len(config.x0) != game.n:
         raise ConfigError(f"x0 has length {len(config.x0)}, game dimension is {game.n}")
@@ -853,43 +929,55 @@ def _run(body, game: Game, config: DynamicsConfig, rngs: list) -> list[Trajector
         draws = _NoiseDraws(config.noise, game.n, list(gens), config.horizon)
     schedule = config.schedule
     if not schedule.shared:
-        schedule = schedule.fresh(None if m == 1 else m)
-    log = _Log(m, game.n, config, schedule)
+        schedule = schedule.fresh(None if m == 1 else m, horizon=config.horizon)
+    log = _Log(m, game.n, config, schedule, step_norms)
     with np.errstate(over="ignore", invalid="ignore"):  # diverging rows overflow in numpy
         body(game, config.x0, config.horizon, schedule, draws, radius, log)
     return [log.record(i, game, config, seed) for i, seed in enumerate(seeds)]
 
 
 def run_trajectory(game: Game, config: DynamicsConfig,
-                   rng: int | np.random.Generator | None = None) -> TrajectoryRecord:
+                   rng: int | np.random.Generator | None = None, *,
+                   step_norms: bool = True) -> TrajectoryRecord:
     """Run one trial of the dynamics on a game and record its trajectory.
 
     Divergence (non-finite values or leaving the blow-up ball) sets a flag
     and truncates the record instead of raising, so sweeps can aggregate
     failures. A trial that coasts to its end skips the noise draws left, so
     the position of a generator passed in is unspecified after the run.
+    Without ``step_norms`` the record keeps no step norms (None).
     """
-    return _run(_BODIES[runner_body(game)], game, config, [rng])[0]
+    return _run(_BODIES[runner_body(game)], game, config, [rng], step_norms)[0]
 
 
-def run_lockstep(game: Game, config: DynamicsConfig, rngs: list) -> Iterator[TrajectoryRecord]:
+def run_lockstep(game: Game, config: DynamicsConfig, rngs: list, *,
+                 step_norms: bool = True) -> Iterator[TrajectoryRecord]:
     """Run one trial per generator in ``rngs`` in lock-step; yield their records in order.
 
-    This is the body for every game without an unrolled one. It steps as many
-    trials at once as _BLOCK_BYTES of records hold, block after block. Trial
-    i draws its noise from rngs[i] alone, and every per-row operation (the
+    This is the body for every game without an unrolled one, and for a block
+    of _LOCKSTEP_TRIALS or more trials of a game with a scalar field (see
+    runner_body). It steps as many trials at once as _BLOCK_BYTES of records
+    hold: a larger run is split into near-equal parts, run one after
+    another, so that no part is left far smaller than the others. Trial i
+    draws its noise from rngs[i] alone, and every per-row operation (the
     game's own field, called on the whole block as it is, np.vecdot,
     elementwise arithmetic) gives the same bits whatever the number of rows,
-    so a trial's record does not depend on which block it ran in. A single
-    trial runs on 1-D arrays and floats through the same code, which was
-    checked bit-equal to its row of a block. That branch stays because it
-    is its own cost regime: run as a (1, n) block, one trial took 1.5-2x
-    as long (2-vCPU host, CPU time: quad_1d, 20,000 steps, 197 -> 312 ms; a
-    64-d random game, 4,096 steps, 58 -> 114 ms).
+    so a trial's record does not depend on which block it ran in. On a game
+    with a scalar field a block's rows coast as the scalar body's trial
+    does, and their records are the scalar body's, bit for bit (see
+    _run_lockstep). A single trial runs on 1-D arrays and floats through the
+    same code, which was checked bit-equal to its row of a block; it does
+    not coast. That branch stays because it is its own cost regime: run as a
+    (1, n) block, one trial took 1.5-2x as long (2-vCPU host, CPU time:
+    quad_1d, 20,000 steps, 197 -> 312 ms; a 64-d random game, 4,096 steps,
+    58 -> 114 ms). Without ``step_norms`` the records keep no step norms,
+    and more trials fit in a part.
     """
-    size = _BLOCK_BYTES // _record_bytes(config, len(config.x0))  # >= 1: DynamicsConfig caps it
-    for lo in range(0, len(rngs), size):
-        yield from _run(_run_lockstep, game, config, rngs[lo:lo + size])
+    size = _BLOCK_BYTES // _record_bytes(config, len(config.x0), step_norms)  # >= 1
+    parts = -(-len(rngs) // size)
+    bounds = [len(rngs) * j // parts for j in range(parts + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield from _run(_run_lockstep, game, config, rngs[lo:hi], step_norms)
 
 
 def _dot(a, b) -> float:
@@ -911,12 +999,29 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     are (m,) vectors, or floats for one trial, so each line below is the
     same recursion as the unrolled bodies applied row by row. A trial that
     diverges leaves the block: its log row stops there and its row is
-    dropped from every live array.
+    dropped from every live array. While no row leaves the ball, the test
+    is one maximum over the new gaps and one over the squared norms (a NaN
+    is their maximum, and fails); the per-row mask is built only when it
+    fails.
+
+    On a block (m > 1) of a game with a scalar field, a row leaves the block
+    to coast by the scalar body's rule, tested after the same step and at
+    the same point of it (see _coasting_rows), and _Log.coast writes its
+    tail through the scalar body's advance. The rule needs a zero step
+    norm, so it is tested only at a step where some row's is 0.0. A row
+    whose coast hands back is run again from step 0 on the scalar body, from
+    its generator's starting state, and that record replaces its row. Its
+    steps and the scalar body's are the same recursion on the same bits, so
+    every row's record is the scalar body's, settle_step included.
+
+    The step vectors D and S are computed only when something reads them:
+    the record's step-norm rows, the step_norm schedule, or the coast.
     """
     field, m = game.field, len(log.stop)
     flat = m == 1
     X = np.array(x0, dtype=float) if flat else np.tile(x0, (m, 1))
-    dot, col, sqrt = (_dot, _same, math.sqrt) if flat else (np.vecdot, _column, np.sqrt)
+    dot, col, sqrt, top = ((_dot, _same, math.sqrt, _same) if flat
+                           else (np.vecdot, _column, np.sqrt, np.maximum.reduce))
     live = np.arange(m)
     rows = 0 if flat else slice(None)  # the log rows of the live trials
     gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states
@@ -925,12 +1030,21 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     r2 = radius * radius
     inf = math.inf
 
+    advance = starts = None  # the coast's state map, and each row's generator at step 0
+    if not flat and game.scalar_field is not None and (draws is None or draws.relative):
+        advance = _scalar_advance(game.scalar_field, r2)
+        starts = ([None] * m if draws is None else
+                  [(type(rng.bit_generator), rng.bit_generator.state) for rng in draws.rngs])
+    needs_S = step_log is not None or schedule.reads_step_norm or advance is not None
+    S = None
+
     V = field(X)
     G = dot(V, V)
     log.begin(G, X)
     log_ptr = 1
     next_log = log_list[1]
 
+    eta_next = None  # a shared schedule's step sizes are all in etas
     if etas is None:
         eta_next, next_step = schedule.first_step(), schedule.next_step
     relative = draws is not None and draws.relative
@@ -956,18 +1070,23 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
             V_new = field(X_new)
             G_new = dot(V_new, V_new)
             gap[rows, t + 1] = G_new
-            D = X_new - X
-            S = dot(D, D)
-            step_log[rows, t] = S
-            ok = (G_new < inf) & (dot(X_new, X_new) <= r2)
-            if not (ok if flat else ok.all()):
+            if needs_S:
+                D = X_new - X
+                S = dot(D, D)
+                if step_log is not None:
+                    step_log[rows, t] = S
+            N = dot(X_new, X_new)
+            if not (top(G_new) < inf and top(N) <= r2):
+                ok = (G_new < inf) & (N <= r2)
                 gone = slice(None) if flat else ~ok
                 beta = None if beta_log is None else schedule.beta if flat else schedule.beta[gone]
                 log.end(live[gone].tolist(), t + 1, X_new[gone], beta, log_ptr)
                 if flat or not ok.any():
                     return
                 live = rows = live[ok]
-                X_new, V_new, G, G_new, S = X_new[ok], V_new[ok], G[ok], G_new[ok], S[ok]
+                X, X_new, V_new, G, G_new = X[ok], X_new[ok], V_new[ok], G[ok], G_new[ok]
+                if S is not None:
+                    S = S[ok]
                 if not isinstance(eta, float):
                     eta = eta[ok]
                 if etas is None:
@@ -983,8 +1102,63 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
                 eta_next = next_step(t, eta, G, G_new, S)
             if beta_log is not None:
                 beta_log[rows, t + 1] = schedule.beta
+            if advance is not None and t + 1 < T and np.count_nonzero(S) < len(S):
+                stay = _coasting_rows(game, log, t + 1, X, X_new, V_new, G, G_new, S, live,
+                                      eta_next, schedule, draws, advance, log_ptr, starts)
+                if stay is not None:
+                    if not stay.any():
+                        return
+                    live = rows = live[stay]
+                    X_new, V_new, G_new = X_new[stay], V_new[stay], G_new[stay]
+                    if etas is None:
+                        eta_next = eta_next[stay]
+                        schedule.keep(stay)
+                    if draws is not None:
+                        draws.keep(stay)
+                        Z = Z[:, stay]
             X, V, G = X_new, V_new, G_new
             t += 1
+
+
+def _coasting_rows(game, log, s, X, X_new, V_new, G, G_new, S, live, eta_next, schedule,
+                   draws, advance, log_ptr, starts):
+    """Start the coast of every row of a lock-step block that the scalar body would coast.
+
+    The rule is _run_scalar's, on the row's floats, at the end of step
+    s - 1: its step norm is 0.0, its state is unchanged or its gap was 0.0
+    before and after the step, and _may_coast holds. Each such row's tail is
+    written by _Log.coast from a one-trial copy of its schedule state; a row
+    whose coast hands back is run again alone (see _run_lockstep). Returns
+    the mask of the rows that stay in the block, or None if every row stays.
+    """
+    leave = []
+    for j in np.flatnonzero(S == 0.0).tolist():
+        x, x_new = float(X[j, 0]), float(X_new[j, 0])
+        g, g_new = float(G[j]), float(G_new[j])
+        still = x_new == x
+        if not ((still or g == g_new == 0.0) and _may_coast((x,), draws, g_new)):
+            continue
+        row = int(live[j])
+        if eta_next is None:
+            sched, eta = schedule, None
+        else:
+            sched, eta = schedule.trial(j), float(eta_next[j])
+        back = log.coast(s, (x_new,), float(V_new[j, 0]), g_new, eta, still, advance, log_ptr,
+                         row, sched)
+        if back is not None:
+            rng = None
+            if starts[row] is not None:  # its bit generator's type and starting state
+                kind, state = starts[row]
+                rng = np.random.Generator(kind())
+                rng.bit_generator.state = state
+            rerun = _run(_run_scalar, game, log.config, [rng], log.step is not None)
+            log.take(row, rerun[0])
+        leave.append(j)
+    if not leave:
+        return None
+    stay = np.ones(len(S), dtype=bool)
+    stay[leave] = False
+    return stay
 
 
 def _may_coast(old: tuple, draws, g_new: float) -> bool:
@@ -998,11 +1172,32 @@ def _may_coast(old: tuple, draws, g_new: float) -> bool:
     return not any(a == 0.0 and math.copysign(1.0, a) < 0.0 for a in old)
 
 
+def _scalar_advance(f, r2: float):
+    """The scalar body's advance for _Log.coast: field f, squared blow-up radius r2."""
+    def advance(state, v, etas):
+        x, = state
+        ys = []
+        for eta in etas:
+            y = x + eta * v
+            w = f(y)
+            d = y - x
+            if not (w * w == 0.0 and d * d == 0.0 and y * y <= r2):
+                return ys, (x,), v, len(ys), _HANDS_BACK
+            ys.append(y)
+            if y == x:
+                return ys, (y,), w, len(ys), _SETTLED
+            x, v = y, w
+        return ys, (x,), v, len(ys), _RAN
+    return advance
+
+
 def _row_views(log: _Log) -> tuple:
     """Trial 0's gap, step norm, eta (adaptive schedules) and beta rows and
     its logged states, flat, as memoryviews: a store of a float through one
-    costs about half what a numpy scalar store does."""
-    return (memoryview(log.gap[0]), memoryview(log.step[0]),
+    costs about half what a numpy scalar store does. A record that keeps no
+    step norms gets a scratch row, so the loops store them all the same."""
+    step = log.step[0] if log.step is not None else np.empty(log.eta.shape[1])
+    return (memoryview(log.gap[0]), memoryview(step),
             None if log.etas is not None else memoryview(log.eta[0]),
             None if log.beta is None else memoryview(log.beta[0]),
             memoryview(log.states[0].reshape(-1)))
@@ -1027,21 +1222,7 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
     sqrt = math.sqrt
     inf = math.inf
     r2 = radius * radius
-
-    def advance(state, v, etas):
-        x, = state
-        ys = []
-        for eta in etas:
-            y = x + eta * v
-            w = f(y)
-            d = y - x
-            if not (w * w == 0.0 and d * d == 0.0 and y * y <= r2):
-                return ys, (x,), v, len(ys), _HANDS_BACK
-            ys.append(y)
-            if y == x:
-                return ys, (y,), w, len(ys), _SETTLED
-            x, v = y, w
-        return ys, (x,), v, len(ys), _RAN
+    advance = _scalar_advance(f, r2)
 
     t = lo = hi = 0  # the draws in hand are those of steps lo..hi-1
     while t < T:
@@ -1083,7 +1264,7 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
                 still = x_new == x
                 if (still or g == g_new == 0.0) and _may_coast((x,), draws, g_new):
                     back = log.coast(t + 1, (x_new,), v_new, g_new, eta_next, still, advance,
-                                     log_ptr)
+                                     log_ptr, 0, schedule)
                     if back is None:
                         return
                     t, (x,), v, eta_next, log_ptr = back
@@ -1185,7 +1366,7 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
                 still = y0 == x0_ and y1 == x1_
                 if (still or g == g_new == 0.0) and _may_coast((x0_, x1_), draws, g_new):
                     back = log.coast(t + 1, (y0, y1), (w0, w1), g_new, eta_next, still,
-                                     advance, log_ptr)
+                                     advance, log_ptr, 0, schedule)
                     if back is None:
                         return
                     t, (x0_, x1_), (v0, v1), eta_next, log_ptr = back

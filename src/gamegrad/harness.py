@@ -7,10 +7,12 @@ once, and its trials run in contiguous blocks, one per worker. A one-block
 run steps in the calling process; only two or more blocks import and start
 a process pool (``concurrent.futures.process``, ``multiprocessing``), whose
 workers each build their own copy of the game, as its closures do not
-pickle. Games
-without an unrolled runner body step a whole block in lock-step, whose rows
-are block-independent. Reports serialize to JSON with sorted keys, making
-repeated runs of the same config byte-identical.
+pickle. A block steps in lock-step when dynamics.runner_body says so (a
+game without an unrolled runner body, or 32 or more trials of a
+one-dimensional game with a scalar field); a lock-step row does not depend
+on its block, and a one-dimensional trial's record is the same whichever
+body ran it. Reports serialize to JSON with sorted keys, making repeated
+runs of the same config byte-identical.
 """
 
 from __future__ import annotations
@@ -129,7 +131,9 @@ class TrialSummary:
     divergence_step: Optional[int]
 
     @staticmethod
-    def from_dict(doc: dict) -> "TrialSummary":
+    def from_dict(doc: dict, where: str) -> "TrialSummary":
+        config_section(doc, where, ("trial", "final_gap", "final_distance", "diverged"),
+                       ("divergence_step",))
         return TrialSummary(doc["trial"], doc["final_gap"], doc["final_distance"],
                             doc["diverged"], doc.get("divergence_step"))
 
@@ -164,30 +168,28 @@ class ExperimentReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentReport":
-        config_dict(doc, "report")
-        try:
-            version = doc["schema_version"]
-            if str(version).split(".")[0] != SCHEMA_VERSION.split(".")[0]:
-                raise ConfigError(f"unsupported report schema major version {version!r}")
-            curves = config_dict(doc["curves"], "report curves")
-            steps = _curve_values(curves, CURVE_KEYS[0], None)
-            trials = doc["trials"]
-            if not isinstance(trials, list):
-                raise ConfigError(f"report trials must be a list, got {trials!r}")
-            return ExperimentReport(
-                schema_version=version,
-                provenance=doc["provenance"],
-                config=doc["config"],
-                trials=[TrialSummary.from_dict(config_dict(t, f"report trials[{i}]"))
-                        for i, t in enumerate(trials)],
-                curves={CURVE_KEYS[0]: steps,
-                        **{key: _curve_values(curves, key, steps) for key in CURVE_KEYS[1:]}},
-                fits=doc["fits"],
-                checks=doc["checks"],
-                all_diverged=doc["all_diverged"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"report document is missing field {exc}") from None
+        """Read report.json's document; an unknown or missing key at the top
+        level, in ``curves`` or in a trial is a ConfigError that names it."""
+        config_section(doc, "report", [f.name for f in dataclasses.fields(ExperimentReport)])
+        version = doc["schema_version"]
+        if str(version).split(".")[0] != SCHEMA_VERSION.split(".")[0]:
+            raise ConfigError(f"unsupported report schema major version {version!r}")
+        curves = config_section(doc["curves"], "report curves", CURVE_KEYS)
+        steps = _curve_values(curves, CURVE_KEYS[0], None)
+        trials = doc["trials"]
+        if not isinstance(trials, list):
+            raise ConfigError(f"report trials must be a list, got {trials!r}")
+        return ExperimentReport(
+            schema_version=version,
+            provenance=doc["provenance"],
+            config=doc["config"],
+            trials=[TrialSummary.from_dict(t, f"report trials[{i}]") for i, t in enumerate(trials)],
+            curves={CURVE_KEYS[0]: steps,
+                    **{key: _curve_values(curves, key, steps) for key in CURVE_KEYS[1:]}},
+            fits=doc["fits"],
+            checks=doc["checks"],
+            all_diverged=doc["all_diverged"],
+        )
 
     def curve(self, name: str) -> list[tuple[float, float]]:
         """Dyadic (step, value) points of a named mean curve, skipping gaps."""
@@ -353,13 +355,15 @@ class _EtaText:
 def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list[tuple]:
     """Run a contiguous block of trials on the config's game (from build_game).
 
-    Each trial is reduced to its payload. Games with an unrolled runner body
-    run one trial at a time; every other game steps the block in lock-step
-    (run_lockstep, which splits it to bound the record memory). When the
-    block writes trajectories and its schedule gives every trial the same
-    step sizes, their text is formatted once, as far as the longest record
-    of the block reaches, and each trial's file takes its share (see
-    write_trajectory).
+    Each trial is reduced to its payload. runner_body picks the body from
+    the game and the block's size: an unrolled body runs one trial at a
+    time, lock-step steps the block together (run_lockstep, which splits it
+    to bound the record memory). The records keep their step norms only
+    when something reads them: the trajectory files, or a check whose
+    CHECKS entry asks for them. When the block writes trajectories and its
+    schedule gives every trial the same step sizes, their text is formatted
+    once, as far as the longest record of the block reaches, and each
+    trial's file takes its share (see write_trajectory).
     """
     seed, dynamics = config.master_seed, config.dynamics
     eta_text = None
@@ -367,10 +371,14 @@ def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list
         os.makedirs(config.trajectory_dir, exist_ok=True)
         if dynamics.schedule.shared:
             eta_text = _EtaText(dynamics.schedule.step_sizes(dynamics.horizon)[0])
-    if runner_body(game) != "lockstep":
-        records = (run_trajectory(game, dynamics, rng=trial_rng(seed, i)) for i in trials)
+    step_norms = bool(config.trajectory_dir) or any(
+        metrics.CHECKS[spec.name].step_norms for spec in config.check_specs)
+    if runner_body(game, len(trials)) != "lockstep":
+        records = (run_trajectory(game, dynamics, rng=trial_rng(seed, i), step_norms=step_norms)
+                   for i in trials)
     else:
-        records = run_lockstep(game, dynamics, [trial_rng(seed, i) for i in trials])
+        records = run_lockstep(game, dynamics, [trial_rng(seed, i) for i in trials],
+                               step_norms=step_norms)
     return [_trial_payload(config, game, i, rec, eta_text) for i, rec in zip(trials, records)]
 
 

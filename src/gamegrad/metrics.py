@@ -374,6 +374,7 @@ class _Needs(NamedTuple):
     horizon: int = 1                             # the shortest horizon it applies to
     oracle: bool = False                         # the game must have a Nash oracle
     cocoercivity: bool = False                   # the game must know its cocoercivity
+    step_norms: bool = False                     # it reads the record's step norms
 
 
 # Every check and what it needs of a run; CheckSpec.require tests each need.
@@ -382,7 +383,8 @@ CHECKS = {
                                  oracle=True, cocoercivity=True),
     "eta_monotone": _Needs(_check_eta_monotone),
     "beta_stable": _Needs(_check_beta_stable, ("grad_norm",)),
-    "gap_step_consistency": _Needs(_check_gap_step_consistency, noiseless=True),
+    "gap_step_consistency": _Needs(_check_gap_step_consistency, noiseless=True,
+                                   step_norms=True),
     "no_divergence": _Needs(_check_no_divergence),
     # no tail point of a shorter run survives burn-in
     "tail_to_zero": _Needs(_check_tail_to_zero, horizon=3),

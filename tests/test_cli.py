@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -367,8 +368,13 @@ def _edit_curve(doc, key, value):
      "curves.steps[0] must be a number"),
     (lambda doc: _edit_curve(doc, "mean_gap", doc["curves"]["mean_gap"][:4]),
      "curves.mean_gap has 4 entries, curves.steps has 7"),
+    (lambda doc: {**doc, "extra": 1}, "report has unknown key(s) 'extra'"),
+    (lambda doc: _edit_curve(doc, "mean_gapp", doc["curves"]["mean_gap"]),
+     "report curves has unknown key(s) 'mean_gapp'"),
+    (lambda doc: {**doc, "trials": [{**doc["trials"][0], "bogus": 1}]},
+     "report trials[0] has unknown key(s) 'bogus'"),
 ], ids=["array", "curves", "schema_version", "trials", "gap_strings", "steps_int",
-        "steps_strings", "gap_short"])
+        "steps_strings", "gap_short", "top_level_key", "curves_key", "trial_key"])
 def test_fit_rate_malformed_report_is_a_config_error(runner, tmp_path, edit, message):
     cfg = write_cfg(tmp_path, quad1d_doc(checks=()))
     out = tmp_path / "out"
@@ -755,6 +761,30 @@ def test_unexpected_exception_is_an_internal_error(runner, tmp_path, monkeypatch
     assert result.exit_code == 4, result.output  # not 1: no check failed
     assert "Traceback" in result.stderr and "RuntimeError: simulated fault" in result.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+_BUNDLED = sorted(f.name for f in resources.files("gamegrad").joinpath("configs").iterdir()
+                  if f.name.endswith(".cfg"))
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_bundled_outputs_do_not_depend_on_workers(runner, tmp_path, name):
+    # Cut to at most 40 trials of 2,048 steps: a one-dimensional config runs
+    # one lock-step block of 40 at --workers 1 and two scalar-body blocks of 20
+    # at --workers 2, whose report and CSV bytes must agree.
+    doc = json.loads(resources.files("gamegrad").joinpath("configs", name).read_text())
+    template = doc.get("template", doc)
+    command = "sweep" if "grid" in doc else "run"
+    cut = ["--set", f"trials={min(template['trials'], 40)}",
+           "--set", f"dynamics.horizon={min(template['dynamics']['horizon'], 2048)}"]
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        result = runner.invoke(main, [command, "--config", name, "--out", str(out),
+                                      "--workers", workers, *cut])
+        assert result.exit_code in (0, 1), result.output
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 _LOCKSTEP_DOC = {  # no unrolled body: the trials run in lock-step, as in highdim_trials

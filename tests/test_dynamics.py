@@ -9,11 +9,13 @@ from gamegrad.dynamics import (
     _BLOCK_BYTES,
     _COAST_CHUNK,
     _FIRST_DRAWS,
+    _LOCKSTEP_TRIALS,
     _NOISE_KINDS,
     _SCHEDULE_KINDS,
     _VARIANCE_KINDS,
     _Log,
     _amp_table,
+    _log_floats,
     _log_steps,
     _log_table,
     _NoiseDraws,
@@ -50,7 +52,7 @@ def philox(seed):
 
 def test_grad_norm_schedule_hand_trace():
     # v(x) = -x from x0 = 1: eta_1 = 1, x_1 = 0, gradient norm drops to 0.
-    sched = GradNormSchedule(beta1=1.0, r=2.0).fresh()
+    sched = GradNormSchedule(beta1=1.0, r=2.0).fresh(horizon=2)
     assert sched.first_step() == 1.0
     eta2 = sched.next_step(0, 1.0, 1.0, 0.0, 1.0)  # t, eta, g_prev, g_next, step_sq
     assert eta2 == pytest.approx(0.7071067811865475, abs=1e-15)
@@ -58,18 +60,24 @@ def test_grad_norm_schedule_hand_trace():
 
 
 def test_grad_norm_schedule_growth_branch():
-    sched = GradNormSchedule(beta1=1.0, r=2.0).fresh()
+    sched = GradNormSchedule(beta1=1.0, r=2.0).fresh(horizon=2)
     eta2 = sched.next_step(0, 1.0, 1.0, 4.0, 1.0)
     assert sched.beta == 2.0
     assert eta2 == pytest.approx(0.5773502691896258, abs=1e-15)
 
 
 def test_step_norm_schedule_hand_trace():
-    sched = StepNormSchedule(beta=1.0).fresh()
+    sched = StepNormSchedule(beta=1.0).fresh(horizon=2)
     assert sched.first_step() == 1.0
     eta2 = sched.next_step(0, 1.0, 1.0, 0.5, 1.0)
     assert eta2 == pytest.approx(0.6093, abs=1e-4)
     assert eta2 == pytest.approx(1.0 / math.sqrt(2.0 + math.log(2.0)), rel=1e-15)
+
+
+def test_log_table_is_math_log_for_every_step_of_a_2_16_horizon():
+    expected = [math.log(t + 2.0) for t in range(65536)]
+    assert _log_floats(65536) == tuple(expected)
+    assert _log_table(65536).tobytes() == np.array(expected).tobytes()
 
 
 def test_power_schedule_indexing():
@@ -336,7 +344,8 @@ def test_block_next_step_matches_each_row_on_floats_bitwise(make):
     # at every step two rows' gaps grow, two hold and two fall; row 4 leaves halfway
     m, steps = 6, 200
     rng = np.random.default_rng(4)
-    block, rows = make().fresh(m), [make().fresh() for _ in range(m)]
+    block = make().fresh(m, horizon=steps)
+    rows = [make().fresh(horizon=steps) for _ in range(m)]
     state = ("beta", "grad_sq_sum") if block.kind == "grad_norm" else ("delta",)
     eta, etas = np.full(m, block.first_step()), [sched.first_step() for sched in rows]
     g = rng.uniform(0.5, 2.0, m)
@@ -680,11 +689,11 @@ def _plain_steps(schedule, t0, count):
     return [c / (t + 2.0) ** p for t in range(t0, t0 + count)]
 
 
-def _per_step(schedule):
+def _per_step(schedule, horizon):
     """A per-step rule: (its state, step 0's size, next(t, eta, g_prev, g_next, step_sq))."""
     if schedule.shared:
         return None, _plain_steps(schedule, -1, 1)[0], lambda t, *_: _plain_steps(schedule, t, 1)[0]
-    sched = schedule.fresh()
+    sched = schedule.fresh(horizon=horizon)
     return sched, sched.first_step(), sched.next_step
 
 
@@ -694,7 +703,7 @@ def _affine2_by_steps(game, cfg, seed):
     b0, b1 = game.affine[1].tolist()
     rng = philox(seed)
     amp = math.sqrt(cfg.noise.tau.c / 2) if isinstance(cfg.noise, RelativeNoise) else None
-    sched, eta, next_step = _per_step(cfg.schedule)
+    sched, eta, next_step = _per_step(cfg.schedule, cfg.horizon)
     x0, x1 = cfg.x0
     v0 = b0 - (a00 * x0 + a01 * x1)
     v1 = b1 - (a10 * x0 + a11 * x1)
@@ -956,6 +965,106 @@ def test_coast_hands_back_at_a_chunk_start_and_mid_chunk(monkeypatch, n, noise, 
 
 
 # ---------------------------------------------------------------------------
+# one-dimensional blocks in lock-step, each row coasting on its own
+# ---------------------------------------------------------------------------
+
+def test_runner_body_steps_32_or_more_one_dimensional_trials_in_lockstep():
+    assert _LOCKSTEP_TRIALS == 32
+    for name in ("quad_1d", "piecewise"):
+        game = make_named_game(name)
+        assert [runner_body(game, m) for m in (1, 31, 32, 100)] == ["scalar"] * 2 + ["lockstep"] * 2
+    assert runner_body(make_named_game("quad_2d"), 100) == "affine2"
+    assert runner_body(_force_generic(make_named_game("quad_1d")), 1) == "lockstep"
+
+
+def _block_matches_scalar_body(game, cfg, seed, m=_LOCKSTEP_TRIALS):
+    """A block of m rows in lock-step against each trial alone on the scalar body,
+    bit for bit, settle_step included; returns the block's records."""
+    assert runner_body(game, 1) == "scalar"
+    block = list(run_lockstep(game, cfg, [trial_rng(seed, i) for i in range(m)]))
+    for i, rec in enumerate(block):
+        alone = run_trajectory(game, cfg, rng=trial_rng(seed, i))
+        assert _same_bits(rec, alone) and rec.settle_step == alone.settle_step, i
+    return block
+
+
+_LOCKSTEP_NOISE = {**_SETTLE_NOISE,
+                   "absolute": AbsoluteNoise(VarianceSchedule("constant", 0.01), "gaussian")}
+_LOCKSTEP_CASES = [(s, n) for s in _SETTLE_SCHEDULES for n in _LOCKSTEP_NOISE
+                   if not (s == "grad_norm" and n != "none")]
+
+
+# At 2,000 steps from -0.8, five rows of quad_1d under constant steps and
+# sphere noise settle in the last 30 steps and the rest coast to the
+# horizon; under step_norm and gaussian noise, rows settle from step ~1,600.
+@pytest.mark.parametrize("thinning", [0, 1, 7])
+@pytest.mark.parametrize("schedule,noise", _LOCKSTEP_CASES)
+@pytest.mark.parametrize("name", ["quad_1d", "piecewise"])
+def test_lockstep_block_matches_the_scalar_body_bitwise(name, schedule, noise, thinning):
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=2000, x0=(-0.8,),
+                         noise=_LOCKSTEP_NOISE[noise], thinning=thinning)
+    _block_matches_scalar_body(make_named_game(name), cfg, 5)
+
+
+@pytest.mark.parametrize("schedule,tau,radius", [("constant", 4.0, 2.0), ("step_norm", 2.0, 1.5)])
+def test_lockstep_rows_that_diverge_or_coast_match_the_scalar_body(schedule, tau, radius):
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=3000, x0=(-0.8,),
+                         noise=RelativeNoise(VarianceSchedule("constant", tau), "gaussian"),
+                         blow_up_radius=radius, thinning=7)
+    block = _block_matches_scalar_body(make_named_game("quad_1d"), cfg, 5)
+    assert any(rec.diverged for rec in block)
+    assert any(rec.settle_step is not None for rec in block)
+
+
+def test_lockstep_block_from_negative_zero_matches_the_scalar_body():
+    cfg = DynamicsConfig(StepNormSchedule(1.0), horizon=50, x0=(-0.0,), thinning=1,
+                         noise=RelativeNoise(VarianceSchedule("constant", 0.25)))
+    block = _block_matches_scalar_body(make_named_game("quad_1d"), cfg, 2)
+    assert {rec.settle_step for rec in block} == {2}
+
+
+@pytest.mark.parametrize("schedule,noise", [("grad_norm", "none"), ("step_norm", "relative")])
+def test_lockstep_rows_whose_coast_hands_back_are_run_again_alone(monkeypatch, schedule, noise):
+    # every row starts to coast at step 1 and hands back when the gap returns
+    reruns = []
+    real_run = dynamics._run
+
+    def counted_run(body, game, config, rngs, *args):
+        reruns.extend(rngs if body is dynamics._run_scalar else [])
+        return real_run(body, game, config, rngs, *args)
+
+    game = _expanding_game(1)
+    cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=8000, x0=(1e-165,),
+                         noise=_COAST_NOISE[noise], thinning=7)
+    monkeypatch.setattr(dynamics, "_run", counted_run)
+    block = list(run_lockstep(game, cfg, [trial_rng(3, i) for i in range(_LOCKSTEP_TRIALS)]))
+    assert len(reruns) == _LOCKSTEP_TRIALS
+    monkeypatch.setattr(dynamics, "_run", real_run)
+    for i, rec in enumerate(block):
+        assert rec.gap[1] == 0.0 and rec.gap[-1] > 0.0 and rec.settle_step is None
+        assert _same_bits(rec, run_trajectory(game, cfg, rng=trial_rng(3, i)))
+
+
+def test_lockstep_parts_split_evenly_at_the_record_cap(monkeypatch):
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(ConstantSchedule(0.3), horizon=300, x0=(0.8,),
+                         noise=AbsoluteNoise(VarianceSchedule("constant", 0.01)))
+    whole = list(run_lockstep(game, cfg, [trial_rng(6, i) for i in range(70)]))
+    parts = []
+    real_run = dynamics._run
+
+    def counted_run(body, game, config, rngs, *args):
+        parts.append(len(rngs))
+        return real_run(body, game, config, rngs, *args)
+
+    monkeypatch.setattr(dynamics, "_run", counted_run)
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 63 * _record_bytes(cfg, 1))
+    split = list(run_lockstep(game, cfg, [trial_rng(6, i) for i in range(70)]))
+    assert parts == [35, 35]  # not 63 + 7
+    assert all(_same_bits(a, b) for a, b in zip(split, whole)) and len(split) == 70
+
+
+# ---------------------------------------------------------------------------
 # noise drawn as far as a trial steps
 # ---------------------------------------------------------------------------
 
@@ -1036,7 +1145,7 @@ def _check_tail(make, t, g, horizon):
         tail = make().step_sizes(horizon)[0][t + 1:]
         assert tail.tobytes() == np.array(_plain_steps(make(), t, count)).tobytes()
         return
-    fast, slow = make().fresh(), make().fresh()
+    fast, slow = make().fresh(horizon=horizon), make().fresh(horizon=horizon)
     eta = _warm(fast, t)
     assert eta == _warm(slow, t)
     tail = fast.settled_steps(t, eta, g, count)
@@ -1084,9 +1193,10 @@ def test_settled_step_tables_are_reused_across_horizons():
     for horizon in (9000, 30000, 9000):
         _check_tail(lambda: StepNormSchedule(1.0), 2000, 0.0, horizon)
         _check_tail(lambda: PowerSchedule(0.5, 0.75), 2000, 0.0, horizon)
-        logs, powers = _log_table(horizon - 1), _pow_table(horizon, 0.75)
+        logs, powers = _log_table(horizon), _pow_table(horizon, 0.75)
+        assert StepNormSchedule(1.0).fresh(horizon=horizon)._log_table is logs
         assert tables.setdefault(horizon, (logs, powers)) == (logs, powers)
-    assert tables[9000][0] is _log_table(8999) and tables[9000][1] is _pow_table(9000, 0.75)
+    assert tables[9000][0] is _log_table(9000) and tables[9000][1] is _pow_table(9000, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,19 +1235,41 @@ def test_shared_schedules_make_no_per_step_call(make, game_name):
     assert rec.eta.tobytes() == schedule.step_sizes(300)[0].tobytes()
 
 
+@pytest.mark.parametrize("step_norms", [True, False])
 @pytest.mark.parametrize("thinning", [0, 1, 7, 64, 101])  # 64: on a dyadic step; 101 > T
 @pytest.mark.parametrize("n", [1, 16])
 @pytest.mark.parametrize("make", [lambda: ConstantSchedule(0.3), lambda: PowerSchedule(0.5, 0.5),
                                   lambda: StepNormSchedule(1.0), lambda: GradNormSchedule(1.0, 2.0)],
                          ids=["constant", "power", "step_norm", "grad_norm"])
-def test_record_bytes_count_the_arrays_the_log_owns(make, n, thinning):
+def test_record_bytes_count_the_arrays_the_log_owns(make, n, thinning, step_norms):
     schedule, m = make(), 3
     cfg = DynamicsConfig(schedule, horizon=100, x0=(1.0,) * n, thinning=thinning)
-    log = _Log(m, n, cfg, schedule if schedule.shared else schedule.fresh(m))
+    log = _Log(m, n, cfg, schedule if schedule.shared else schedule.fresh(m, horizon=100),
+               step_norms)
     rows = [a for a in (log.gap, log.eta, log.step, log.beta, log.states) if a is not None]
     assert (log.beta is not None) == (schedule.kind == "grad_norm")
+    assert (log.step is not None) == step_norms
     assert (log.eta.base is None) == (not schedule.shared)  # shared: a view of step_sizes
-    assert sum(a.nbytes for a in rows if a.base is None) == m * _record_bytes(cfg, n)
+    assert sum(a.nbytes for a in rows if a.base is None) == m * _record_bytes(cfg, n, step_norms)
+
+
+@pytest.mark.parametrize("name", ["quad_1d", "quad_2d", "rand_4d"])
+def test_records_without_step_norms_keep_everything_else(name):
+    game = (make_game(dataclasses.replace(GameSpec.random_cocoercive(4, seed=3), name=name))
+            if name == "rand_4d" else make_named_game(name))
+    cfg = DynamicsConfig(StepNormSchedule(1.0), horizon=1000, x0=(0.8,) * game.n, thinning=7,
+                         noise=RelativeNoise(VarianceSchedule("constant", 0.25), "gaussian"))
+
+    def rngs():
+        return [trial_rng(9, i) for i in range(_LOCKSTEP_TRIALS)]
+
+    lean = [run_trajectory(game, cfg, rng=trial_rng(9, 0), step_norms=False),
+            *run_lockstep(game, cfg, rngs(), step_norms=False)]
+    full = [run_trajectory(game, cfg, rng=trial_rng(9, 0)), *run_lockstep(game, cfg, rngs())]
+    for a, b in zip(lean, full):
+        assert a.step_norm_sq is None and b.step_norm_sq is not None
+        assert _same_bits(dataclasses.replace(a, step_norm_sq=b.step_norm_sq), b)
+        assert a.settle_step == b.settle_step
 
 
 @pytest.mark.parametrize("make", [ConstantSchedule, lambda c: PowerSchedule(c, 0.5)],

@@ -377,9 +377,9 @@ def test_lockstep_blocks_split_at_the_record_cap_write_the_same_files(tmp_path, 
     blocks = []
     real_run = dynamics_module._run
 
-    def counted_run(body, game, config, rngs):
+    def counted_run(body, game, config, rngs, *args):
         blocks.append(len(rngs))
-        return real_run(body, game, config, rngs)
+        return real_run(body, game, config, rngs, *args)
 
     monkeypatch.setattr(dynamics_module, "_run", counted_run)
 
@@ -393,7 +393,7 @@ def test_lockstep_blocks_split_at_the_record_cap_write_the_same_files(tmp_path, 
                         4 * dynamics_module._record_bytes(dynamics, 16) - 1)
     del blocks[:]
     split = outputs()
-    assert blocks == [3, 3, 3, 3, 3, 1]
+    assert blocks == [2, 3, 3, 2, 3, 3]  # six near-equal parts of at most 3
     assert split == whole
     report = json.loads(whole[0])
     assert [t["diverged"] for t in report["trials"]] == [i == 4 for i in range(16)]
@@ -401,6 +401,26 @@ def test_lockstep_blocks_split_at_the_record_cap_write_the_same_files(tmp_path, 
     for i in range(16):
         record = run_trajectory(game, dynamics, rng=trial_rng(1, i))
         assert whole[1][f"trial_{i:04d}.jsonl"] == reference_trajectory_text(record).encode()
+
+
+@pytest.mark.parametrize("trials", [2, 32])  # the scalar body, then one lock-step block
+@pytest.mark.parametrize("checks,traj,step_norms", [
+    ((), False, False), (("no_divergence",), False, False),
+    (("gap_step_consistency",), False, True), ((), True, True),
+])
+def test_records_keep_step_norms_only_when_something_reads_them(tmp_path, monkeypatch, trials,
+                                                                 checks, traj, step_norms):
+    asked = []
+    for name in ("run_trajectory", "run_lockstep"):
+        def spy(*args, real=getattr(harness_module, name), **kwargs):
+            asked.append(kwargs["step_norms"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(harness_module, name, spy)
+    cfg = quad1d_config(trials=trials, checks=checks,
+                        trajectory_dir=str(tmp_path / "trajs") if traj else None)
+    report = run_experiment(cfg)
+    assert set(asked) == {step_norms} and len(asked) == (trials if trials < 32 else 1)
+    assert all(v["passed"] for v in report.checks)
 
 
 ORACLE_GAMES = ["quad_1d", "quad_2d", "piecewise", "rand_2d", "rand_4d"]
