@@ -26,8 +26,9 @@ quadratics, a lock-step block only overtakes the scalar body from about 32
 trials up, so runner_body picks the body from the game and the block's
 size. run_trajectory and run_lockstep share one set-up, and all three
 bodies take the same arguments. Each writes its per-step entries in its
-loop and the rest of the record through _Log: begin writes step 0, end
-stops the trials that diverged, and coast writes the tail of a trial whose
+loop, a step's state included before the step's divergence test, and the
+rest of the record through _Log: begin writes step 0, end marks where the
+trials that diverged stopped, and coast writes the tail of a trial whose
 steps no longer change its gap. The step norms get record rows only when
 the caller asks for them (step_norms); the adaptive step_norm schedule
 reads them inside the loop either way.
@@ -75,16 +76,16 @@ on from there. The noise draws of the coasted steps are drawn and dropped
 would leave, since at a zero gap and step norm they change nothing.
 
 A lock-step block of a game with a scalar field coasts row by row: after
-the same step, by the same rule, a row leaves the block as a diverged row
-does, and _Log.coast writes its tail through the scalar body's advance,
-from a one-trial copy of its schedule state. A row whose coast hands back
-is run again from step 0 on the scalar body (see _run_lockstep), so every
-row's record is the one the scalar body writes for that trial.
+the same step, by the same rule, _Log.coast writes a row's tail through
+the scalar body's advance, from a one-trial copy of its schedule state.
+If the coast completes the record, the row leaves the block as a diverged
+row does. If it hands back, the row stays and the block steps it in full:
+a full step at a zero gap is the coast's state map on the same bits, so
+every row's record is the one the scalar body writes for that trial (see
+_run_lockstep).
 
-Noise draws. A one-trial run draws its normals only about as far as it
-steps: its chunks grow (_FIRST_DRAWS steps, then twice the last chunk, up
-to _CHUNK), so a trial that starts to coast near step 1,000 has drawn 1,792
-steps' normals, not 4,096. A lock-step block draws fixed chunks.
+Noise draws. Each trial draws its normals in chunks of _NoiseDraws.rows
+steps: _CHUNK for one trial, _CHUNK // m for each of a block of m.
 Consecutive draws from one generator concatenate bit for bit, so the chunk
 lengths never change the noise. The amplitudes, sqrt(tau_t) or
 sqrt(sigma_t^2 / n), do not depend on the trial: they come from one
@@ -123,11 +124,6 @@ from .games import Game
 Array = np.ndarray
 
 _CHUNK = 4096
-
-# Steps a one-trial run's first noise chunk covers; each later chunk doubles,
-# up to _NoiseDraws.rows, so a trial that coasts from step ~1,000 on draws
-# about 1,800 steps' normals rather than 4,096.
-_FIRST_DRAWS = 256
 
 # Step sizes a coast reads as floats at a time, and the steps one call of a
 # body's advance may take: a coast often ends after a few hundred steps, and
@@ -537,15 +533,12 @@ class _NoiseDraws:
     """Chunked unit draws for a block of trials, one generator per trial.
 
     Each trial's normals go straight into its rows of one block buffer. A
-    trial of a block gets about _CHUNK // m rows per chunk, so the buffer
-    holds about _CHUNK x n doubles at any block size m. A one-trial run
-    draws only about as far as it steps: its first chunk covers
-    _FIRST_DRAWS steps and each later one twice the last, up to rows, since
-    a trial that coasts to its horizon reads no draws past the coast's
-    start. ``size`` is the length of the next chunk. Consecutive draws from
-    a generator concatenate bit-exactly, so neither the chunk lengths nor
-    the block a trial shares changes its noise: every step consumes exactly
-    n normals. The sqrt-variance amplitudes are slices of one _amp_table.
+    trial of a block of m gets ``rows`` = _CHUNK // m steps per chunk (at
+    most the horizon), so the buffer holds about _CHUNK x n doubles at any
+    block size. Consecutive draws from a generator concatenate bit-exactly,
+    so neither the chunk length nor the block a trial shares changes its
+    noise: every step consumes exactly n normals. The sqrt-variance
+    amplitudes are slices of one _amp_table.
     """
 
     def __init__(self, model: NoiseModel, n: int, rngs: list, horizon: int):
@@ -555,7 +548,6 @@ class _NoiseDraws:
         self.amps = _amp_table(var, 1 if self.sphere else n, horizon)
         self.rngs = list(rngs)
         self.rows = min(horizon, max(1, _CHUNK // len(self.rngs)))
-        self.size = min(self.rows, _FIRST_DRAWS) if len(self.rngs) == 1 else self.rows
         self.buf = np.empty((len(self.rngs), self.rows, n))
         self.drawn = 0  # the steps whose draws the generators have given
 
@@ -565,8 +557,7 @@ class _NoiseDraws:
 
         t0 is at least the first step not yet drawn; the draws of the steps
         between, which a coasting trial did not take, are drawn and dropped,
-        so step t0 gets the draws it gets when every step is taken. Each
-        call doubles ``size``, up to rows.
+        so step t0 gets the draws it gets when every step is taken.
         """
         m = len(self.rngs)
         while self.drawn < t0:
@@ -575,7 +566,6 @@ class _NoiseDraws:
                 rng.standard_normal(out=out)
             self.drawn += skip.shape[1]
         self.drawn += count
-        self.size = min(2 * self.size, self.rows)
         z = self.buf[:m, :count]
         for rng, out in zip(self.rngs, z):
             rng.standard_normal(out=out)
@@ -729,19 +719,18 @@ class _Log:
     """The record of m trials, row i belonging to the block's i-th trial.
 
     It is the only writer of a trial's record outside the stepping loops:
-    begin writes step 0, end stops diverged trials, coast writes the
-    zero-step tail of one and take writes a row run again alone. For a
-    shared schedule (constant, power) every eta row is a read-only view of
-    the one array step_sizes gives, and ``etas`` holds its floats for the
-    stepping loops; it is None for the adaptive schedules, whose loops log
-    each step size in the trial's own row as they compute it. The step
-    norms get rows only if ``step_norms`` (``step`` is None otherwise).
+    begin writes step 0, end marks where diverged trials stopped and coast
+    writes the zero-step tail of one. For a shared schedule (constant,
+    power) every eta row is a read-only view of the one array step_sizes
+    gives, and ``etas`` holds its floats for the stepping loops; it is None
+    for the adaptive schedules, whose loops log each step size in the
+    trial's own row as they compute it. The step norms get rows only if
+    ``step_norms`` (``step`` is None otherwise).
     """
 
     def __init__(self, m: int, n: int, config: DynamicsConfig, schedule: Schedule,
                  step_norms: bool = True):
         T = config.horizon
-        self.config = config
         self.schedule = schedule
         self.gap = np.empty((m, T + 1))
         self.etas = None
@@ -768,19 +757,17 @@ class _Log:
             self.beta[:, 0] = self.schedule.beta
         self.states[:, 0] = x
 
-    def end(self, rows, t: int, x, beta, log_ptr: int) -> None:
-        """Stop the trials in ``rows``, which left the blow-up ball at step t.
+    def end(self, rows, t: int) -> None:
+        """Stop the trials in ``rows`` at step t, whose gap is not finite or state not in the ball.
 
-        x holds their states after step t and beta the offsets entering step
-        t + 1 (ignored unless beta is tracked); log_ptr is the index of the
-        first state not yet logged, which is step t's if t is a logged step.
+        The bodies have written their entries up to step t, the state at a
+        logged step t included. Beta at step t repeats beta at step t - 1,
+        since no schedule update counts a step that left.
         """
         for i in rows:
             self.stop[i], self.diverged[i] = t, True
         if self.beta is not None:
-            self.beta[rows, t] = beta
-        if self.log_list[log_ptr] == t:
-            self.states[rows, log_ptr] = x
+            self.beta[rows, t] = self.beta[rows, t - 1]
 
     def coast(self, s: int, x, v, g: float, eta: float, still: bool, advance, log_ptr: int,
               row: int, schedule: Schedule):
@@ -803,8 +790,10 @@ class _Log:
         0.0, or it leaves the ball; that step is not taken). The logged
         steps among those taken are written with one gather per chunk. A
         step that hands back is the body's to take in full: coast returns
-        (its step, x, v, eta, log_ptr) for the body to step on from.
-        Otherwise it returns None: the record is complete. A hand-back
+        (its step, x, v, eta, log_ptr) for the body to step on from. A
+        lock-step row, which the block steps in full from s, reads only the
+        step: its full steps rewrite the entries coast wrote, with the same
+        bits. Otherwise coast returns None: the record is complete. A hand-back
         finds the schedule's state as the per-step calls leave it, whatever
         the number of steps coasted: at a zero gap and step norm they add
         +0.0 to an adaptive schedule's sums and multiply beta by 1.0, and so
@@ -839,19 +828,6 @@ class _Log:
         self.settle[row] = t
         self.states[row, log_ptr:] = x
         return None
-
-    def take(self, i: int, rec: TrajectoryRecord) -> None:
-        """Write a one-trial record over row i: a lock-step row run again on its own."""
-        k = rec.steps_completed
-        self.gap[i, :k + 1] = rec.gap
-        if not self.schedule.shared:
-            self.eta[i, :k] = rec.eta
-        if self.step is not None:
-            self.step[i, :k] = rec.step_norm_sq
-        if self.beta is not None:
-            self.beta[i, :k + 1] = rec.beta
-        self.states[i, :len(rec.states)] = rec.states
-        self.stop[i], self.diverged[i], self.settle[i] = k, rec.diverged, rec.settle_step
 
     def record(self, i: int, game: Game, config: DynamicsConfig, seed) -> TrajectoryRecord:
         t_stop = self.stop[i]
@@ -964,14 +940,15 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list, *,
     elementwise arithmetic) gives the same bits whatever the number of rows,
     so a trial's record does not depend on which block it ran in. On a game
     with a scalar field a block's rows coast as the scalar body's trial
-    does, and their records are the scalar body's, bit for bit (see
-    _run_lockstep). A single trial runs on 1-D arrays and floats through the
-    same code, which was checked bit-equal to its row of a block; it does
-    not coast. That branch stays because it is its own cost regime: run as a
-    (1, n) block, one trial took 1.5-2x as long (2-vCPU host, CPU time:
-    quad_1d, 20,000 steps, 197 -> 312 ms; a 64-d random game, 4,096 steps,
-    58 -> 114 ms). Without ``step_norms`` the records keep no step norms,
-    and more trials fit in a part.
+    does, a row whose coast hands back staying in the block, and their
+    records are the scalar body's, bit for bit (see _run_lockstep). A
+    single trial runs on 1-D arrays and floats through the same code, which
+    was checked bit-equal to its row of a block; it does not coast. That
+    branch stays because it is its own cost regime: run as a (1, n) block,
+    one trial took 1.5-2x as long (2-vCPU host, CPU time: quad_1d, 20,000
+    steps, 197 -> 312 ms; a 64-d random game, 4,096 steps, 58 -> 114 ms).
+    Without ``step_norms`` the records keep no step norms, and more trials
+    fit in a part.
     """
     size = _BLOCK_BYTES // _record_bytes(config, len(config.x0), step_norms)  # >= 1
     parts = -(-len(rngs) // size)
@@ -997,22 +974,26 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
 
     Per-trial values (gap, step norm, adaptive step size, noise amplitude)
     are (m,) vectors, or floats for one trial, so each line below is the
-    same recursion as the unrolled bodies applied row by row. A trial that
-    diverges leaves the block: its log row stops there and its row is
-    dropped from every live array. While no row leaves the ball, the test
-    is one maximum over the new gaps and one over the squared norms (a NaN
-    is their maximum, and fails); the per-row mask is built only when it
-    fails.
+    same recursion as the unrolled bodies applied row by row. While no row
+    leaves the ball, the divergence test is one maximum over the new gaps
+    and one over the squared norms (a NaN is their maximum, and fails); the
+    per-row mask is built only when it fails.
 
-    On a block (m > 1) of a game with a scalar field, a row leaves the block
-    to coast by the scalar body's rule, tested after the same step and at
-    the same point of it (see _coasting_rows), and _Log.coast writes its
-    tail through the scalar body's advance. The rule needs a zero step
-    norm, so it is tested only at a step where some row's is 0.0. A row
-    whose coast hands back is run again from step 0 on the scalar body, from
-    its generator's starting state, and that record replaces its row. Its
-    steps and the scalar body's are the same recursion on the same bits, so
-    every row's record is the scalar body's, settle_step included.
+    On a block (m > 1) of a game with a scalar field, a row starts to coast
+    by the scalar body's rule, tested after the same step and at the same
+    point of it (see _coasting_rows), and _Log.coast writes its tail
+    through the scalar body's advance. The rule needs a zero step norm, so
+    it is tested only at a step where some row's is 0.0. A row whose coast
+    hands back stays in the block and is stepped in full: those steps are
+    the coast's state map on the same bits, and the step that handed back
+    is the scalar body's full step. It may not coast again until it has
+    taken that step, as the scalar body's trial does. So every row's record
+    is the scalar body's, settle_step included.
+
+    A row leaves the block when it leaves the ball or its coast completes
+    the record (it settled or reached the horizon). Both go through one
+    compaction after the step's schedule update and beta entry, which
+    drops the row from every live array.
 
     The step vectors D and S are computed only when something reads them:
     the record's step-norm rows, the step_norm schedule, or the coast.
@@ -1030,11 +1011,10 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     r2 = radius * radius
     inf = math.inf
 
-    advance = starts = None  # the coast's state map, and each row's generator at step 0
+    advance = None  # the coast's state map
     if not flat and game.scalar_field is not None and (draws is None or draws.relative):
         advance = _scalar_advance(game.scalar_field, r2)
-        starts = ([None] * m if draws is None else
-                  [(type(rng.bit_generator), rng.bit_generator.state) for rng in draws.rngs])
+        back_at = np.zeros(m, dtype=np.int64)  # the step each row's last coast handed back at
     needs_S = step_log is not None or schedule.reads_step_norm or advance is not None
     S = None
 
@@ -1050,7 +1030,7 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     relative = draws is not None and draws.relative
     t = 0
     while t < T:
-        count = min(draws.size, T - t) if draws is not None else T - t
+        count = min(draws.rows, T - t) if draws is not None else T - t
         if draws is not None:
             z, amp = draws.chunk(t, count)
             Z = z[0] if flat else z.transpose(1, 0, 2)  # Z[k]: the draws of step t0 + k
@@ -1075,90 +1055,80 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
                 S = dot(D, D)
                 if step_log is not None:
                     step_log[rows, t] = S
-            N = dot(X_new, X_new)
-            if not (top(G_new) < inf and top(N) <= r2):
-                ok = (G_new < inf) & (N <= r2)
-                gone = slice(None) if flat else ~ok
-                beta = None if beta_log is None else schedule.beta if flat else schedule.beta[gone]
-                log.end(live[gone].tolist(), t + 1, X_new[gone], beta, log_ptr)
-                if flat or not ok.any():
-                    return
-                live = rows = live[ok]
-                X, X_new, V_new, G, G_new = X[ok], X_new[ok], V_new[ok], G[ok], G_new[ok]
-                if S is not None:
-                    S = S[ok]
-                if not isinstance(eta, float):
-                    eta = eta[ok]
-                if etas is None:
-                    schedule.keep(ok)
-                if draws is not None:
-                    draws.keep(ok)
-                    Z = Z[:, ok]
             if t + 1 == next_log:
                 states[rows, log_ptr] = X_new
                 log_ptr += 1
                 next_log = log_list[log_ptr]
+            N = dot(X_new, X_new)
+            gone = None  # the mask of the rows that leave the block after this step
+            if not (top(G_new) < inf and top(N) <= r2):
+                if flat:
+                    log.end([0], t + 1)
+                    return
+                gone = ~((G_new < inf) & (N <= r2))
             if etas is None:
                 eta_next = next_step(t, eta, G, G_new, S)
             if beta_log is not None:
                 beta_log[rows, t + 1] = schedule.beta
+            if gone is not None:
+                log.end(live[gone].tolist(), t + 1)
             if advance is not None and t + 1 < T and np.count_nonzero(S) < len(S):
-                stay = _coasting_rows(game, log, t + 1, X, X_new, V_new, G, G_new, S, live,
-                                      eta_next, schedule, draws, advance, log_ptr, starts)
-                if stay is not None:
-                    if not stay.any():
-                        return
-                    live = rows = live[stay]
-                    X_new, V_new, G_new = X_new[stay], V_new[stay], G_new[stay]
-                    if etas is None:
-                        eta_next = eta_next[stay]
-                        schedule.keep(stay)
-                    if draws is not None:
-                        draws.keep(stay)
-                        Z = Z[:, stay]
+                gone = _coasting_rows(log, t + 1, X, X_new, V_new, G, G_new, S, live, eta_next,
+                                      schedule, draws, advance, log_ptr, back_at, gone)
+            if gone is not None:
+                if gone.all():
+                    return
+                stay = ~gone
+                live = rows = live[stay]
+                X_new, V_new, G_new = X_new[stay], V_new[stay], G_new[stay]
+                if etas is None:
+                    eta_next = eta_next[stay]
+                    schedule.keep(stay)
+                if draws is not None:
+                    draws.keep(stay)
+                    Z = Z[:, stay]
+                if advance is not None:
+                    back_at = back_at[stay]
             X, V, G = X_new, V_new, G_new
             t += 1
 
 
-def _coasting_rows(game, log, s, X, X_new, V_new, G, G_new, S, live, eta_next, schedule,
-                   draws, advance, log_ptr, starts):
+def _coasting_rows(log, s, X, X_new, V_new, G, G_new, S, live, eta_next, schedule, draws,
+                   advance, log_ptr, back_at, gone):
     """Start the coast of every row of a lock-step block that the scalar body would coast.
 
     The rule is _run_scalar's, on the row's floats, at the end of step
-    s - 1: its step norm is 0.0, its state is unchanged or its gap was 0.0
-    before and after the step, and _may_coast holds. Each such row's tail is
-    written by _Log.coast from a one-trial copy of its schedule state; a row
-    whose coast hands back is run again alone (see _run_lockstep). Returns
-    the mask of the rows that stay in the block, or None if every row stays.
+    s - 1: the row did not leave the ball, its step norm is 0.0, its state
+    is unchanged or its gap was 0.0 before and after the step, and
+    _may_coast holds. A row whose last coast handed back at step s or later
+    is still taking the steps that coast covered, and is skipped. Each
+    coasting row's tail is written by _Log.coast from a one-trial copy of
+    its schedule state. A coast that hands back leaves the row in the block
+    and notes its step in back_at; one that completes the record marks the
+    row in ``gone``, the mask of the rows that leave (None if none yet),
+    which is returned.
     """
-    leave = []
     for j in np.flatnonzero(S == 0.0).tolist():
+        if back_at[j] >= s or gone is not None and gone[j]:
+            continue
         x, x_new = float(X[j, 0]), float(X_new[j, 0])
         g, g_new = float(G[j]), float(G_new[j])
         still = x_new == x
         if not ((still or g == g_new == 0.0) and _may_coast((x,), draws, g_new)):
             continue
-        row = int(live[j])
         if eta_next is None:
             sched, eta = schedule, None
         else:
             sched, eta = schedule.trial(j), float(eta_next[j])
         back = log.coast(s, (x_new,), float(V_new[j, 0]), g_new, eta, still, advance, log_ptr,
-                         row, sched)
+                         int(live[j]), sched)
         if back is not None:
-            rng = None
-            if starts[row] is not None:  # its bit generator's type and starting state
-                kind, state = starts[row]
-                rng = np.random.Generator(kind())
-                rng.bit_generator.state = state
-            rerun = _run(_run_scalar, game, log.config, [rng], log.step is not None)
-            log.take(row, rerun[0])
-        leave.append(j)
-    if not leave:
-        return None
-    stay = np.ones(len(S), dtype=bool)
-    stay[leave] = False
-    return stay
+            back_at[j] = back[0]
+            continue
+        if gone is None:
+            gone = np.zeros(len(S), dtype=bool)
+        gone[j] = True
+    return gone
 
 
 def _may_coast(old: tuple, draws, g_new: float) -> bool:
@@ -1227,7 +1197,7 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
     t = lo = hi = 0  # the draws in hand are those of steps lo..hi-1
     while t < T:
         if t >= hi:
-            lo, hi = t, min(t + draws.size, T) if draws is not None else T
+            lo, hi = t, min(t + draws.rows, T) if draws is not None else T
             if draws is not None:
                 z_chunk, amp_chunk = draws.chunk(lo, hi - lo)
                 zs = z_chunk[0, :, 0].tolist()
@@ -1249,13 +1219,13 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
             d = x_new - x
             step_sq = d * d
             step_arr[t] = step_sq
-            if not (g_new < inf) or not (x_new * x_new <= r2):
-                log.end([0], t + 1, x_new, schedule.beta if track_beta else None, log_ptr)
-                return
             if t + 1 == next_log:
                 states[log_ptr] = x_new
                 log_ptr += 1
                 next_log = log_list[log_ptr]
+            if not (g_new < inf) or not (x_new * x_new <= r2):
+                log.end([0], t + 1)
+                return
             if etas is None:
                 eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:
@@ -1323,7 +1293,7 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
     t = lo = hi = 0  # the draws in hand are those of steps lo..hi-1
     while t < T:
         if t >= hi:
-            lo, hi = t, min(t + draws.size, T) if draws is not None else T
+            lo, hi = t, min(t + draws.rows, T) if draws is not None else T
             if draws is not None:
                 z_chunk, amp_chunk = draws.chunk(lo, hi - lo)
                 zs = z_chunk[0].tolist()
@@ -1350,14 +1320,14 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
             d1 = y1 - x1_
             step_sq = d0 * d0 + d1 * d1
             step_arr[t] = step_sq
-            if not (g_new < inf) or not (y0 * y0 + y1 * y1 <= r2):
-                log.end([0], t + 1, (y0, y1), schedule.beta if track_beta else None, log_ptr)
-                return
             if t + 1 == next_log:
                 states[2 * log_ptr] = y0
                 states[2 * log_ptr + 1] = y1
                 log_ptr += 1
                 next_log = log_list[log_ptr]
+            if not (g_new < inf) or not (y0 * y0 + y1 * y1 <= r2):
+                log.end([0], t + 1)
+                return
             if etas is None:
                 eta_next = next_step(t, eta, g, g_new, step_sq)
             if track_beta:

@@ -429,11 +429,14 @@ def parse_check(check_id) -> CheckSpec:
                              _float(parts[4], "slope_below Tmax"), f"slope check {check_id!r}"))
         return CheckSpec(check_id, name, _number(parts[2], "slope_below bound"), parts[1], window)
     if name == "tail_to_zero":
-        return CheckSpec(check_id, name, _number(arg, "tail_to_zero factor") if arg else 1e-3)
+        return CheckSpec(check_id, name, _number(arg, "tail_to_zero factor") if sep else 1e-3)
     if name == "distance_below":
         if not sep:
             raise ConfigError("distance_below needs a threshold, e.g. distance_below:1e-3")
-        return CheckSpec(check_id, name, _number(arg, "distance_below threshold"))
+        threshold = _number(arg, "distance_below threshold")
+        if not threshold > 0.0:  # a distance is >= 0, and the test is strict
+            raise ConfigError(f"distance_below threshold must be positive, got {arg!r}")
+        return CheckSpec(check_id, name, threshold)
     if sep:
         raise ConfigError(f"check {name!r} takes no argument, got {check_id!r}")
     return CheckSpec(check_id, name)

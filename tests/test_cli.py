@@ -456,6 +456,16 @@ def forbid_dynamics(monkeypatch):
     monkeypatch.setattr("gamegrad.harness.run_lockstep", no_dynamics)
 
 
+@pytest.mark.parametrize("check_id", ["distance_below:0", "distance_below:-1", "tail_to_zero:"])
+def test_run_rejects_check_arguments_no_run_can_use(runner, tmp_path, monkeypatch, check_id):
+    forbid_dynamics(monkeypatch)
+    result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
+                                  "--set", f'checks=["{check_id}"]'])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("override,message", [
     ('dynamics.schedule="constant"', "dynamics.schedule must be an object"),
     ("dynamics.noise=5", "dynamics.noise must be an object"),

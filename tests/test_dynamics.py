@@ -8,7 +8,6 @@ from gamegrad import dynamics
 from gamegrad.dynamics import (
     _BLOCK_BYTES,
     _COAST_CHUNK,
-    _FIRST_DRAWS,
     _LOCKSTEP_TRIALS,
     _NOISE_KINDS,
     _SCHEDULE_KINDS,
@@ -1024,25 +1023,80 @@ def test_lockstep_block_from_negative_zero_matches_the_scalar_body():
 
 
 @pytest.mark.parametrize("schedule,noise", [("grad_norm", "none"), ("step_norm", "relative")])
-def test_lockstep_rows_whose_coast_hands_back_are_run_again_alone(monkeypatch, schedule, noise):
-    # every row starts to coast at step 1 and hands back when the gap returns
-    reruns = []
+def test_lockstep_rows_whose_coast_hands_back_stay_in_the_block(monkeypatch, schedule, noise):
+    # every row starts to coast at step 1 and hands back when the gap
+    # returns; the block steps it on, and no trial runs on its own
+    bodies = []
     real_run = dynamics._run
 
-    def counted_run(body, game, config, rngs, *args):
-        reruns.extend(rngs if body is dynamics._run_scalar else [])
-        return real_run(body, game, config, rngs, *args)
+    def counted_run(body, *args):
+        bodies.append(body)
+        return real_run(body, *args)
 
     game = _expanding_game(1)
     cfg = DynamicsConfig(_SETTLE_SCHEDULES[schedule](), horizon=8000, x0=(1e-165,),
                          noise=_COAST_NOISE[noise], thinning=7)
     monkeypatch.setattr(dynamics, "_run", counted_run)
     block = list(run_lockstep(game, cfg, [trial_rng(3, i) for i in range(_LOCKSTEP_TRIALS)]))
-    assert len(reruns) == _LOCKSTEP_TRIALS
+    assert bodies == [dynamics._run_lockstep]
     monkeypatch.setattr(dynamics, "_run", real_run)
     for i, rec in enumerate(block):
         assert rec.gap[1] == 0.0 and rec.gap[-1] > 0.0 and rec.settle_step is None
         assert _same_bits(rec, run_trajectory(game, cfg, rng=trial_rng(3, i)))
+
+
+def _block_events(monkeypatch):
+    """Record what _Log does to the rows of a block of more than one trial:
+    (step, row) for each row end stops, and (step, hands back) for each
+    coast it starts."""
+    ends, coasts = [], []
+    real_end, real_coast = _Log.end, _Log.coast
+
+    def end(self, rows, t):
+        if len(self.stop) > 1:
+            ends.extend((t, i) for i in rows)
+        return real_end(self, rows, t)
+
+    def coast(self, s, *args):
+        back = real_coast(self, s, *args)
+        if len(self.stop) > 1:
+            coasts.append((s, back is not None))
+        return back
+
+    monkeypatch.setattr(_Log, "end", end)
+    monkeypatch.setattr(_Log, "coast", coast)
+    return ends, coasts
+
+
+def test_lockstep_rows_leave_the_ball_and_start_to_coast_at_one_step(monkeypatch):
+    # On piecewise from -1 under eta 0.5 and tau 4, x_1 = 2 z_1: a row with
+    # x_1 > 0 stands still in the zero field and coasts after step 1, the
+    # step in which a row with x_1 in [-3, 0) leaves the ball of radius 3
+    # when |x_2| = 2 |x_1 z_2| > 3
+    game = make_named_game("piecewise")
+    cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=200, x0=(-1.0,), thinning=1,
+                         noise=RelativeNoise(VarianceSchedule("constant", 4.0), "gaussian"),
+                         blow_up_radius=3.0)
+    ends, coasts = _block_events(monkeypatch)
+    list(run_lockstep(game, cfg, [trial_rng(5, i) for i in range(_LOCKSTEP_TRIALS)]))
+    assert 2 in {t for t, _ in ends} and (2, False) in coasts
+    _block_matches_scalar_body(game, cfg, 5)
+
+
+@pytest.mark.parametrize("noise", list(_COAST_NOISE))
+def test_lockstep_rows_whose_coast_hands_back_then_diverge_match_the_scalar_body(monkeypatch,
+                                                                                noise):
+    # each row coasts from step 1 and hands back the step that leaves a ball
+    # of radius 1e-161 while the gap is still 0.0; the block takes that step
+    game = _expanding_game(1)
+    cfg = DynamicsConfig(StepNormSchedule(1.0), horizon=8000, x0=(1e-165,),
+                         noise=_COAST_NOISE[noise], blow_up_radius=1e-161, thinning=7)
+    ends, coasts = _block_events(monkeypatch)
+    list(run_lockstep(game, cfg, [trial_rng(3, i) for i in range(_LOCKSTEP_TRIALS)]))
+    assert coasts == [(1, True)] * _LOCKSTEP_TRIALS
+    assert len(ends) == _LOCKSTEP_TRIALS and {t for t, _ in ends} != {1}
+    block = _block_matches_scalar_body(game, cfg, 3)
+    assert all(rec.diverged and rec.gap[-1] == 0.0 for rec in block)
 
 
 def test_lockstep_parts_split_evenly_at_the_record_cap(monkeypatch):
@@ -1065,34 +1119,13 @@ def test_lockstep_parts_split_evenly_at_the_record_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# noise drawn as far as a trial steps
+# noise chunks
 # ---------------------------------------------------------------------------
 
-def test_a_coasting_trial_draws_fewer_steps_than_its_horizon(monkeypatch):
-    made = []
-
-    class Recorded(_NoiseDraws):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(dynamics, "_NoiseDraws", Recorded)
-    game = make_named_game("quad_1d")
-    cfg = DynamicsConfig(**_SCALAR_TRIALS_CFG)
-    doubling = {_FIRST_DRAWS * (2 ** k - 1) for k in range(1, 5)}  # 256, 768, 1,792, 3,840
-    for trial in range(4):
-        made.clear()
-        rec = run_trajectory(game, cfg, rng=trial_rng(123, trial))
-        first_zero = int(np.flatnonzero(rec.gap == 0.0)[0])
-        (draws,) = made
-        assert first_zero < draws.drawn < cfg.horizon
-        assert draws.drawn in doubling and draws.drawn < 2 * first_zero + _FIRST_DRAWS
-
-
 @pytest.mark.parametrize("shape", ["sphere", "gaussian"])
-def test_growing_draws_match_a_lockstep_row_bitwise(shape):
-    # 5,000 steps are no sum of the chunks 256, 512, ..., 4,096: the last
-    # chunk is cut at the horizon; a block of 3 draws 1,365 steps per chunk
+def test_one_trial_draws_match_a_lockstep_row_bitwise(shape):
+    # one trial draws chunks of 4,096 steps, the second cut at the horizon;
+    # a block of 3 draws 1,365 steps per chunk
     game = make_named_game("quad_1d")
     cfg = DynamicsConfig(PowerSchedule(0.5, 0.5), horizon=5000, x0=(1.0,), thinning=3,
                          noise=AbsoluteNoise(VarianceSchedule("constant", 0.01), shape))

@@ -339,6 +339,19 @@ def test_parse_check_unknown_id():
         parse_check("mystery")
 
 
+@pytest.mark.parametrize("check_id,message", [
+    ("distance_below:0", "distance_below threshold must be positive"),
+    ("distance_below:-1", "distance_below threshold must be positive"),
+    ("distance_below:", "distance_below threshold must be a number"),
+    ("tail_to_zero:", "tail_to_zero factor must be a number"),
+    ("no_divergence:", "takes no argument"),
+])
+def test_parse_check_rejects_arguments_no_run_can_use(check_id, message):
+    # a distance is >= 0 and its test is strict; an empty argument is no number
+    with pytest.raises(ConfigError, match=message):
+        parse_check(check_id)
+
+
 def test_verdict_to_dict_writes_non_finite_worst_violation_as_null():
     assert ConvergenceVerdict("x", False, 0.5, 3).to_dict() == {
         "check_id": "x", "passed": False, "worst_violation": 0.5, "first_violation_step": 3}
