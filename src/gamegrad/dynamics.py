@@ -864,11 +864,18 @@ def _record_bytes(config: DynamicsConfig, n: int, step_norms: bool = True) -> in
     return 8 * (rows + logged * n)
 
 
-def _generator(rng: int | np.random.Generator | None):
-    seed = rng if isinstance(rng, int) else None
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return rng, seed
+def trial_generator(rng: int | tuple | np.random.Generator | None) -> np.random.Generator:
+    """The generator a trial draws its noise from, given what run_trajectory takes as rng.
+
+    A Generator is itself. Otherwise it is Philox over the SeedSequence
+    whose entropy rng is: an int seed, a tuple of ints (the harness passes
+    (master_seed, trial)), or None, for fresh entropy from the OS. Only
+    _run calls it, and only for a config that draws noise, so a noiseless
+    run builds no generator and does not import numpy.random.
+    """
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(rng)))
 
 
 def _norm(x) -> float:
@@ -892,31 +899,38 @@ def _default_radius(game: Game, x0: tuple) -> float:
 
 def _run(body, game: Game, config: DynamicsConfig, rngs: list,
          step_norms: bool = True) -> list[TrajectoryRecord]:
-    """The set-up both entry points share: checks, generators, schedule state, records."""
+    """The set-up both entry points share: checks, generators (a noisy config's
+    only), schedule state, records."""
     if len(config.x0) != game.n:
         raise ConfigError(f"x0 has length {len(config.x0)}, game dimension is {game.n}")
     m = len(rngs)
-    gens, seeds = zip(*(_generator(rng) for rng in rngs))
     radius = config.blow_up_radius
     if radius is None:
         radius = _default_radius(game, config.x0)
     draws = None
     if not isinstance(config.noise, NoNoise):
-        draws = _NoiseDraws(config.noise, game.n, list(gens), config.horizon)
+        draws = _NoiseDraws(config.noise, game.n, [trial_generator(rng) for rng in rngs],
+                            config.horizon)
     schedule = config.schedule
     if not schedule.shared:
         schedule = schedule.fresh(None if m == 1 else m, horizon=config.horizon)
     log = _Log(m, game.n, config, schedule, step_norms)
     with np.errstate(over="ignore", invalid="ignore"):  # diverging rows overflow in numpy
         body(game, config.x0, config.horizon, schedule, draws, radius, log)
-    return [log.record(i, game, config, seed) for i, seed in enumerate(seeds)]
+    return [log.record(i, game, config, rng if isinstance(rng, int) else None)
+            for i, rng in enumerate(rngs)]
 
 
 def run_trajectory(game: Game, config: DynamicsConfig,
-                   rng: int | np.random.Generator | None = None, *,
+                   rng: int | tuple | np.random.Generator | None = None, *,
                    step_norms: bool = True) -> TrajectoryRecord:
     """Run one trial of the dynamics on a game and record its trajectory.
 
+    ``rng`` is a Generator, an int seed, a tuple of ints (SeedSequence
+    entropy, as the harness's (master_seed, trial)) or None (fresh
+    entropy); trial_generator turns it into the trial's generator, and
+    only when the config draws noise. A noiseless run builds none and
+    reads rng only for the record's ``seed``: the int seed, else None.
     Divergence (non-finite values or leaving the blow-up ball) sets a flag
     and truncates the record instead of raising, so sweeps can aggregate
     failures. A trial that coasts to its end skips the noise draws left, so
@@ -928,16 +942,19 @@ def run_trajectory(game: Game, config: DynamicsConfig,
 
 def run_lockstep(game: Game, config: DynamicsConfig, rngs: list, *,
                  step_norms: bool = True) -> Iterator[TrajectoryRecord]:
-    """Run one trial per generator in ``rngs`` in lock-step; yield their records in order.
+    """Run one trial per entry of ``rngs`` in lock-step; yield their records in order.
 
     This is the body for every game without an unrolled one, and for a block
     of _LOCKSTEP_TRIALS or more trials of a game with a scalar field (see
     runner_body). It steps as many trials at once as _BLOCK_BYTES of records
     hold: a larger run is split into near-equal parts, run one after
-    another, so that no part is left far smaller than the others. Trial i
-    draws its noise from rngs[i] alone, and every per-row operation (the
-    game's own field, called on the whole block as it is, np.vecdot,
-    elementwise arithmetic) gives the same bits whatever the number of rows,
+    another, so that no part is left far smaller than the others. Each
+    entry of rngs is what run_trajectory takes as rng, and becomes a
+    generator the same way, only when the config draws noise. Trial i
+    draws its noise from rngs[i]'s alone, and every per-row operation (the
+    game's own field, called on the whole block as it is, np.vecdot, or
+    for n = 1 the product of the one column with itself, elementwise
+    arithmetic) gives the same bits whatever the number of rows,
     so a trial's record does not depend on which block it ran in. On a game
     with a scalar field a block's rows coast as the scalar body's trial
     does, a row whose coast hands back staying in the block, and their
@@ -959,6 +976,11 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list, *,
 
 def _dot(a, b) -> float:
     return float(a @ b)
+
+
+def _first_column_dot(a, b):
+    """np.vecdot of two (m, 1) blocks, with its bits: one product per row."""
+    return a[:, 0] * b[:, 0]
 
 
 def _column(v):
@@ -1002,7 +1024,8 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     flat = m == 1
     X = np.array(x0, dtype=float) if flat else np.tile(x0, (m, 1))
     dot, col, sqrt, top = ((_dot, _same, math.sqrt, _same) if flat
-                           else (np.vecdot, _column, np.sqrt, np.maximum.reduce))
+                           else (_first_column_dot if game.n == 1 else np.vecdot, _column,
+                                 np.sqrt, np.maximum.reduce))
     live = np.arange(m)
     rows = 0 if flat else slice(None)  # the log rows of the live trials
     gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states

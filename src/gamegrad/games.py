@@ -36,9 +36,10 @@ class Game:
     ``nash_oracle`` (one joint action at a time) and ``cocoercivity`` are
     optional extras that built-in instances provide; ``affine`` is set to
     (A, b) when the field is x -> b - A x, and ``scalar_field`` mirrors
-    ``field`` on Python floats for one-dimensional games. The unrolled runner
-    bodies read those two. Games are immutable and safe to share across
-    workers.
+    ``field`` on Python floats for one-dimensional games (a 1 x 1
+    quadratic's is its field itself, which computes elementwise). The
+    unrolled runner bodies read those two. Games are immutable and safe to
+    share across workers.
     """
 
     dims: tuple[int, ...]
@@ -130,11 +131,19 @@ def _quadratic_parts(A: Array, b: Array, name: str):
             f"{name or 'quadratic'}: matrix has negative eigenvalue {eigvals[0]:.3e}; "
             "the induced field would not be cocoercive"
         )
-    AT = A.T
+    if A.shape == (1, 1):
+        a00, b0 = float(A[0, 0]), float(b[0])
 
-    def field(x: Array) -> Array:
-        # One matvec per row: X @ A.T would sum in a row-count-dependent order.
-        return b - (x[..., None, :] @ AT)[..., 0, :]
+        def field(x):
+            # One coordinate: the scalar body's float arithmetic, elementwise on
+            # arrays, with no 1 x 1 matmul per row; also the game's scalar_field.
+            return b0 - a00 * x
+    else:
+        AT = A.T
+
+        def field(x: Array) -> Array:
+            # One matvec per row: X @ A.T would sum in a row-count-dependent order.
+            return b - (x[..., None, :] @ AT)[..., 0, :]
 
     if lam_max <= tol:
         # Constant field b; a Nash set exists only when b == 0 (everything).
@@ -205,10 +214,7 @@ def _make_quadratic(A: Array, b: Array, dims: tuple[int, ...], name: str) -> Gam
 
     field_fn, oracle, payoff, lam = _quadratic_parts(A, b, name)
     payoffs = tuple(payoff for _ in dims) if payoff is not None else None
-    scalar = None
-    if n == 1:
-        a00, b0 = float(A[0, 0]), float(b[0])
-        scalar = lambda x: b0 - a00 * x  # noqa: E731
+    scalar = field_fn if n == 1 else None
     return Game(dims=dims, field=field_fn, payoffs=payoffs, nash_oracle=oracle,
                 cocoercivity=lam, name=name, scalar_field=scalar, affine=(A, b))
 

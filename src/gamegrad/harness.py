@@ -1,13 +1,15 @@
 """Multi-trial seeded execution, aggregation and persistence.
 
-Trials draw independent Philox streams keyed by (master_seed, trial index),
-so results do not depend on execution order or worker count; aggregation is
-a fixed-order reduction over trial indices. An experiment builds its game
-once, and its trials run in contiguous blocks, one per worker. A one-block
-run steps in the calling process; only two or more blocks import and start
-a process pool (``concurrent.futures.process``, ``multiprocessing``), whose
-workers each build their own copy of the game, as its closures do not
-pickle. A block steps in lock-step when dynamics.runner_body says so (a
+Trials that draw noise draw independent Philox streams keyed by
+(master_seed, trial index), so results do not depend on execution order or
+worker count. Each trial passes the runner that key, and the runner builds
+the stream only for a config with noise: a noiseless run builds no
+generator and does not import numpy.random. Aggregation is a fixed-order
+reduction over trial indices. An experiment builds its game once, and its
+trials run in contiguous blocks, one per worker. A one-block run steps in
+the calling process; only two or more blocks import and start a process
+pool (``concurrent.futures.process``, ``multiprocessing``), whose workers
+each build their own copy of the game, as its closures do not pickle. A block steps in lock-step when dynamics.runner_body says so (a
 game without an unrolled runner body, or 32 or more trials of a
 one-dimensional game with a scalar field); a lock-step row does not depend
 on its block, and a one-dimensional trial's record is the same whichever
@@ -39,6 +41,7 @@ from .dynamics import (
     run_lockstep,
     run_trajectory,
     runner_body,
+    trial_generator,
 )
 from .errors import (
     ConfigError,
@@ -109,8 +112,9 @@ class ExperimentConfig:
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one trial, independent of execution order."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[master_seed, trial])))
+    """Counter-based stream for one trial, independent of execution order: the
+    generator a noisy run builds from the key (master_seed, trial) it is passed."""
+    return trial_generator((master_seed, trial))
 
 
 def config_hash(doc: dict) -> str:
@@ -355,7 +359,9 @@ class _EtaText:
 def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list[tuple]:
     """Run a contiguous block of trials on the config's game (from build_game).
 
-    Each trial is reduced to its payload. runner_body picks the body from
+    Each trial is reduced to its payload. A trial passes its entropy key
+    (master_seed, trial) as its rng, which the runner turns into trial_rng's
+    generator only if the config draws noise. runner_body picks the body from
     the game and the block's size: an unrolled body runs one trial at a
     time, lock-step steps the block together (run_lockstep, which splits it
     to bound the record memory). The records keep their step norms only
@@ -374,10 +380,10 @@ def _block_payloads(config: ExperimentConfig, game: Game, trials: range) -> list
     step_norms = bool(config.trajectory_dir) or any(
         metrics.CHECKS[spec.name].step_norms for spec in config.check_specs)
     if runner_body(game, len(trials)) != "lockstep":
-        records = (run_trajectory(game, dynamics, rng=trial_rng(seed, i), step_norms=step_norms)
+        records = (run_trajectory(game, dynamics, rng=(seed, i), step_norms=step_norms)
                    for i in trials)
     else:
-        records = run_lockstep(game, dynamics, [trial_rng(seed, i) for i in trials],
+        records = run_lockstep(game, dynamics, [(seed, i) for i in trials],
                                step_norms=step_norms)
     return [_trial_payload(config, game, i, rec, eta_text) for i, rec in zip(trials, records)]
 

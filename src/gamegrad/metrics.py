@@ -429,7 +429,12 @@ def parse_check(check_id) -> CheckSpec:
                              _float(parts[4], "slope_below Tmax"), f"slope check {check_id!r}"))
         return CheckSpec(check_id, name, _number(parts[2], "slope_below bound"), parts[1], window)
     if name == "tail_to_zero":
-        return CheckSpec(check_id, name, _number(arg, "tail_to_zero factor") if sep else 1e-3)
+        if not sep:
+            return CheckSpec(check_id, name, 1e-3)
+        factor = _number(arg, "tail_to_zero factor")
+        if not factor > 0.0:  # a tail's last point is >= 0, and the test is strict
+            raise ConfigError(f"tail_to_zero factor must be positive, got {arg!r}")
+        return CheckSpec(check_id, name, factor)
     if name == "distance_below":
         if not sep:
             raise ConfigError("distance_below needs a threshold, e.g. distance_below:1e-3")

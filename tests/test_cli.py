@@ -456,7 +456,8 @@ def forbid_dynamics(monkeypatch):
     monkeypatch.setattr("gamegrad.harness.run_lockstep", no_dynamics)
 
 
-@pytest.mark.parametrize("check_id", ["distance_below:0", "distance_below:-1", "tail_to_zero:"])
+@pytest.mark.parametrize("check_id", ["distance_below:0", "distance_below:-1", "tail_to_zero:",
+                                      "tail_to_zero:0", "tail_to_zero:-1"])
 def test_run_rejects_check_arguments_no_run_can_use(runner, tmp_path, monkeypatch, check_id):
     forbid_dynamics(monkeypatch)
     result = runner.invoke(main, ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path),
@@ -865,3 +866,34 @@ def test_one_worker_run_does_not_import_the_process_pool(tmp_path):
     assert two == ["concurrent.futures.process", "multiprocessing"]  # two blocks use the pool
     for name in ("report.json", "curves.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+_RANDOM_SCRIPT = """
+import json, sys
+from gamegrad.cli import main
+
+def run(*args):
+    try:
+        main([*args, "--out", f"{sys.argv[1]}/{len(seen)}"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    seen.append("numpy.random" in sys.modules)
+
+seen = ["numpy.random" in sys.modules]
+run("run", "--config", "criterion2_tail.cfg")
+run("sweep", "--config", "criterion1_descent.cfg")
+run("run", "--config", "quadratic_1d.cfg", "--set", 'checks=["no_divergence"]', "--set",
+    'dynamics.noise={"kind": "relative", "tau": {"kind": "constant", "c": 0.25}}')
+print(json.dumps(seen))
+"""
+
+
+def test_noiseless_commands_do_not_import_numpy_random(tmp_path):
+    # a fresh interpreter: this test session has loaded numpy.random already
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_SCRIPT, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # start-up, the noiseless run and sweep, then a noisy run, which builds its generator
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]

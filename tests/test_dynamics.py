@@ -1386,3 +1386,51 @@ def test_record_grid_matches_per_step_schedule_digest():
                     digest.update(repr((rec.diverged, rec.divergence_step,
                                         rec.settle_step)).encode())
     assert digest.hexdigest() == "0996d2a03bac32c120dd30166bd9b2454d6d2cbca6f07292a377ffc1aedc5b08"
+
+
+# ---------------------------------------------------------------------------
+# generators: built only when a run draws noise
+# ---------------------------------------------------------------------------
+
+def _no_generator(rng):
+    raise AssertionError("a noiseless run built a generator")
+
+
+@pytest.mark.parametrize("name,trials", [("quad_1d", 1), ("piecewise", 1), ("quad_2d", 1),
+                                         ("quad_1d", _LOCKSTEP_TRIALS), ("rand_4d", 3)])
+def test_noiseless_record_is_the_same_for_every_kind_of_rng(monkeypatch, name, trials):
+    game = (make_game(GameSpec.random_cocoercive(4, seed=3)) if name == "rand_4d"
+            else make_named_game(name))
+    cfg = DynamicsConfig(GradNormSchedule(1.0, 2.0), horizon=400, x0=(0.9,) * game.n,
+                         thinning=3)
+    monkeypatch.setattr(dynamics, "trial_generator", _no_generator)
+    rngs = [None, 7, (7, 0), philox(7)]
+    if trials == 1:
+        records = [run_trajectory(game, cfg, rng=rng) for rng in rngs]
+    else:
+        records = list(run_lockstep(game, cfg, rngs * -(-trials // len(rngs))))
+    assert [rec.seed for rec in records[:4]] == [None, 7, None, None]
+    for rec in records[1:]:
+        assert _same_bits(rec, records[0])
+
+
+@pytest.mark.parametrize("name,trials", [("quad_1d", 1), ("quad_2d", 1),
+                                         ("quad_1d", _LOCKSTEP_TRIALS), ("rand_4d", 3)])
+def test_noisy_run_draws_from_the_generator_its_key_or_seed_names(name, trials):
+    game = (make_game(GameSpec.random_cocoercive(4, seed=3)) if name == "rand_4d"
+            else make_named_game(name))
+    noise = RelativeNoise(VarianceSchedule("constant", 0.25), "gaussian")
+    cfg = DynamicsConfig(ConstantSchedule(0.2), horizon=300, x0=(0.9,) * game.n, noise=noise)
+    keys, seeds = [(5, i) for i in range(trials)], [10 + i for i in range(trials)]
+    if trials == 1:
+        runs = [[run_trajectory(game, cfg, rng=rng)] for rng in
+                (keys[0], trial_rng(*keys[0]), seeds[0], philox(seeds[0]))]
+    else:
+        runs = [list(run_lockstep(game, cfg, rngs)) for rngs in
+                (keys, [trial_rng(*k) for k in keys], seeds, [philox(s) for s in seeds])]
+    by_key, by_generator, by_seed, by_seed_generator = runs
+    assert [rec.seed for rec in by_key + by_generator + by_seed_generator] == [None] * 3 * trials
+    assert [rec.seed for rec in by_seed] == seeds
+    for got, want in [*zip(by_key, by_generator), *zip(by_seed, by_seed_generator)]:
+        assert _same_bits(got, want)
+    assert not _same_bits(by_key[-1], by_seed[-1])

@@ -277,6 +277,25 @@ def test_field_rows_do_not_depend_on_the_batch(name):
         assert game.field(X[lo:hi]).tobytes() == batch[lo:hi].tobytes()
 
 
+_ONE_BY_ONE = [([[1.0]], [0.0]), ([[3.5]], [-2.25]), ([[1e-300]], [1e300]),
+               ([[0.0]], [0.0]), ([[0.0]], [-0.0]), ([[0.0]], [7.0])]  # zero matrix: no lambda
+
+
+@pytest.mark.parametrize("matrix,offset", _ONE_BY_ONE)
+def test_one_by_one_field_on_a_block_is_scalar_field_per_element(matrix, offset):
+    game = make_game(GameSpec.quadratic(matrix, offset))
+    states = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -3.0,
+              1e300, -1.7976931348623157e308, 1e-310]
+    X = np.array(states)[:, None]
+    with np.errstate(over="ignore"):  # the largest states overflow to inf, as floats do
+        block = game.field(X)
+        singles = [game.field(np.array([x])) for x in states]  # one joint action, shape (1,)
+    assert block.shape == X.shape
+    expected = np.array([game.scalar_field(x) for x in states])[:, None]
+    assert block.tobytes() == expected.tobytes()
+    assert np.concatenate(singles).tobytes() == expected.tobytes()
+
+
 def _estimate_by_pairs(game, low, high, pairs, seed):
     """estimate_cocoercivity as a per-pair loop of 1-D field calls."""
     rng = np.random.default_rng(seed)

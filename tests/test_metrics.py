@@ -344,10 +344,12 @@ def test_parse_check_unknown_id():
     ("distance_below:-1", "distance_below threshold must be positive"),
     ("distance_below:", "distance_below threshold must be a number"),
     ("tail_to_zero:", "tail_to_zero factor must be a number"),
+    ("tail_to_zero:0", "tail_to_zero factor must be positive"),
+    ("tail_to_zero:-1", "tail_to_zero factor must be positive"),
     ("no_divergence:", "takes no argument"),
 ])
 def test_parse_check_rejects_arguments_no_run_can_use(check_id, message):
-    # a distance is >= 0 and its test is strict; an empty argument is no number
+    # a distance and a gap are >= 0 and their tests are strict; an empty argument is no number
     with pytest.raises(ConfigError, match=message):
         parse_check(check_id)
 
