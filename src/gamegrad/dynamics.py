@@ -24,7 +24,8 @@ tests pin them against each other:
 The unrolled bodies run one trial at a time; measured on one-dimensional
 quadratics, a lock-step block only overtakes the scalar body from about 32
 trials up, so runner_body picks the body from the game and the block's
-size. run_trajectory and run_lockstep share one set-up, and all three
+size, and run_lockstep from the size of each part it splits a block into.
+run_trajectory and run_lockstep share one set-up, and all three
 bodies take the same arguments. Each writes its per-step entries in its
 loop, a step's state included before the step's divergence test, and the
 rest of the record through _Log: begin writes step 0, end marks where the
@@ -32,6 +33,15 @@ trials that diverged stopped, and coast writes the tail of a trial whose
 steps no longer change its gap. The step norms get record rows only when
 the caller asks for them (step_norms); the adaptive step_norm schedule
 reads them inside the loop either way.
+
+The logged steps (step 0, the dyadic steps and every thinning-th step) are
+built once per (horizon, thinning) by _log_grid, which keeps the last one
+asked for, as _SharedStep.step_sizes keeps its last horizon: a read-only
+array of the steps, which every record's state_steps is a view of, and the
+loops' sequence of them ending in a sentinel: a tuple of ints, or
+range(T + 2) for thinning 1, so that no sequence of every step is ever
+built as ints. The trials of a block and the points of a sweep that share
+a horizon and thinning build it once.
 
 Coasting trials. In double precision the runs reach an exact zero gap, and
 later an exact fixed point: a state the update maps to itself bit for bit.
@@ -113,7 +123,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -702,6 +712,20 @@ def _log_steps(horizon: int, thinning: int) -> Array:
     return np.insert(grid, np.searchsorted(grid, missing), missing)
 
 
+@functools.lru_cache(maxsize=1)
+def _log_grid(horizon: int, thinning: int) -> tuple[Array, Sequence[int]]:
+    """The logged steps of a run, read-only, and the stepping loops' sequence of them.
+
+    The sequence ends in the sentinel horizon + 1, which no step reaches, so
+    a loop's index into it never runs past the end. It is a tuple of ints,
+    or range(horizon + 2) for thinning 1, with no ints behind it. Only the last
+    (horizon, thinning) asked for is kept: the trials and the points of a
+    sweep that share it build it once.
+    """
+    steps = _readonly(_log_steps(horizon, thinning))
+    return steps, range(horizon + 2) if thinning == 1 else (*steps.tolist(), horizon + 1)
+
+
 def runner_body(game: Game, trials: int = 1) -> str:
     """The body that steps a block of trials of a game: 'scalar', 'affine2' or 'lockstep'.
 
@@ -725,7 +749,10 @@ class _Log:
     gives, and ``etas`` holds its floats for the stepping loops; it is None
     for the adaptive schedules, whose loops log each step size in the
     trial's own row as they compute it. The step norms get rows only if
-    ``step_norms`` (``step`` is None otherwise).
+    ``step_norms`` (``step`` is None otherwise). The logged steps
+    (``steps``, read-only) and the loops' sequence of them (``log_seq``)
+    are _log_grid's, shared with every _Log of the same horizon and
+    thinning.
     """
 
     def __init__(self, m: int, n: int, config: DynamicsConfig, schedule: Schedule,
@@ -741,10 +768,7 @@ class _Log:
             self.eta = np.empty((m, T))
         self.step = np.empty((m, T)) if step_norms else None
         self.beta = np.empty((m, T + 1)) if schedule.tracks_beta else None
-        self.steps = _log_steps(T, config.thinning)
-        # The logged steps as ints, ending in the sentinel T + 1, which no step
-        # reaches: a loop's index into it never runs past the end.
-        self.log_list = [*self.steps.tolist(), T + 1]
+        self.steps, self.log_seq = _log_grid(T, config.thinning)
         self.states = np.empty((m, len(self.steps), n))
         self.stop = [T] * m
         self.diverged = [False] * m
@@ -810,12 +834,12 @@ class _Log:
             self.eta[row, s + 1:] = schedule.settled_steps(s, eta, g, T - s - 1)
         t = s
         if not still:
-            states, log_list, eta_row = self.states[row], self.log_list, self.eta[row]
+            states, log_seq, eta_row = self.states[row], self.log_seq, self.eta[row]
             why = _RAN
             while why == _RAN and t < T:
                 etas = eta_row[t:t + _COAST_CHUNK].tolist()
                 flat, x, v, k, why = advance(x, v, etas)
-                end = bisect.bisect_right(log_list, t + k, log_ptr)
+                end = bisect.bisect_right(log_seq, t + k, log_ptr)
                 if end > log_ptr:  # flat holds the states after steps t + 1..t + k
                     ys = np.array(flat).reshape(k, -1)
                     states[log_ptr:end] = ys[self.steps[log_ptr:end] - (t + 1)]
@@ -965,13 +989,19 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list, *,
     one trial took 1.5-2x as long (2-vCPU host, CPU time: quad_1d, 20,000
     steps, 197 -> 312 ms; a 64-d random game, 4,096 steps, 58 -> 114 ms).
     Without ``step_norms`` the records keep no step norms, and more trials
-    fit in a part.
+    fit in a part. A part of a split run that runner_body would give to the
+    scalar body (fewer than _LOCKSTEP_TRIALS trials of a game with a scalar
+    field) runs there, one trial at a time: its records have the same bits.
     """
     size = _BLOCK_BYTES // _record_bytes(config, len(config.x0), step_norms)  # >= 1
     parts = -(-len(rngs) // size)
     bounds = [len(rngs) * j // parts for j in range(parts + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        yield from _run(_run_lockstep, game, config, rngs[lo:hi], step_norms)
+        if parts > 1 and runner_body(game, hi - lo) == "scalar":
+            for rng in rngs[lo:hi]:
+                yield from _run(_run_scalar, game, config, [rng], step_norms)
+        else:
+            yield from _run(_run_lockstep, game, config, rngs[lo:hi], step_norms)
 
 
 def _dot(a, b) -> float:
@@ -1030,7 +1060,7 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     rows = 0 if flat else slice(None)  # the log rows of the live trials
     gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states
     etas = log.etas
-    log_list = log.log_list
+    log_seq = log.log_seq
     r2 = radius * radius
     inf = math.inf
 
@@ -1045,7 +1075,7 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     G = dot(V, V)
     log.begin(G, X)
     log_ptr = 1
-    next_log = log_list[1]
+    next_log = log_seq[1]
 
     eta_next = None  # a shared schedule's step sizes are all in etas
     if etas is None:
@@ -1081,7 +1111,7 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
             if t + 1 == next_log:
                 states[rows, log_ptr] = X_new
                 log_ptr += 1
-                next_log = log_list[log_ptr]
+                next_log = log_seq[log_ptr]
             N = dot(X_new, X_new)
             gone = None  # the mask of the rows that leave the block after this step
             if not (top(G_new) < inf and top(N) <= r2):
@@ -1203,9 +1233,9 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
     v = f(x)
     g = v * v
     log.begin(g, x)
-    log_list = log.log_list
+    log_seq = log.log_seq
     log_ptr = 1
-    next_log = log_list[1]
+    next_log = log_seq[1]
 
     eta_next = next_step = None  # a shared schedule's step sizes are all in etas
     if etas is None:
@@ -1245,7 +1275,7 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
             if t + 1 == next_log:
                 states[log_ptr] = x_new
                 log_ptr += 1
-                next_log = log_list[log_ptr]
+                next_log = log_seq[log_ptr]
             if not (g_new < inf) or not (x_new * x_new <= r2):
                 log.end([0], t + 1)
                 return
@@ -1262,7 +1292,7 @@ def _run_scalar(game, x0, T, schedule, draws, radius, log):
                         return
                     t, (x,), v, eta_next, log_ptr = back
                     g = 0.0
-                    next_log = log_list[log_ptr]
+                    next_log = log_seq[log_ptr]
                     break
             x, v, g = x_new, v_new, g_new
             t += 1
@@ -1281,9 +1311,9 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
     v1 = b1 - (a10 * x0_ + a11 * x1_)
     g = v0 * v0 + v1 * v1
     log.begin(g, (x0_, x1_))
-    log_list = log.log_list
+    log_seq = log.log_seq
     log_ptr = 1
-    next_log = log_list[1]
+    next_log = log_seq[1]
 
     eta_next = next_step = None  # a shared schedule's step sizes are all in etas
     if etas is None:
@@ -1347,7 +1377,7 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
                 states[2 * log_ptr] = y0
                 states[2 * log_ptr + 1] = y1
                 log_ptr += 1
-                next_log = log_list[log_ptr]
+                next_log = log_seq[log_ptr]
             if not (g_new < inf) or not (y0 * y0 + y1 * y1 <= r2):
                 log.end([0], t + 1)
                 return
@@ -1364,7 +1394,7 @@ def _run_affine2(game, x0, T, schedule, draws, radius, log):
                         return
                     t, (x0_, x1_), (v0, v1), eta_next, log_ptr = back
                     g = 0.0
-                    next_log = log_list[log_ptr]
+                    next_log = log_seq[log_ptr]
                     break
             x0_, x1_, v0, v1, g = y0, y1, w0, w1, g_new
             t += 1

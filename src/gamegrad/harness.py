@@ -414,7 +414,7 @@ def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: Tra
                              for p in pos])
             dist = np.linalg.norm(record.states[pos] - proj, axis=1).tolist()
         dyadic = (record.gap[idx].tolist(),
-                  metrics.time_average_gap(record.gap)[idx].tolist(), dist)
+                  metrics.time_average_gap(record.gap, idx).tolist(), dist)
     summary = TrialSummary(trial, _json_float(record.gap[-1]), final_distance,
                            record.diverged, record.divergence_step)
     verdicts = [{"trial": trial, **verdict.to_dict()}
@@ -543,7 +543,10 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
     runs on the game built for it. A template or a point that fails either
     raises ConfigError, naming the point, with nothing run. Only a failure
     found while a point runs (say, a trajectory directory that cannot be
-    made) is its entry's error.
+    made) is its entry's error. Point i writes its trajectory files, if the
+    config asks for them, under ``<trajectory_dir>/point_<iii>/`` (iii its
+    three-digit index, as the CLI's report_<iii>.json), and its report's
+    config names that directory.
     """
     config_dict(grid, "sweep grid")
     if not grid:
@@ -557,11 +560,13 @@ def sweep(template: dict, grid: dict[str, Sequence], workers: int = 1) -> list[S
 
     axes = list(grid.keys())
     points = []
-    for combo in itertools.product(*(grid[a] for a in axes)):
+    for i, combo in enumerate(itertools.product(*(grid[a] for a in axes))):
         point = dict(zip(axes, combo))
         doc = copy.deepcopy(template)
         for path, value in point.items():
             set_by_path(doc, path, value)
+        if doc.get("trajectory_dir") and isinstance(doc["trajectory_dir"], str):
+            doc["trajectory_dir"] = os.path.join(doc["trajectory_dir"], f"point_{i:03d}")
         try:
             config = ExperimentConfig.from_dict(doc)
             points.append((point, config, build_game(config)))

@@ -39,10 +39,16 @@ def _gap_series(traj) -> Array:
     return arr
 
 
-def time_average_gap(traj) -> Array:
-    """Prefix means of the gap series: entry T holds (1/(T+1)) sum_{t<=T} gap_t."""
-    gap = _gap_series(traj)
-    return np.cumsum(gap) / np.arange(1.0, gap.size + 1.0)
+def time_average_gap(traj, steps: Optional[Array] = None) -> Array:
+    """Prefix means of the gap series: entry T holds (1/(T+1)) sum_{t<=T} gap_t.
+
+    Given ``steps``, an int array, only the means at those steps, with the
+    same bits: the prefix sums are divided there alone.
+    """
+    sums = np.cumsum(_gap_series(traj))
+    if steps is None:
+        return sums / np.arange(1.0, sums.size + 1.0)
+    return sums[steps] / (steps + 1.0)
 
 
 class TailSeries(NamedTuple):
@@ -253,6 +259,37 @@ class CheckSpec:
             raise ConfigError(f"check {self.check_id!r} needs a game with a known cocoercivity")
 
 
+def _first_above(values: Array, limit: float, top: float) -> Optional[int]:
+    """The index of the first of ``values`` above limit, or None; top is their maximum.
+
+    Only a top that is not at or below the limit (NaN included) needs the
+    search: otherwise no value is above it.
+    """
+    if top <= limit:
+        return None
+    above = np.flatnonzero(values > limit)
+    return int(above[0]) if above.size else None
+
+
+def _state_distances(states: Array, p: Array) -> Array:
+    """The distance of each row of states from the point p, with the bits of
+    np.linalg.norm(states - p, axis=1).
+
+    That norm sums each row's squares in order, so for n <= 2 the squares
+    are summed by columns, as sqrt(d0 * d0 + d1 * d1): its axis-1 sum over
+    two columns was the slow part. np.vecdot would be faster still, but it
+    differs in the last bit.
+    """
+    if states.shape[1] > 2:
+        return np.linalg.norm(states - p, axis=1)
+    d = states[:, 0] - p[0]
+    sq = d * d
+    if states.shape[1] == 2:
+        d = states[:, 1] - p[1]
+        sq += d * d
+    return np.sqrt(sq, out=sq)
+
+
 def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
     """Gradient-norm monotonicity, iterate boundedness and gap summability
     for a noiseless constant-step run with eta in (0, lambda], where eta is
@@ -264,20 +301,21 @@ def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
     tol_mono = 1e-10 * (1.0 + float(norms[0]))
     diffs = norms[1:] - norms[:-1]
     worst = float(diffs.max()) if diffs.size else -math.inf
-    bad = np.nonzero(diffs > tol_mono)[0]
+    first = _first_above(diffs, tol_mono, worst)
     verdicts.append(ConvergenceVerdict(
         "descent.grad_norm_monotone", passed=worst <= tol_mono, worst_violation=worst,
-        first_violation_step=int(bad[0]) + 1 if bad.size else None))
+        first_violation_step=None if first is None else first + 1))
 
     x0 = record.states[0]
     p0 = project_to_nash(game, x0)
     d0 = float(np.linalg.norm(x0 - p0))
-    dists = np.linalg.norm(record.states - p0, axis=1)
-    worst = float((dists - d0).max())
-    bad = np.nonzero(dists > d0 + 1e-9)[0]
+    dists = _state_distances(record.states, p0)
+    far = float(dists.max())
+    first = _first_above(dists, d0 + 1e-9, far)
     verdicts.append(ConvergenceVerdict(
-        "descent.iterate_bounded", passed=worst <= 1e-9, worst_violation=worst,
-        first_violation_step=int(record.state_steps[bad[0]]) if bad.size else None))
+        "descent.iterate_bounded", passed=far - d0 <= 1e-9,
+        worst_violation=far - d0,  # the largest dists - d0: rounding is monotone
+        first_violation_step=None if first is None else int(record.state_steps[first])))
 
     total = float(record.gap.sum())
     bound = d0 * d0 / (record.config["schedule"]["eta"] * game.cocoercivity)

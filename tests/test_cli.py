@@ -157,6 +157,26 @@ def test_sweep_cli(runner, tmp_path):
     assert last.trials[0].final_gap == 0.0
 
 
+def test_sweep_writes_each_points_trajectories_in_its_own_directory(runner, tmp_path):
+    # criterion 1's three step sizes: every point used to write traj/trial_0000.jsonl
+    traj, out = tmp_path / "traj", tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", "criterion1_descent.cfg", "--out", str(out),
+                                  "--set", f"trajectory_dir={traj}",
+                                  "--set", "dynamics.horizon=64"])
+    assert result.exit_code == 0, result.output
+    etas = [0.08333333333333333, 0.16666666666666666, 0.3333333333333333]
+    assert sorted(os.listdir(traj)) == ["point_000", "point_001", "point_002"]
+    for i, eta in enumerate(etas):
+        point = traj / f"point_{i:03d}"
+        assert os.listdir(point) == ["trial_0000.jsonl"]
+        with open(point / "trial_0000.jsonl", encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        assert header["config"]["schedule"]["eta"] == eta
+        report = read_report(str(out / f"report_{i:03d}.json"))
+        assert report.config["trajectory_dir"] == str(point)
+        assert report.config["dynamics"]["schedule"]["eta"] == eta
+
+
 def noisy_quad1d_doc():
     doc = quad1d_doc(checks=())
     doc["dynamics"]["noise"] = {"kind": "relative", "shape": "gaussian",

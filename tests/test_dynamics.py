@@ -15,6 +15,7 @@ from gamegrad.dynamics import (
     _Log,
     _amp_table,
     _log_floats,
+    _log_grid,
     _log_steps,
     _log_table,
     _NoiseDraws,
@@ -1118,6 +1119,36 @@ def test_lockstep_parts_split_evenly_at_the_record_cap(monkeypatch):
     assert all(_same_bits(a, b) for a, b in zip(split, whole)) and len(split) == 70
 
 
+@pytest.mark.parametrize("schedule,noise", [
+    (StepNormSchedule(1.0), RelativeNoise(VarianceSchedule("power", 1.0, 0.5))),
+    (PowerSchedule(0.5, 0.5), AbsoluteNoise(VarianceSchedule("constant", 0.01))),
+], ids=["step_norm_relative", "power_absolute"])
+def test_lockstep_parts_below_the_crossover_run_on_the_scalar_body(monkeypatch, schedule, noise):
+    # a 32-trial block split into parts of 2 runs trial by trial on the scalar
+    # body, and its records keep the unsplit block's bits, settle steps included
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(schedule, horizon=3000, x0=(1.0,), noise=noise, thinning=7)
+    rngs = [(12, i) for i in range(_LOCKSTEP_TRIALS)]  # keys: each run builds fresh generators
+    bodies = []
+    real_run = dynamics._run
+
+    def counted_run(body, game, config, rngs, *args):
+        bodies.append((body.__name__, len(rngs)))
+        return real_run(body, game, config, rngs, *args)
+
+    monkeypatch.setattr(dynamics, "_run", counted_run)
+    whole = list(run_lockstep(game, cfg, rngs))
+    assert bodies == [("_run_lockstep", _LOCKSTEP_TRIALS)]
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 2 * _record_bytes(cfg, 1))
+    del bodies[:]
+    split = list(run_lockstep(game, cfg, rngs))
+    assert bodies == [("_run_scalar", 1)] * _LOCKSTEP_TRIALS
+    assert len(split) == _LOCKSTEP_TRIALS
+    assert all(_same_bits(a, b) and a.settle_step == b.settle_step for a, b in zip(split, whole))
+    if isinstance(noise, RelativeNoise):
+        assert all(rec.settle_step is not None for rec in whole)
+
+
 # ---------------------------------------------------------------------------
 # noise chunks
 # ---------------------------------------------------------------------------
@@ -1337,6 +1368,34 @@ def test_log_steps_match_set_reference(horizon):
         expected = _log_steps_by_set(horizon, thinning)
         assert steps.dtype == np.int64
         assert np.array_equal(steps, expected), (horizon, thinning)
+
+
+def test_logs_of_one_horizon_and_thinning_share_one_read_only_grid():
+    cfg = DynamicsConfig(ConstantSchedule(0.3), horizon=300, x0=(1.0,), thinning=3)
+    first, second = _Log(2, 1, cfg, cfg.schedule), _Log(5, 1, cfg, cfg.schedule)
+    assert first.steps is second.steps and first.log_seq is second.log_seq
+    assert not first.steps.flags.writeable
+    rec = run_trajectory(make_named_game("quad_1d"), cfg)
+    assert not rec.state_steps.flags.writeable
+    assert np.shares_memory(rec.state_steps, first.steps)
+    other = _Log(1, 1, dataclasses.replace(cfg, thinning=4), cfg.schedule)
+    assert other.steps is not first.steps  # only the last grid asked for is kept
+    assert _Log(1, 1, cfg, cfg.schedule).steps is not first.steps
+
+
+@pytest.mark.parametrize("thinning", [0, 1, 3])
+@pytest.mark.parametrize("horizon", [1, 2, 100, 50_000])
+def test_log_sequence_is_the_logged_steps_then_the_sentinel(horizon, thinning):
+    cfg = DynamicsConfig(ConstantSchedule(0.3), horizon=horizon, x0=(1.0,), thinning=thinning)
+    log = _Log(1, 1, cfg, cfg.schedule)
+    if thinning == 1:
+        assert isinstance(log.log_seq, range)  # no list of every step
+        expected = [*range(horizon + 1), horizon + 1]
+    else:
+        expected = [*_log_steps(horizon, thinning).tolist(), horizon + 1]
+    assert list(log.log_seq) == expected
+    assert log.steps.tolist() == expected[:-1] and log.steps.dtype == np.int64
+    assert _log_grid(horizon, thinning)[0] is log.steps
 
 
 _GRID_SCHEDULES = {"constant": lambda: ConstantSchedule(0.3),

@@ -556,7 +556,7 @@ def test_sweep_isolates_failures_at_run_time(tmp_path, monkeypatch):
     entries = sweep(template, {"trajectory_dir": [str(tmp_path / "traj"), str(blocker / "traj")]})
     assert entries[0].error is None and not entries[0].report.failed_checks()
     assert entries[1].report is None and entries[1].error
-    assert (tmp_path / "traj" / "trial_0000.jsonl").exists()
+    assert (tmp_path / "traj" / "point_000" / "trial_0000.jsonl").exists()
 
 
 def test_sweep_rejects_a_check_that_does_not_apply_before_any_point_runs(monkeypatch):

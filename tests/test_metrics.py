@@ -15,9 +15,10 @@ from gamegrad.dynamics import (
     run_trajectory,
 )
 from gamegrad.errors import ConfigError, IndeterminateResult
-from gamegrad.games import GameSpec, make_game, make_named_game
+from gamegrad.games import GameSpec, make_game, make_named_game, project_to_nash
 from gamegrad.metrics import (
     ConvergenceVerdict,
+    _state_distances,
     distance_to_nash,
     fit_rate,
     optimality_gap,
@@ -80,6 +81,12 @@ def test_time_average_gap_prefix_means():
     assert np.allclose(time_average_gap([4.0, 0.0, 0.0]), [4.0, 2.0, 4.0 / 3.0])
     assert np.array_equal(time_average_gap([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
     assert np.allclose(time_average_gap([1.0, 0.25, 0.0625]), [1.0, 0.625, 0.4375])
+
+
+def test_time_average_gap_at_steps_has_the_bits_of_the_whole_curve():
+    gap = np.sin(np.arange(5000.0)) ** 2 / np.arange(1.0, 5001.0)
+    steps = np.array([0, 1, 2, 4, 1000, 4096, 4999])
+    assert time_average_gap(gap, steps).tobytes() == time_average_gap(gap)[steps].tobytes()
 
 
 def test_time_average_monotone_when_gap_monotone():
@@ -256,6 +263,77 @@ def test_check_descent_invariants_negative_control():
     # gap sum 8.5 against d0^2 / (eta * lambda) = 4 / (0.5 * 1): eta is the
     # record's step size, lambda the game's cocoercivity
     assert verdicts[2].worst_violation == pytest.approx(8.5 - 8.0, rel=1e-15)
+
+
+def descent_reference(record, game):
+    """descent_invariants as first written: full-length temporaries and np.linalg.norm(axis=1)."""
+    norms = np.sqrt(record.gap)
+    tol = 1e-10 * (1.0 + float(norms[0]))
+    diffs = norms[1:] - norms[:-1]
+    worst = float(diffs.max()) if diffs.size else -math.inf
+    bad = np.nonzero(diffs > tol)[0]
+    mono = ConvergenceVerdict("descent.grad_norm_monotone", worst <= tol, worst,
+                              int(bad[0]) + 1 if bad.size else None)
+    p0 = project_to_nash(game, record.states[0])
+    d0 = float(np.linalg.norm(record.states[0] - p0))
+    dists = np.linalg.norm(record.states - p0, axis=1)
+    worst = float((dists - d0).max())
+    bad = np.nonzero(dists > d0 + 1e-9)[0]
+    bounded = ConvergenceVerdict("descent.iterate_bounded", worst <= 1e-9, worst,
+                                 int(record.state_steps[bad[0]]) if bad.size else None)
+    total = float(record.gap.sum())
+    bound = d0 * d0 / (record.config["schedule"]["eta"] * game.cocoercivity)
+    return [mono, bounded, ConvergenceVerdict("descent.gap_summable", total <= bound + 1e-6,
+                                              total - bound)]
+
+
+def descent_record(name):
+    """A game and a noiseless constant-step record with every state logged."""
+    if name == "quad_2d":
+        # descent_sweep's eta = lambda / 4 point: the gap is exactly 0 from step
+        # 4,289, and the states shrink through the subnormals until step 8,542
+        game = make_named_game(name)
+        cfg = DynamicsConfig(ConstantSchedule(0.08333333333333333), horizon=50_000,
+                             x0=(1.5, -2.0), thinning=1)
+        rec = run_trajectory(game, cfg)
+        assert int(np.flatnonzero(rec.gap == 0.0)[0]) == 4289 and rec.settle_step == 8542
+        assert np.any((rec.states != 0.0) & (np.abs(rec.states) < np.finfo(float).tiny))
+        return game, rec
+    if name == "quad_3d":  # n > 2: np.linalg.norm itself
+        game = make_game(GameSpec.quadratic([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]],
+                                            [1.0, 0.0, -1.0]))
+    else:
+        game = make_named_game(name)
+    cfg = DynamicsConfig(ConstantSchedule(0.5 * game.cocoercivity), horizon=3000,
+                         x0=(1.3, -0.7, 2.1)[:game.n], thinning=1)
+    return game, run_trajectory(game, cfg)
+
+
+@pytest.mark.parametrize("name", ["quad_1d", "rand_2d", "quad_3d", "quad_2d"])
+def test_descent_invariants_read_distances_with_the_bits_of_the_axis_1_norm(name):
+    game, rec = descent_record(name)
+    p0 = project_to_nash(game, rec.states[0])
+    expected = np.linalg.norm(rec.states - p0, axis=1)
+    assert _state_distances(rec.states, p0).tobytes() == expected.tobytes()
+    verdicts = run_named_check("descent_invariants", rec, game)
+    assert repr(verdicts) == repr(descent_reference(rec, game))
+    assert all(v.passed for v in verdicts)
+
+
+def test_descent_invariants_find_the_first_violations_as_the_reference_does():
+    # the gap rises entering step 2 and the states leave the start's ball at
+    # step 2; from step 2 on, a NaN (the maximum) comes before the first
+    # violation of each
+    gap = np.array([4.0, 1.0, 2.0, np.nan, 0.5, 3.0])
+    states = np.array([[1.0, 1.0], [0.5, 0.2], [2.0, 0.0], [np.nan, 0.0], [3.0, 1.0], [0.0, 0.0]])
+    game = make_named_game("quad_2d")
+    firsts = []
+    for rec in (fabricate(gap, states=states), fabricate(gap[2:], states=states[2:])):
+        verdicts = run_check(parse_check("descent_invariants"), rec, game)
+        assert repr(verdicts) == repr(descent_reference(rec, game))
+        assert not any(v.passed for v in verdicts)
+        firsts.append([v.first_violation_step for v in verdicts[:2]])
+    assert firsts == [[2, 2], [3, 2]]
 
 
 # ---------------------------------------------------------------------------
