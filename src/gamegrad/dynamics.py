@@ -15,14 +15,15 @@ tests pin them against each other:
 
 - scalar: one-dimensional games with a scalar field, on Python floats;
 - unrolled 2-d: affine two-dimensional games, on Python floats;
-- lock-step: every other game, and a block of _LOCKSTEP_TRIALS (32) or
+- lock-step: every other game, and a block of _LOCKSTEP_TRIALS (24) or
   more trials of a one-dimensional game with a scalar field, stepping the
-  block together as (trials, n) arrays, each trial with its own noise
-  stream. It calls the game's own field on the whole block, which gives
-  each row the bits it gives that row alone (see Game).
+  block together as (trials, n) arrays, or flat (trials,) vectors for
+  n = 1, each trial with its own noise stream. It calls the game's own
+  field on the whole block, which gives each row the bits it gives that
+  row alone (see Game).
 
 The unrolled bodies run one trial at a time; measured on one-dimensional
-quadratics, a lock-step block only overtakes the scalar body from about 32
+quadratics, a lock-step block only overtakes the scalar body from about 20
 trials up, so runner_body picks the body from the game and the block's
 size, and run_lockstep from the size of each part it splits a block into.
 run_trajectory and run_lockstep share one set-up, and all three
@@ -95,7 +96,8 @@ every row's record is the one the scalar body writes for that trial (see
 _run_lockstep).
 
 Noise draws. Each trial draws its normals in chunks of _NoiseDraws.rows
-steps: _CHUNK for one trial, _CHUNK // m for each of a block of m.
+steps: _CHUNK for one trial; for each of a block of m, _CHUNK // m or
+_DRAW_STEPS, whichever is more, unless the buffer would pass _DRAW_BYTES.
 Consecutive draws from one generator concatenate bit for bit, so the chunk
 lengths never change the noise. The amplitudes, sqrt(tau_t) or
 sqrt(sigma_t^2 / n), do not depend on the trial: they come from one
@@ -122,6 +124,7 @@ import copy
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -134,6 +137,16 @@ from .games import Game
 Array = np.ndarray
 
 _CHUNK = 4096
+
+# The fewest steps a trial of a lock-step block draws per generator call, so
+# that a block of m trials does not pay a call's overhead (about 0.76 us)
+# every _CHUNK // m steps, and the noise buffer memory that floor may take
+# at most. Criterion 8a's 100-trial block ran about 16% faster at 512 than
+# at 40 steps per call, and no faster at 2,048 (in-process medians, 2-vCPU
+# host, CPU time); a row that leaves the block draws at most that many
+# steps for nothing.
+_DRAW_STEPS = 512
+_DRAW_BYTES = 1 << 20
 
 # Step sizes a coast reads as floats at a time, and the steps one call of a
 # body's advance may take: a coast often ends after a few hundred steps, and
@@ -151,11 +164,12 @@ _BLOCK_BYTES = 64 << 20
 # Trials from which a block of a one-dimensional game with a scalar field
 # steps in lock-step rather than one trial at a time on the scalar body.
 # Median CPU ratios, lock-step over scalar, of alternating in-process runs on
-# quad_1d (2-vCPU Xeon VM, one BLAS thread): under step_norm and relative
-# noise, 4,096 steps (most rows coast from step ~1,000), 1.44 at 16 trials,
-# 1.15 at 24, 0.93 at 32 and 0.76 at 48; under power and absolute noise,
-# which never coasts, 1.40 at 16, 0.83 at 32 and 0.49 at 64.
-_LOCKSTEP_TRIALS = 32
+# quad_1d, 4,096 steps (2-vCPU Xeon VM, one BLAS thread, 4-6 rounds): under
+# step_norm and relative noise (most rows coast from step ~1,000), 1.08 at
+# 16 trials, 0.96 at 20, 0.84-0.85 at 24, 0.73 at 32 and 0.59 at 48; under
+# power and absolute noise, which never coasts, 1.01 at 16, 0.84 at 20,
+# 0.71-0.75 at 24, 0.58 at 32 and 0.41 at 48.
+_LOCKSTEP_TRIALS = 24
 
 # Libm tables cached per process: one per horizon (and p) in use at a time.
 _TABLES = 8
@@ -543,9 +557,11 @@ class _NoiseDraws:
     """Chunked unit draws for a block of trials, one generator per trial.
 
     Each trial's normals go straight into its rows of one block buffer. A
-    trial of a block of m gets ``rows`` = _CHUNK // m steps per chunk (at
-    most the horizon), so the buffer holds about _CHUNK x n doubles at any
-    block size. Consecutive draws from a generator concatenate bit-exactly,
+    trial of a block of m gets ``rows`` = _CHUNK // m steps per chunk, at
+    least _DRAW_STEPS while the buffer stays within _DRAW_BYTES, and at
+    most the horizon. So one generator call takes 512 steps, not 40, for
+    each of a 100-trial block, and the floor adds at most 1 MiB at any m
+    and n. Consecutive draws from a generator concatenate bit-exactly,
     so neither the chunk length nor the block a trial shares changes its
     noise: every step consumes exactly n normals. The sqrt-variance
     amplitudes are slices of one _amp_table.
@@ -557,8 +573,10 @@ class _NoiseDraws:
         var = model.tau if self.relative else model.sigma_sq
         self.amps = _amp_table(var, 1 if self.sphere else n, horizon)
         self.rngs = list(rngs)
-        self.rows = min(horizon, max(1, _CHUNK // len(self.rngs)))
-        self.buf = np.empty((len(self.rngs), self.rows, n))
+        m = len(self.rngs)
+        floor = min(_DRAW_STEPS, _DRAW_BYTES // (8 * m * n))
+        self.rows = min(horizon, max(1, _CHUNK // m, floor))
+        self.buf = np.empty((m, self.rows, n))
         self.drawn = 0  # the steps whose draws the generators have given
 
     def chunk(self, t0: int, count: int):
@@ -976,10 +994,13 @@ def run_lockstep(game: Game, config: DynamicsConfig, rngs: list, *,
     entry of rngs is what run_trajectory takes as rng, and becomes a
     generator the same way, only when the config draws noise. Trial i
     draws its noise from rngs[i]'s alone, and every per-row operation (the
-    game's own field, called on the whole block as it is, np.vecdot, or
-    for n = 1 the product of the one column with itself, elementwise
-    arithmetic) gives the same bits whatever the number of rows,
-    so a trial's record does not depend on which block it ran in. On a game
+    game's own field, called on the whole block as it is, np.vecdot,
+    elementwise arithmetic) gives the same bits whatever the number of
+    rows, so a trial's record does not depend on which block it ran in. A
+    block of a one-dimensional game steps on flat (trials,) vectors, which
+    its field maps elementwise (see Game): a gap is then a plain product.
+    Each step tests the whole block for divergence with one sum (see
+    _run_lockstep). On a game
     with a scalar field a block's rows coast as the scalar body's trial
     does, a row whose coast hands back staying in the block, and their
     records are the scalar body's, bit for bit (see _run_lockstep). A
@@ -1008,28 +1029,33 @@ def _dot(a, b) -> float:
     return float(a @ b)
 
 
-def _first_column_dot(a, b):
-    """np.vecdot of two (m, 1) blocks, with its bits: one product per row."""
-    return a[:, 0] * b[:, 0]
-
-
-def _column(v):
-    return v[:, None]
-
-
-def _same(v):
-    return v
-
-
 def _run_lockstep(game, x0, T, schedule, draws, radius, log):
-    """Step a block of m trials together from x0: X is (m, n), or (n,) for one trial.
+    """Step a block of m trials together from x0.
 
-    Per-trial values (gap, step norm, adaptive step size, noise amplitude)
-    are (m,) vectors, or floats for one trial, so each line below is the
-    same recursion as the unrolled bodies applied row by row. While no row
-    leaves the ball, the divergence test is one maximum over the new gaps
-    and one over the squared norms (a NaN is their maximum, and fails); the
-    per-row mask is built only when it fails.
+    A block's state X is (m, n); for a one-dimensional game it is a flat
+    (m,) vector, which the game's field maps elementwise (see Game), so a
+    gap or squared norm is a plain product and the per-trial values need no
+    column view to meet it. One trial runs on an (n,) vector. Per-trial values
+    (gap, step norm, adaptive step size, noise amplitude) are (m,) vectors,
+    or floats for one trial, so each line below is the same recursion as
+    the unrolled bodies applied row by row.
+
+    The divergence test of a block is one sum per step, over the rows'
+    G_new + N (new gap plus squared norm). A sum at most min(r^2, the
+    largest double) proves that no row left the ball; only a larger one
+    builds the exact per-row mask, and a mask with no row set changes
+    nothing. Why: each term is +0 or more, or NaN (squares and sums of
+    squares), and at least its G_new and its N, since rounding is
+    monotone; a NaN or inf term makes the sum NaN or inf. And a sum of
+    nonnegative terms is at least the largest one, M. A chain of additions
+    is (Python's sum up to 3.11 adds left to right). Python 3.12's sum adds
+    Neumaier's compensation c, when finite, to that chain's result f >= M.
+    A c >= 0 cannot take it below M. A c < 0 adds up exact error terms of
+    at most half an ulp of f each, rounding them by under m^2 2^-53 ulp(f)
+    in all: if f >= 2M, f + c >= f (1 - m 2^-52) >= M; otherwise f + c is
+    the exact sum (at least M) less under m^2 2^-52 ulp(M), a quarter ulp
+    for m < 2^25, so it rounds to M or more. _BLOCK_BYTES keeps m below
+    2^21.
 
     On a block (m > 1) of a game with a scalar field, a row starts to coast
     by the scalar body's rule, tested after the same step and at the same
@@ -1052,16 +1078,22 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
     """
     field, m = game.field, len(log.stop)
     flat = m == 1
-    X = np.array(x0, dtype=float) if flat else np.tile(x0, (m, 1))
-    dot, col, sqrt, top = ((_dot, _same, math.sqrt, _same) if flat
-                           else (_first_column_dot if game.n == 1 else np.vecdot, _column,
-                                 np.sqrt, np.maximum.reduce))
+    wide = not flat and game.n > 1  # rows are (n,) vectors: per-trial values widen to columns
+    states = log.states
+    if flat:
+        X, dot, sqrt = np.array(x0, dtype=float), _dot, math.sqrt
+    elif wide:
+        X, dot, sqrt = np.tile(x0, (m, 1)), np.vecdot, np.sqrt
+    else:
+        X, dot, sqrt = np.full(m, x0[0]), np.multiply, np.sqrt
+        states = states[:, :, 0]
     live = np.arange(m)
     rows = 0 if flat else slice(None)  # the log rows of the live trials
-    gap, eta_log, step_log, beta_log, states = log.gap, log.eta, log.step, log.beta, log.states
+    gap, eta_log, step_log, beta_log = log.gap, log.eta, log.step, log.beta
     etas = log.etas
     log_seq = log.log_seq
     r2 = radius * radius
+    bound = min(r2, sys.float_info.max)  # a sum at most this is finite
     inf = math.inf
 
     advance = None  # the coast's state map
@@ -1073,7 +1105,7 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
 
     V = field(X)
     G = dot(V, V)
-    log.begin(G, X)
+    log.begin(G, x0)
     log_ptr = 1
     next_log = log_seq[1]
 
@@ -1086,7 +1118,8 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
         count = min(draws.rows, T - t) if draws is not None else T - t
         if draws is not None:
             z, amp = draws.chunk(t, count)
-            Z = z[0] if flat else z.transpose(1, 0, 2)  # Z[k]: the draws of step t0 + k
+            # Z[k]: the draws of step t0 + k
+            Z = z[0] if flat else z.transpose(1, 0, 2) if wide else z[:, :, 0].T
             amps = amp.tolist()
         for k in range(count):
             if etas is None:
@@ -1094,12 +1127,12 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
                 eta_log[rows, t] = eta
             else:
                 eta = etas[t]
-            step = eta if isinstance(eta, float) else col(eta)
+            step = eta[:, None] if wide and not isinstance(eta, float) else eta
             if draws is None:
                 X_new = X + step * V
             else:
-                a = col(amps[k] * sqrt(G)) if relative else amps[k]
-                X_new = X + step * (V + a * Z[k])
+                a = amps[k] * sqrt(G) if relative else amps[k]
+                X_new = X + step * (V + (a[:, None] if wide and relative else a) * Z[k])
             V_new = field(X_new)
             G_new = dot(V_new, V_new)
             gap[rows, t + 1] = G_new
@@ -1114,11 +1147,14 @@ def _run_lockstep(game, x0, T, schedule, draws, radius, log):
                 next_log = log_seq[log_ptr]
             N = dot(X_new, X_new)
             gone = None  # the mask of the rows that leave the block after this step
-            if not (top(G_new) < inf and top(N) <= r2):
-                if flat:
+            if flat:
+                if not (G_new < inf and N <= r2):
                     log.end([0], t + 1)
                     return
-                gone = ~((G_new < inf) & (N <= r2))
+            elif not sum((G_new + N).tolist()) <= bound:
+                left = ~((G_new < inf) & (N <= r2))
+                if left.any():
+                    gone = left
             if etas is None:
                 eta_next = next_step(t, eta, G, G_new, S)
             if beta_log is not None:
@@ -1164,7 +1200,7 @@ def _coasting_rows(log, s, X, X_new, V_new, G, G_new, S, live, eta_next, schedul
     for j in np.flatnonzero(S == 0.0).tolist():
         if back_at[j] >= s or gone is not None and gone[j]:
             continue
-        x, x_new = float(X[j, 0]), float(X_new[j, 0])
+        x, x_new = float(X[j]), float(X_new[j])
         g, g_new = float(G[j]), float(G_new[j])
         still = x_new == x
         if not ((still or g == g_new == 0.0) and _may_coast((x,), draws, g_new)):
@@ -1173,7 +1209,7 @@ def _coasting_rows(log, s, X, X_new, V_new, G, G_new, S, live, eta_next, schedul
             sched, eta = schedule, None
         else:
             sched, eta = schedule.trial(j), float(eta_next[j])
-        back = log.coast(s, (x_new,), float(V_new[j, 0]), g_new, eta, still, advance, log_ptr,
+        back = log.coast(s, (x_new,), float(V_new[j]), g_new, eta, still, advance, log_ptr,
                          int(live[j]), sched)
         if back is not None:
             back_at[j] = back[0]

@@ -32,7 +32,10 @@ class Game:
     gradient, and a batch of joint actions, shape (rows, n), to their
     gradients row by row. A row's result has the same bits at any number of
     rows, so the lock-step runner and ``estimate_cocoercivity`` call it on
-    whole blocks. Both take and give float arrays. ``payoffs``,
+    whole blocks. Both take and give float arrays. A one-dimensional game's
+    field also maps any array of states elementwise, as the built-in ones
+    do: the lock-step runner holds a block of such a game as a flat
+    (rows,) vector. ``payoffs``,
     ``nash_oracle`` (one joint action at a time) and ``cocoercivity`` are
     optional extras that built-in instances provide; ``affine`` is set to
     (A, b) when the field is x -> b - A x, and ``scalar_field`` mirrors

@@ -10,7 +10,7 @@ trials run in contiguous blocks, one per worker. A one-block run steps in
 the calling process; only two or more blocks import and start a process
 pool (``concurrent.futures.process``, ``multiprocessing``), whose workers
 each build their own copy of the game, as its closures do not pickle. A block steps in lock-step when dynamics.runner_body says so (a
-game without an unrolled runner body, or 32 or more trials of a
+game without an unrolled runner body, or 24 or more trials of a
 one-dimensional game with a scalar field); a lock-step row does not depend
 on its block, and a one-dimensional trial's record is the same whichever
 body ran it. Reports serialize to JSON with sorted keys, making repeated

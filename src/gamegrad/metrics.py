@@ -328,9 +328,9 @@ def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
 def _check_eta_monotone(spec, record, game) -> list[ConvergenceVerdict]:
     diffs = np.diff(record.eta)
     worst = float(diffs.max()) if diffs.size else -math.inf
-    bad = np.nonzero(diffs > 0)[0]
+    first = _first_above(diffs, 0.0, worst)
     return [ConvergenceVerdict(spec.check_id, passed=worst <= 0, worst_violation=worst,
-                               first_violation_step=int(bad[0]) + 1 if bad.size else None)]
+                               first_violation_step=None if first is None else first + 1)]
 
 
 def _check_beta_stable(spec, record, game) -> list[ConvergenceVerdict]:

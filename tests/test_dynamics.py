@@ -7,7 +7,10 @@ import pytest
 from gamegrad import dynamics
 from gamegrad.dynamics import (
     _BLOCK_BYTES,
+    _CHUNK,
     _COAST_CHUNK,
+    _DRAW_BYTES,
+    _DRAW_STEPS,
     _LOCKSTEP_TRIALS,
     _NOISE_KINDS,
     _SCHEDULE_KINDS,
@@ -554,6 +557,21 @@ def test_adaptive_block_keeps_each_rows_step_size_past_a_late_divergence():
     for i, rec in enumerate(block):
         assert _records_equal(rec, run_trajectory(game, cfg, rng=trial_rng(2, i)))
 
+
+def test_one_row_of_a_four_dimensional_block_leaves_the_ball_as_it_does_alone():
+    # six rows whose squared norms sum past r^2 = 16 at most steps, so the
+    # exact per-row test runs, mostly finding no row outside; one row leaves
+    game = make_game(GameSpec.random_cocoercive(4, seed=3))
+    cfg = DynamicsConfig(ConstantSchedule(0.2), horizon=200, x0=(1.0,) * 4, thinning=7,
+                         noise=AbsoluteNoise(VarianceSchedule("constant", 4.0), "sphere"),
+                         blow_up_radius=4.0)
+    block = list(run_lockstep(game, cfg, [trial_rng(1, i) for i in range(6)]))
+    assert [rec.divergence_step for rec in block if rec.diverged] == [57]
+    assert sum(float(rec.states[0] @ rec.states[0]) for rec in block) > 16.0
+    for i, rec in enumerate(block):
+        assert _same_bits(rec, run_trajectory(game, cfg, rng=trial_rng(1, i)))
+
+
 # ---------------------------------------------------------------------------
 # divergence in every body
 # ---------------------------------------------------------------------------
@@ -968,11 +986,11 @@ def test_coast_hands_back_at_a_chunk_start_and_mid_chunk(monkeypatch, n, noise, 
 # one-dimensional blocks in lock-step, each row coasting on its own
 # ---------------------------------------------------------------------------
 
-def test_runner_body_steps_32_or_more_one_dimensional_trials_in_lockstep():
-    assert _LOCKSTEP_TRIALS == 32
+def test_runner_body_steps_24_or_more_one_dimensional_trials_in_lockstep():
+    assert _LOCKSTEP_TRIALS == 24
     for name in ("quad_1d", "piecewise"):
         game = make_named_game(name)
-        assert [runner_body(game, m) for m in (1, 31, 32, 100)] == ["scalar"] * 2 + ["lockstep"] * 2
+        assert [runner_body(game, m) for m in (1, 23, 24, 100)] == ["scalar"] * 2 + ["lockstep"] * 2
     assert runner_body(make_named_game("quad_2d"), 100) == "affine2"
     assert runner_body(_force_generic(make_named_game("quad_1d")), 1) == "lockstep"
 
@@ -1100,6 +1118,40 @@ def test_lockstep_rows_whose_coast_hands_back_then_diverge_match_the_scalar_body
     assert all(rec.diverged and rec.gap[-1] == 0.0 for rec in block)
 
 
+def test_lockstep_rows_inside_the_ball_stay_though_their_squared_norms_sum_past_it(monkeypatch):
+    # each row random-walks from 0.8 r in the zero field by 5e-4 a step, so
+    # no row leaves while the block's squared norms sum to about 20 r^2
+    game = make_game(GameSpec.quadratic([[0.0]], [0.0]))
+    cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=300, x0=(0.8,), thinning=1,
+                         noise=AbsoluteNoise(VarianceSchedule("constant", 1e-6)),
+                         blow_up_radius=1.0)
+    ends, coasts = _block_events(monkeypatch)
+    block = _block_matches_scalar_body(game, cfg, 4, m=32)
+    assert ends == [] and coasts == []
+    assert all(len(rec.gap) == cfg.horizon + 1 for rec in block)
+    assert sum(float(rec.states[-1, 0]) ** 2 for rec in block) > 20 * 0.95
+
+
+def _cliff_game():
+    """A test-only game: v = -x, but inf above x = 3 and NaN below x = -3."""
+    def scalar(x):
+        return math.inf if x > 3.0 else math.nan if x < -3.0 else -x
+
+    def field(X):
+        X = np.asarray(X, dtype=float)
+        return np.where(X > 3.0, np.inf, np.where(X < -3.0, np.nan, -X))
+    return Game(dims=(1,), field=field, scalar_field=scalar, name="cliff_1d")
+
+
+def test_lockstep_nan_and_inf_gap_rows_leave_at_the_scalar_bodys_step():
+    cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=20, x0=(0.0,), thinning=1,
+                         noise=AbsoluteNoise(VarianceSchedule("constant", 3.0), "gaussian"))
+    block = _block_matches_scalar_body(_cliff_game(), cfg, 1, m=32)
+    left = {rec.divergence_step: rec.gap[-1] for rec in block if rec.diverged}
+    assert len(left) == 2 and math.isinf(left[4]) and math.isnan(left[13])
+    assert sum(len(rec.gap) == cfg.horizon + 1 for rec in block) == len(block) - 2
+
+
 def test_lockstep_parts_split_evenly_at_the_record_cap(monkeypatch):
     game = make_named_game("quad_1d")
     cfg = DynamicsConfig(ConstantSchedule(0.3), horizon=300, x0=(0.8,),
@@ -1124,7 +1176,7 @@ def test_lockstep_parts_split_evenly_at_the_record_cap(monkeypatch):
     (PowerSchedule(0.5, 0.5), AbsoluteNoise(VarianceSchedule("constant", 0.01))),
 ], ids=["step_norm_relative", "power_absolute"])
 def test_lockstep_parts_below_the_crossover_run_on_the_scalar_body(monkeypatch, schedule, noise):
-    # a 32-trial block split into parts of 2 runs trial by trial on the scalar
+    # a block at the crossover split into parts of 2 runs trial by trial on the scalar
     # body, and its records keep the unsplit block's bits, settle steps included
     game = make_named_game("quad_1d")
     cfg = DynamicsConfig(schedule, horizon=3000, x0=(1.0,), noise=noise, thinning=7)
@@ -1152,6 +1204,20 @@ def test_lockstep_parts_below_the_crossover_run_on_the_scalar_body(monkeypatch, 
 # ---------------------------------------------------------------------------
 # noise chunks
 # ---------------------------------------------------------------------------
+
+def test_block_noise_chunks_have_a_floor_of_steps_within_a_memory_bound():
+    noise = AbsoluteNoise(VarianceSchedule("constant", 0.01))
+
+    def rows(m, n, horizon=100_000):
+        return _NoiseDraws(noise, n, [philox(i) for i in range(m)], horizon).rows
+
+    assert rows(1, 1) == _CHUNK  # one trial keeps its chunk
+    assert rows(4, 1) == _CHUNK // 4
+    assert rows(16, 1) == rows(100, 1) == _DRAW_STEPS
+    assert rows(100, 1, horizon=300) == 300
+    assert rows(16, 64) == _CHUNK // 16  # the floor would pass the byte bound
+    assert _CHUNK // 64 < rows(64, 8) == _DRAW_BYTES // (8 * 64 * 8) < _DRAW_STEPS
+
 
 @pytest.mark.parametrize("shape", ["sphere", "gaussian"])
 def test_one_trial_draws_match_a_lockstep_row_bitwise(shape):

@@ -359,6 +359,34 @@ def test_run_check_eta_monotone_and_beta_stable():
     assert run_named_check("beta_stable", rec, game)[0].passed
 
 
+def _eta_monotone_by_full_scan(eta):
+    """The eta_monotone verdict as the check computed it before it searched
+    for a first violation only when one exists: one scan of the whole row."""
+    diffs = np.diff(eta)
+    worst = float(diffs.max()) if diffs.size else -math.inf
+    bad = np.nonzero(diffs > 0)[0]
+    return ConvergenceVerdict("eta_monotone", passed=worst <= 0, worst_violation=worst,
+                              first_violation_step=int(bad[0]) + 1 if bad.size else None)
+
+
+@pytest.mark.parametrize("eta", [
+    [1.0, 0.5, 0.5, 0.25],             # passes
+    [1.0, 0.5, 0.75, 0.25, 0.3],       # fails first at step 2
+    [1.0, math.nan, 0.5, 0.6, 0.2],    # NaN, then a rise at step 3
+    [1.0, math.nan, 0.5, 0.25],        # NaN and no rise
+    [1.0],                             # no differences
+], ids=["passing", "failing", "nan_and_rise", "nan_only", "one_step"])
+def test_eta_monotone_verdict_matches_a_full_scan(eta):
+    game = make_named_game("quad_1d")
+    rec = fabricate(np.ones(len(eta) + 1), eta=eta)
+    got = run_named_check("eta_monotone", rec, game)
+    want = _eta_monotone_by_full_scan(np.asarray(eta))
+    assert len(got) == 1
+    assert (got[0].passed, got[0].first_violation_step) == (want.passed,
+                                                            want.first_violation_step)
+    assert np.array_equal(got[0].worst_violation, want.worst_violation, equal_nan=True)
+
+
 def test_run_check_gap_step_consistency_and_negative_control():
     game = make_named_game("quad_1d")
     cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,))
