@@ -96,14 +96,15 @@ every row's record is the one the scalar body writes for that trial (see
 _run_lockstep).
 
 Noise draws. Each trial draws its normals in chunks of _NoiseDraws.rows
-steps: _CHUNK for one trial; for each of a block of m, _CHUNK // m or
-_DRAW_STEPS, whichever is more, unless the buffer would pass _DRAW_BYTES.
-Consecutive draws from one generator concatenate bit for bit, so the chunk
-lengths never change the noise. The amplitudes, sqrt(tau_t) or
-sqrt(sigma_t^2 / n), do not depend on the trial: they come from one
-read-only table per variance schedule, n and horizon. The unrolled bodies
-write their per-step entries through memoryviews of the trial's rows, which
-store a float for about half what a numpy scalar store costs.
+steps: _CHUNK // m for each of a block of m (_CHUNK for one trial), or
+_DRAW_STEPS if that is more, but never so many that the block's buffer
+passes _DRAW_BYTES, and never fewer than one. Consecutive draws from one
+generator concatenate bit for bit, so the chunk lengths never change the
+noise. The amplitudes, sqrt(tau_t) or sqrt(sigma_t^2 / n), do not depend
+on the trial: they come from one read-only table per variance schedule, n
+and horizon. The unrolled bodies write their per-step entries through
+memoryviews of the trial's rows, which store a float for about half what a
+numpy scalar store costs.
 
 The step-size arrays have the same bits as Python's float arithmetic step
 by step. The transcendental values, log(t + 2) for step_norm and
@@ -140,11 +141,11 @@ _CHUNK = 4096
 
 # The fewest steps a trial of a lock-step block draws per generator call, so
 # that a block of m trials does not pay a call's overhead (about 0.76 us)
-# every _CHUNK // m steps, and the noise buffer memory that floor may take
-# at most. Criterion 8a's 100-trial block ran about 16% faster at 512 than
-# at 40 steps per call, and no faster at 2,048 (in-process medians, 2-vCPU
-# host, CPU time); a row that leaves the block draws at most that many
-# steps for nothing.
+# every _CHUNK // m steps, and the noise buffer memory any run may take at
+# most, unless one step of every trial takes more. Criterion 8a's 100-trial
+# block ran about 16% faster at 512 than at 40 steps per call, and no
+# faster at 2,048 (in-process medians, 2-vCPU host, CPU time); a row that
+# leaves the block draws at most that many steps for nothing.
 _DRAW_STEPS = 512
 _DRAW_BYTES = 1 << 20
 
@@ -557,11 +558,12 @@ class _NoiseDraws:
     """Chunked unit draws for a block of trials, one generator per trial.
 
     Each trial's normals go straight into its rows of one block buffer. A
-    trial of a block of m gets ``rows`` = _CHUNK // m steps per chunk, at
-    least _DRAW_STEPS while the buffer stays within _DRAW_BYTES, and at
-    most the horizon. So one generator call takes 512 steps, not 40, for
-    each of a 100-trial block, and the floor adds at most 1 MiB at any m
-    and n. Consecutive draws from a generator concatenate bit-exactly,
+    trial of a block of m gets ``rows`` = max(_CHUNK // m, _DRAW_STEPS)
+    steps per chunk, cut to the horizon and to what keeps the buffer within
+    _DRAW_BYTES, but at least one step. So one generator call takes 512
+    steps, not 40, for each of a 100-trial block, and the buffer holds at
+    most 1 MiB, or one step of every trial if that is more, at any m and
+    n. Consecutive draws from a generator concatenate bit-exactly,
     so neither the chunk length nor the block a trial shares changes its
     noise: every step consumes exactly n normals. The sqrt-variance
     amplitudes are slices of one _amp_table.
@@ -574,8 +576,8 @@ class _NoiseDraws:
         self.amps = _amp_table(var, 1 if self.sphere else n, horizon)
         self.rngs = list(rngs)
         m = len(self.rngs)
-        floor = min(_DRAW_STEPS, _DRAW_BYTES // (8 * m * n))
-        self.rows = min(horizon, max(1, _CHUNK // m, floor))
+        self.rows = max(1, min(horizon, max(_CHUNK // m, _DRAW_STEPS),
+                               _DRAW_BYTES // (8 * m * n)))
         self.buf = np.empty((m, self.rows, n))
         self.drawn = 0  # the steps whose draws the generators have given
 

@@ -9,12 +9,11 @@ reduction over trial indices. An experiment builds its game once, and its
 trials run in contiguous blocks, one per worker. A one-block run steps in
 the calling process; only two or more blocks import and start a process
 pool (``concurrent.futures.process``, ``multiprocessing``), whose workers
-each build their own copy of the game, as its closures do not pickle. A block steps in lock-step when dynamics.runner_body says so (a
-game without an unrolled runner body, or 24 or more trials of a
-one-dimensional game with a scalar field); a lock-step row does not depend
-on its block, and a one-dimensional trial's record is the same whichever
-body ran it. Reports serialize to JSON with sorted keys, making repeated
-runs of the same config byte-identical.
+each build their own copy of the game, as its closures do not pickle. A
+block steps in lock-step when dynamics.runner_body says so; a lock-step row
+does not depend on its block, and a one-dimensional trial's record is the
+same whichever body ran it. Reports serialize to JSON with sorted keys,
+making repeated runs of the same config byte-identical.
 """
 
 from __future__ import annotations
@@ -263,8 +262,12 @@ def write_trajectory(record: TrajectoryRecord, path: str,
     step sizes when the schedule gives every trial the same ones (constant,
     power; see _EtaText), at least as far as this record's eta reaches:
     each record's eta is a prefix of that sequence, so its rows take their
-    share of the list, and a diverged record a shorter share.
+    share of the list, and a diverged record a shorter share. A record
+    without step norms is refused before the file is opened.
     """
+    if record.step_norm_sq is None:
+        raise ValueError("a trajectory file has a step_norm_sq column, and this record has "
+                         "no step norms: run the trial with step_norms=True")
     with open(path, "w", encoding="utf-8") as fh:
         header = {"type": "header", "game": record.game_name, "config": record.config,
                   "seed": record.seed, "horizon": record.horizon,

@@ -487,7 +487,10 @@ def parse_check(check_id) -> CheckSpec:
 
 def run_check(spec: CheckSpec, record: TrajectoryRecord, game: Game) -> list[ConvergenceVerdict]:
     """Run one parsed per-trial check on a trial's record."""
-    run = CHECKS[spec.name].run
-    if run is None:
+    needs = CHECKS[spec.name]
+    if needs.run is None:
         raise ValueError(f"{spec.check_id!r} is a report-level check")
-    return run(spec, record, game)
+    if needs.step_norms and record.step_norm_sq is None:
+        raise ValueError(f"{spec.check_id!r} reads step norms, and this record has none: "
+                         "run the trial with step_norms=True")
+    return needs.run(spec, record, game)

@@ -1,7 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
-Each bundled ``criterion*.cfg`` is the one description of its criterion and
-one row here: it runs through ``gamegrad run`` (``gamegrad sweep`` for a
+Each bundled ``criterion*.cfg`` is one experiment and one row here, and it
+may carry the checks of more than one criterion: criterion 4's row also
+prints criterion 5's time-average verdict, as both are checked on the same
+100 trials. A row runs through ``gamegrad run`` (``gamegrad sweep`` for a
 document with a grid) and passes when it exits 0, every verdict passed and
 every per-trial check has one verdict per trial. Adding a ``criterion*.cfg``
 adds a row. Criterion 1's loop over the built-in games (eta = frac * lambda
@@ -108,9 +110,10 @@ def test_bundled_criterion_config(tmp_path, name, overrides):
 
 
 def test_row_runner_fails_a_row_whose_check_fails(tmp_path):
-    # criterion 5's time-average slope is about -0.99, so a -1.5 bound must fail
+    # criterion 5's time-average slope, checked on criterion 4's trials, is
+    # about -0.99, so a -1.5 bound must fail
     code, passed, summary = run_row(
-        tmp_path, "criterion5_relative_avg.cfg",
+        tmp_path, "criterion4_relative_as.cfg",
         ("--set", 'checks=["slope_below:time_average:-1.5:64:65536"]'))
     assert code == 1 and not passed, summary
     assert "slope_below:time_average:-1.5:64:65536 0/1 slope -0.9" in summary

@@ -1215,8 +1215,29 @@ def test_block_noise_chunks_have_a_floor_of_steps_within_a_memory_bound():
     assert rows(4, 1) == _CHUNK // 4
     assert rows(16, 1) == rows(100, 1) == _DRAW_STEPS
     assert rows(100, 1, horizon=300) == 300
-    assert rows(16, 64) == _CHUNK // 16  # the floor would pass the byte bound
+    assert rows(16, 64) == _DRAW_BYTES // (8 * 16 * 64) < _CHUNK // 16  # 1 MiB, not 2
     assert _CHUNK // 64 < rows(64, 8) == _DRAW_BYTES // (8 * 64 * 8) < _DRAW_STEPS
+    assert rows(1, 1000) == _DRAW_BYTES // 8000  # 131 steps, not 4,096 (31.25 MiB)
+    assert rows(1, 1 << 18) == 1  # one step of one trial passes the bound alone
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 1000), (2, 1000), (16, 64), (64, 8), (100, 1)])
+def test_noise_buffer_stays_within_the_byte_bound(m, n):
+    noise = AbsoluteNoise(VarianceSchedule("constant", 0.01))
+    buf = _NoiseDraws(noise, n, [philox(i) for i in range(m)], 100_000).buf
+    assert buf.nbytes <= max(_DRAW_BYTES, 8 * m * n)
+
+
+def test_bounded_noise_chunks_leave_a_high_dimensional_record_unchanged(monkeypatch):
+    # 200 coordinates draw 655 steps per chunk under the 1 MiB bound, and the
+    # whole 2,000-step horizon in one chunk under a 1 GiB bound
+    game = make_game(GameSpec.random_cocoercive(200, seed=5))
+    cfg = DynamicsConfig(ConstantSchedule(0.2), horizon=2000, x0=(1.0,) * 200, thinning=7,
+                         noise=AbsoluteNoise(VarianceSchedule("constant", 0.01)))
+    bounded = run_trajectory(game, cfg, rng=trial_rng(12, 0))
+    monkeypatch.setattr(dynamics, "_DRAW_BYTES", 1 << 30)
+    unbounded = run_trajectory(game, cfg, rng=trial_rng(12, 0))
+    assert _same_bits(bounded, unbounded)
 
 
 @pytest.mark.parametrize("shape", ["sphere", "gaussian"])

@@ -245,9 +245,9 @@ def _experiment_docs(doc: dict) -> list[dict]:
 def test_bundled_configs_and_benchmark_workloads_parse():
     bundled = resources.files("gamegrad").joinpath("configs")
     docs = {f.name: json.loads(f.read_text()) for f in bundled.iterdir() if f.name.endswith(".cfg")}
-    assert len(docs) == 12
+    assert len(docs) == 11
     docs.update(_load_bench_workloads())
-    assert len(docs) == 16
+    assert len(docs) == 15
     for name, doc in docs.items():
         for point in _experiment_docs(doc):
             cfg = ExperimentConfig.from_dict(point)
@@ -258,6 +258,20 @@ def test_bundled_configs_and_benchmark_workloads_parse():
             assert again == out and config_hash(again) == config_hash(out), name
             if not name.startswith("bench "):  # so `--set KEY=VALUE` reaches every key
                 assert set(doc.get("template", doc)) == set(cfg.to_dict()), name
+
+
+def test_bundled_configs_are_distinct_experiments():
+    # a config is one experiment and may carry the checks of several criteria;
+    # two configs equal but for their checks would run the same trials twice
+    bundled = resources.files("gamegrad").joinpath("configs")
+    names = {}
+    for f in sorted(bundled.iterdir(), key=lambda f: f.name):
+        if f.name.endswith(".cfg"):
+            doc = json.loads(f.read_text())
+            doc.get("template", doc).pop("checks")
+            names.setdefault(json.dumps(doc, sort_keys=True), []).append(f.name)
+    same = [group for group in names.values() if len(group) > 1]
+    assert not same, f"one experiment in more than one config: {same}"
 
 
 def test_trajectory_persistence_round_trip(tmp_path):
@@ -274,6 +288,15 @@ def test_trajectory_persistence_round_trip(tmp_path):
     assert steps[0]["gap"] == 1.0
     assert steps[1]["x"] == [0.5]
     assert steps[3]["gap"] == rec.gap[3]
+
+
+def test_trajectory_writer_refuses_a_record_without_step_norms(tmp_path):
+    cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=8, x0=(1.0,))
+    rec = run_trajectory(make_named_game("quad_1d"), cfg, step_norms=False)
+    path = tmp_path / "traj.jsonl"
+    with pytest.raises(ValueError, match="step_norms=True"):
+        write_trajectory(rec, str(path))
+    assert not path.exists()
 
 
 def test_experiment_writes_trajectories(tmp_path):

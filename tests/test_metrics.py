@@ -396,6 +396,15 @@ def test_run_check_gap_step_consistency_and_negative_control():
     assert not run_named_check("gap_step_consistency", bad, game)[0].passed
 
 
+def test_a_check_that_reads_step_norms_refuses_a_record_without_them():
+    game = make_named_game("quad_1d")
+    cfg = DynamicsConfig(ConstantSchedule(0.5), horizon=64, x0=(1.0,))
+    rec = run_trajectory(game, cfg, step_norms=False)
+    with pytest.raises(ValueError, match="step_norms=True"):
+        run_check(parse_check("gap_step_consistency"), rec, game)
+    assert run_check(parse_check("no_divergence"), rec, game)[0].passed  # it reads none
+
+
 @pytest.mark.parametrize("offset,x0,eta", [([0.0], (1.0,), 0.5), ([5.0], (1.0,), 0.5),
                                            ([-1e6], (3.0,), 0.5), ([3.0, -1e3], (1.5, -2.0), 0.25)])
 def test_gap_step_consistency_holds_to_rounding_and_catches_a_1e_9_step_size(offset, x0, eta):
