@@ -6,8 +6,13 @@ field, sample noise, step, then feed the schedule the post-step observations.
 The shared schedules (constant, power) ignore those observations, so their
 only step-size method is step_sizes(T): the whole sequence as an array,
 computed once per block, which the loops read from as a list of floats.
-The adaptive schedules (step_norm, grad_norm) keep per-run state from
-fresh(): the loops call next_step after every step, whose one arithmetic
+The adaptive schedules (step_norm, grad_norm) keep per-trial state, through
+the one protocol of _AdaptiveStep: fresh() gives a copy in its starting
+state, floats for one trial or a (trials,) vector per entry for a lock-step
+block; trial(j) copies out row j as floats, and keep(live) drops the rows
+that left the block. Each adaptive schedule states only the names of its
+state (_state) and their starting values (_start(horizon)), besides its
+step rule: the loops call next_step after every step, whose one arithmetic
 runs on the Python floats of one trial and on the (trials,) vectors of a
 lock-step block alike.
 Hot loops come in three bodies that execute the identical recursion, and
@@ -210,6 +215,12 @@ def _pow_table(n: int, p: float) -> Array:
 class _Schedule:
     """What every schedule writes back: its kind and the parameters _SCHEDULE_KINDS lists."""
 
+    # Capability flags, off unless a schedule turns them on, and what reads each.
+    shared = False  # one step-size sequence for all trials: _Log, _run, harness._block_payloads
+    needs_exact_gradients = False  # refuses noisy feedback: DynamicsConfig
+    tracks_beta = False  # its record has a beta row: _Log, _record_bytes
+    reads_step_norm = False  # next_step reads the step norm: _run_lockstep
+
     def to_dict(self) -> dict:
         params = _SCHEDULE_KINDS[self.kind][1]
         return {"kind": self.kind, **{key: getattr(self, key) for key in params}}
@@ -239,9 +250,6 @@ class ConstantSchedule(_SharedStep):
     """Fixed step size eta."""
 
     kind = "constant"
-    needs_exact_gradients = False
-    tracks_beta = False
-    reads_step_norm = False
 
     def __init__(self, eta: float):
         if not 0 < eta < math.inf:
@@ -256,9 +264,6 @@ class PowerSchedule(_SharedStep):
     """Polynomial decay eta_t = c / t^p for the t-th step (1-indexed), eta_1 = c."""
 
     kind = "power"
-    needs_exact_gradients = False
-    tracks_beta = False
-    reads_step_norm = False
 
     def __init__(self, c: float, p: float):
         if not 0 < c < math.inf:
@@ -273,7 +278,34 @@ class PowerSchedule(_SharedStep):
         return steps, steps.tolist()
 
 
-class GradNormSchedule(_Schedule):
+class _AdaptiveStep(_Schedule):
+    """Schedules that keep per-trial state: the attributes _state names, which
+    _start(horizon) gives their starting values."""
+
+    def fresh(self, trials: Optional[int] = None, *, horizon: int) -> "_AdaptiveStep":
+        """A copy in its starting state: floats, or one entry per trial of a lock-step block."""
+        cls, params = _SCHEDULE_KINDS[self.kind]
+        sched = cls(*(getattr(self, key) for key in params))
+        for name, value in zip(self._state, sched._start(horizon)):
+            setattr(sched, name, value if trials is None else np.full(trials, value))
+        sched._sqrt = math.sqrt if trials is None else np.sqrt
+        return sched
+
+    def trial(self, j: int) -> "_AdaptiveStep":
+        """A one-trial copy, on floats, of row j of a lock-step block's state."""
+        sched = copy.copy(self)
+        for name in self._state:
+            setattr(sched, name, float(getattr(self, name)[j]))
+        sched._sqrt = math.sqrt
+        return sched
+
+    def keep(self, live) -> None:
+        """Drop the state of the trials that left a lock-step block."""
+        for name in self._state:
+            setattr(self, name, getattr(self, name)[live])
+
+
+class GradNormSchedule(_AdaptiveStep):
     """Adaptive step rule driven by exact gradient norms.
 
     Maintains an offset beta (multiplied by r whenever the gradient norm
@@ -285,8 +317,7 @@ class GradNormSchedule(_Schedule):
     kind = "grad_norm"
     needs_exact_gradients = True
     tracks_beta = True
-    reads_step_norm = False
-    shared = False
+    _state = ("beta", "grad_sq_sum")
 
     def __init__(self, beta1: float, r: float):
         if not 0 < beta1 < math.inf:
@@ -296,23 +327,8 @@ class GradNormSchedule(_Schedule):
         self.beta1 = float(beta1)
         self.r = float(r)
 
-    def fresh(self, trials: Optional[int] = None, *, horizon: int) -> "GradNormSchedule":
-        """A copy in its starting state: floats, or one entry per trial of a lock-step block.
-
-        The horizon is unused: every adaptive schedule's fresh takes it.
-        """
-        sched = GradNormSchedule(self.beta1, self.r)
-        sched.beta = self.beta1 if trials is None else np.full(trials, self.beta1)
-        sched.grad_sq_sum = 0.0 if trials is None else np.zeros(trials)
-        sched._sqrt = math.sqrt if trials is None else np.sqrt
-        return sched
-
-    def trial(self, j: int) -> "GradNormSchedule":
-        """A one-trial copy, on floats, of row j of a lock-step block's state."""
-        sched = copy.copy(self)
-        sched.beta, sched.grad_sq_sum = float(self.beta[j]), float(self.grad_sq_sum[j])
-        sched._sqrt = math.sqrt
-        return sched
+    def _start(self, horizon: int) -> tuple:
+        return self.beta1, 0.0
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta1)
@@ -339,13 +355,8 @@ class GradNormSchedule(_Schedule):
         self.grad_sq_sum = float(sums[-1])
         return 1.0 / np.sqrt(self.beta + sums[1:])
 
-    def keep(self, live) -> None:
-        """Drop the state of the trials that left a lock-step block."""
-        self.beta = self.beta[live]
-        self.grad_sq_sum = self.grad_sq_sum[live]
 
-
-class StepNormSchedule(_Schedule):
+class StepNormSchedule(_AdaptiveStep):
     """Adaptive step rule driven by realized step norms, usable under noise.
 
     Accumulates eta^{-2} ||x_t - x_{t+1}||^2 and emits
@@ -354,32 +365,18 @@ class StepNormSchedule(_Schedule):
     """
 
     kind = "step_norm"
-    needs_exact_gradients = False
-    tracks_beta = False
     reads_step_norm = True
-    shared = False
+    _state = ("delta",)
 
     def __init__(self, beta: float):
         if not 0 < beta < math.inf:
             raise ConfigError("beta must be positive and finite")
         self.beta = float(beta)
 
-    def fresh(self, trials: Optional[int] = None, *, horizon: int) -> "StepNormSchedule":
-        """A copy in its starting state: floats, or one entry per trial of a lock-step block.
-
-        It reads log(t + 2) for t < horizon from the shared libm table.
-        """
-        sched = StepNormSchedule(self.beta)
-        sched.delta = 0.0 if trials is None else np.zeros(trials)
-        sched._sqrt = math.sqrt if trials is None else np.sqrt
-        sched._logs, sched._log_table = _log_floats(horizon), _log_table(horizon)
-        return sched
-
-    def trial(self, j: int) -> "StepNormSchedule":
-        """A one-trial copy, on floats, of row j of a lock-step block's state."""
-        sched = copy.copy(self)
-        sched.delta, sched._sqrt = float(self.delta[j]), math.sqrt
-        return sched
+    def _start(self, horizon: int) -> tuple:
+        """Reads log(t + 2) for t < horizon from the shared libm table."""
+        self._logs, self._log_table = _log_floats(horizon), _log_table(horizon)
+        return (0.0,)
 
     def first_step(self) -> float:
         return 1.0 / math.sqrt(self.beta)
@@ -406,10 +403,6 @@ class StepNormSchedule(_Schedule):
         if count:
             self.delta += 0.0 / (eta * eta)
         return 1.0 / np.sqrt(self.beta + self._log_table[t:t + count] + self.delta)
-
-    def keep(self, live) -> None:
-        """Drop the state of the trials that left a lock-step block."""
-        self.delta = self.delta[live]
 
 
 Schedule = ConstantSchedule | PowerSchedule | GradNormSchedule | StepNormSchedule
@@ -495,36 +488,33 @@ class NoNoise(_Noise):
     kind: str = "none"
 
 
+class _ShapedNoise(_Noise):
+    """Noise with a variance schedule and a shape: unit draws on the sphere or Gaussian."""
+
+    def __post_init__(self):
+        if self.shape not in ("sphere", "gaussian"):
+            raise ConfigError(f"unknown noise shape {self.shape!r}")
+
+
 @dataclass(frozen=True)
-class RelativeNoise(_Noise):
+class RelativeNoise(_ShapedNoise):
     """Zero-mean noise with second moment tau_t ||v(x_t)||^2 (exact for sphere shape)."""
 
     tau: VarianceSchedule
     shape: str = "sphere"
     kind: str = field(default="relative", init=False)
 
-    def __post_init__(self):
-        _check_shape(self.shape)
-
 
 @dataclass(frozen=True)
-class AbsoluteNoise(_Noise):
+class AbsoluteNoise(_ShapedNoise):
     """Zero-mean noise with second moment sigma_t^2 (exact for sphere shape)."""
 
     sigma_sq: VarianceSchedule
     shape: str = "sphere"
     kind: str = field(default="absolute", init=False)
 
-    def __post_init__(self):
-        _check_shape(self.shape)
-
 
 NoiseModel = NoNoise | RelativeNoise | AbsoluteNoise
-
-
-def _check_shape(shape: str) -> None:
-    if shape not in ("sphere", "gaussian"):
-        raise ConfigError(f"unknown noise shape {shape!r}")
 
 
 # kind -> (class, the key of its variance schedule)

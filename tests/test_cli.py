@@ -525,6 +525,53 @@ def test_run_rejects_wrong_type_sections_before_any_dynamics(runner, tmp_path, m
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--set", "dynamics.horizon=0"], "horizon must be at least 1"),
+    (["--set", "dynamics.x0=[]"], "x0 must be nonempty"),
+    (["--set", "dynamics.thinning=-1"], "thinning must be nonnegative"),
+    (["--seed", "-1"], "master_seed must be a 64-bit unsigned integer"),
+    (["--seed", "18446744073709551616"], "master_seed must be a 64-bit unsigned integer"),
+    (["--set", 'dynamics.noise={"kind": "relative", "tau": {"kind": "constant", "c": 0.1}, '
+      '"shape": "cube"}'], "unknown noise shape 'cube'"),
+    (["--set", 'dynamics.noise={"kind": "absolute", "sigma_sq": {"kind": "power", "c": 0.1, '
+      '"q": -1}}'], "variance decay exponent must be finite and nonnegative"),
+    (["--set", 'checks=["distance_below"]'], "distance_below needs a threshold"),
+    (["--set", "checks=[3]"], "check ids must be strings, got 3"),
+    (["--set", 'checks=["slope_below:last_iterate"]'],
+     "malformed slope check 'slope_below:last_iterate'"),
+    (["--set", 'game={"kind": "quadratic", "matrix": [[1, 2]], "offset": [0]}'], "must be square"),
+    (["--set", 'game={"kind": "random_cocoercive", "n": 0, "seed": 1}'], "zero dimension"),
+    (["--set", 'game={"kind": "random_cocoercive", "n": 1, "seed": 1, "conditioning": 0}'],
+     "conditioning bound must be positive"),
+    (["--set", 'game={"kind": "quadratic", "matrix": [[0]], "offset": [0]}',
+      "--set", 'checks=["descent_invariants"]'], "needs a game with a known cocoercivity"),
+    (["--set", "dynamics.horizon"], "not of the form dotted.path=value"),
+    (["--set", "nope.x=1"], "config has no entry at 'nope.x' (missing 'nope')"),
+    (None, "report trials must be a list"),
+], ids=["horizon_zero", "x0_empty", "thinning_negative", "seed_negative", "seed_2_64",
+        "noise_shape", "variance_exponent", "distance_no_threshold", "check_not_string",
+        "slope_no_bound", "matrix_not_square", "random_zero_dimension", "random_conditioning",
+        "descent_without_cocoercivity", "override_no_value", "override_no_entry",
+        "fit_rate_trials_object"])
+def test_malformed_input_exits_two_before_any_dynamics(runner, tmp_path, monkeypatch, args,
+                                                       message):
+    if args is None:  # fit-rate on a report whose trials are an object
+        out = tmp_path / "out"
+        assert runner.invoke(main, ["run", "--config", "quadratic_1d.cfg",
+                                    "--out", str(out)]).exit_code == 0
+        doc = json.loads((out / "report.json").read_text())
+        bad = write_cfg(tmp_path, {**doc, "trials": {}}, name="bad.json")
+        args = ["fit-rate", "--report", bad]
+    else:
+        args = ["run", "--config", "quadratic_1d.cfg", "--out", str(tmp_path / "run"), *args]
+    forbid_dynamics(monkeypatch)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("config error: ")
+    assert message in result.output
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("trajectory_dir", [5, ["a"]])
 def test_run_rejects_non_string_trajectory_dir(runner, tmp_path, monkeypatch, trajectory_dir):
     forbid_dynamics(monkeypatch)

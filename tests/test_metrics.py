@@ -15,7 +15,16 @@ from gamegrad.dynamics import (
     run_trajectory,
 )
 from gamegrad.errors import ConfigError, IndeterminateResult
-from gamegrad.games import GameSpec, make_game, make_named_game, project_to_nash
+from gamegrad.games import (
+    Game,
+    GameSpec,
+    estimate_cocoercivity,
+    gradient_field,
+    make_game,
+    make_named_game,
+    project_to_nash,
+    verify_gradient,
+)
 from gamegrad.metrics import (
     ConvergenceVerdict,
     _state_distances,
@@ -475,3 +484,36 @@ def test_verdict_to_dict_writes_non_finite_worst_violation_as_null():
     for worst in (math.inf, -math.inf, math.nan):
         doc = ConvergenceVerdict("x", True, worst).to_dict()
         assert doc["worst_violation"] is None and doc["first_violation_step"] is None
+
+
+# ---------------------------------------------------------------------------
+# API input checks
+# ---------------------------------------------------------------------------
+
+def _two_players(values):
+    return Game(dims=(1, 1), field=lambda x: np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: gradient_field(_two_players([0.0, math.nan]), [0.0, 0.0]), ValueError,
+     r"non-finite in player block\(s\) \[1\]"),
+    (lambda: gradient_field(_two_players([0.0, 0.0, 0.0]), [0.0, 0.0]), ValueError,
+     "field returned length 3, expected 2"),
+    (lambda: estimate_cocoercivity(make_named_game("quad_1d"), pairs=1), ValueError,
+     "need at least 2 sampled pairs"),
+    (lambda: estimate_cocoercivity(make_named_game("quad_1d"), low=1.0, high=1.0), ValueError,
+     "sampling region is empty"),
+    (lambda: verify_gradient(make_named_game("quad_1d"), [0.0], h=0.0), ValueError,
+     "finite-difference step must be positive"),
+    (lambda: time_average_gap([]), ValueError, "empty gap series"),
+    (lambda: variance_budget(RelativeNoise(VarianceSchedule("constant", 0.1)), 0), ValueError,
+     "horizon must be at least 1"),
+    (lambda: DynamicsConfig(ConstantSchedule(0.5), horizon=8, x0=(math.nan,)), ConfigError,
+     "x0 must be finite"),
+    (lambda: run_check(parse_check("slope_below:last_iterate:-0.5"), fabricate([1.0, 0.25]),
+                       make_named_game("quad_1d")), ValueError, "is a report-level check"),
+], ids=["field_nan_block", "field_length", "one_pair", "empty_region", "zero_fd_step",
+        "empty_gaps", "zero_budget_horizon", "x0_nan", "report_level_check"])
+def test_api_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
