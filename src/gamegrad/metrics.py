@@ -2,13 +2,30 @@
 
 Everything here is a pure function over immutable trajectory records; the
 harness composes these into per-run verdicts and report-level rate fits.
+
+The per-trial checks (descent_invariants, eta_monotone, gap_step_consistency)
+scan a record in blocks (``_blocks``): each temporary they make holds at
+most ``_BLOCK`` = 8,192 float64 values (64 KiB), and a block of rows with n
+coordinates has 8,192 // n rows. That keeps every request under glibc's
+128 KiB threshold for giving it fresh pages, so that the blocks reuse memory
+of the heap instead of page-faulting on first write: at 50,001 steps a
+full-length temporary is 400 KB, and the checks made about a dozen of them
+per record. Each result keeps the bits of the one-pass expression. Block
+maxima are combined by np.maximum, which propagates a NaN as ndarray.max
+does; the first violation is taken from the first block that has one; a
+prefix sum is carried into each next block as ``block[0] = carry +
+block[0]``, so that np.cumsum adds left to right as over the whole array.
+A record that fits in one block takes one numpy pass. ``record.gap.sum()``
+stays one pairwise reduction, which allocates nothing (blocks would change
+its bits), and time_average_gap stays one np.cumsum over the series: a
+blocked form of it saved page faults but no CPU time that could be shown.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +35,68 @@ from .errors import ConfigError, IndeterminateResult, config_float
 from .games import Game, _as_flat, gradient_field, project_to_nash
 
 Array = np.ndarray
+
+# The most float64 values a temporary of a blocked scan holds (see the module docstring).
+_BLOCK = 8192
+
+
+def _blocks(length: int, rows: int = _BLOCK) -> Iterator[tuple[int, int]]:
+    """The bounds (lo, hi) of consecutive blocks of at most rows of entries 0..length-1."""
+    return ((lo, min(lo + rows, length)) for lo in range(0, length, rows))
+
+
+def _scan_max(length: int, block: Callable[[int, int], Array], limit: float,
+              rows: int) -> tuple[Optional[float], Optional[int]]:
+    """The maximum of a series made in blocks, and the index of its first value above limit.
+
+    block(lo, hi) returns entries lo..hi-1 of the series, for blocks of at
+    most rows entries. Both are None for an empty series, and the index is
+    None when no value is above limit. Only a block whose maximum is not at
+    or below limit (NaN included) is searched for the first value above it.
+    The maximum is ndarray.max's value, but where it is a zero and zeros of
+    both signs tie, its sign may differ, as ndarray.max's own choice depends
+    on where they sit; the series the checks scan (rises of norms and of
+    step sizes, distances) hold no -0.0.
+    """
+    top = first = None
+    for lo, hi in _blocks(length, rows):
+        values = block(lo, hi)
+        high = values.max()
+        top = high if top is None else np.maximum(top, high)
+        if first is None and not high <= limit:
+            above = np.flatnonzero(values > limit)
+            if above.size:
+                first = lo + int(above[0])
+    return top, first
+
+
+class _RunningSum:
+    """The prefix sums of a series made in blocks, with the bits of np.cumsum
+    over the whole series, computed as far as asked and no further (the
+    running step length of gap_step_consistency).
+
+    values(lo, hi) returns a fresh array of entries lo..hi-1 of the series,
+    at most _BLOCK of them, which the sums overwrite.
+    """
+
+    def __init__(self, values: Callable[[int, int], Array]):
+        self.values = values
+        self.done = 0        # the sums are known through entry done - 1 ...
+        self.carry = None    # ... and this is the last of them (None at the start)
+
+    def upto(self, lo: int, hi: int) -> Array:
+        """The prefix sums at entries lo..hi-1, where lo >= every hi asked before."""
+        while self.done < lo:
+            self._sums(self.done, min(lo, self.done + _BLOCK))
+        return self._sums(lo, hi)
+
+    def _sums(self, lo: int, hi: int) -> Array:
+        block = self.values(lo, hi)
+        if self.carry is not None:
+            block[0] = self.carry + block[0]
+        np.cumsum(block, out=block)
+        self.carry, self.done = block[-1], hi
+        return block
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +338,6 @@ class CheckSpec:
             raise ConfigError(f"check {self.check_id!r} needs a game with a known cocoercivity")
 
 
-def _first_above(values: Array, limit: float, top: float) -> Optional[int]:
-    """The index of the first of ``values`` above limit, or None; top is their maximum.
-
-    Only a top that is not at or below the limit (NaN included) needs the
-    search: otherwise no value is above it.
-    """
-    if top <= limit:
-        return None
-    above = np.flatnonzero(values > limit)
-    return int(above[0]) if above.size else None
-
-
 def _state_distances(states: Array, p: Array) -> Array:
     """The distance of each row of states from the point p, with the bits of
     np.linalg.norm(states - p, axis=1).
@@ -297,21 +364,23 @@ def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
     """
     verdicts = []
 
-    norms = np.sqrt(record.gap)
-    tol_mono = 1e-10 * (1.0 + float(norms[0]))
-    diffs = norms[1:] - norms[:-1]
-    worst = float(diffs.max()) if diffs.size else -math.inf
-    first = _first_above(diffs, tol_mono, worst)
+    gap = record.gap
+    tol_mono = 1e-10 * (1.0 + float(np.sqrt(gap[0])))
+    # rises of blocks of _BLOCK - 1, so that each reads at most _BLOCK norms
+    worst, first = _scan_max(gap.size - 1, lambda lo, hi: np.diff(np.sqrt(gap[lo:hi + 1])),
+                             tol_mono, _BLOCK - 1)
+    worst = -math.inf if worst is None else float(worst)
     verdicts.append(ConvergenceVerdict(
         "descent.grad_norm_monotone", passed=worst <= tol_mono, worst_violation=worst,
         first_violation_step=None if first is None else first + 1))
 
-    x0 = record.states[0]
+    states = record.states
+    x0 = states[0]
     p0 = project_to_nash(game, x0)
     d0 = float(np.linalg.norm(x0 - p0))
-    dists = _state_distances(record.states, p0)
-    far = float(dists.max())
-    first = _first_above(dists, d0 + 1e-9, far)
+    far, first = _scan_max(len(states), lambda lo, hi: _state_distances(states[lo:hi], p0),
+                           d0 + 1e-9, max(_BLOCK // states.shape[1], 1))
+    far = float(far)
     verdicts.append(ConvergenceVerdict(
         "descent.iterate_bounded", passed=far - d0 <= 1e-9,
         worst_violation=far - d0,  # the largest dists - d0: rounding is monotone
@@ -326,9 +395,10 @@ def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
 
 
 def _check_eta_monotone(spec, record, game) -> list[ConvergenceVerdict]:
-    diffs = np.diff(record.eta)
-    worst = float(diffs.max()) if diffs.size else -math.inf
-    first = _first_above(diffs, 0.0, worst)
+    eta = record.eta
+    worst, first = _scan_max(eta.size - 1, lambda lo, hi: np.diff(eta[lo:hi + 1]), 0.0,
+                             _BLOCK - 1)
+    worst = -math.inf if worst is None else float(worst)
     return [ConvergenceVerdict(spec.check_id, passed=worst <= 0, worst_violation=worst,
                                first_violation_step=None if first is None else first + 1)]
 
@@ -364,22 +434,32 @@ def _check_gap_step_consistency(spec, record, game) -> list[ConvergenceVerdict]:
     a bound: in a converged run most steps are 0.0 on both sides, and the
     floor's subnormal arithmetic on them made the check 8x slower.
     """
-    n = len(record.config["x0"])
-    S = record.step_norm_sq
-    E = record.eta ** 2 * record.gap[:-1]
-    diff = np.abs(S - E)
-    steps = np.flatnonzero(diff != 0.0)  # NaN included
-    end = steps[-1] + 1 if steps.size else 0
-    X = max(map(abs, record.config["x0"])) + np.add.accumulate(np.sqrt(S[:end]))[steps]
-    S, E, diff, eta_sq = S[steps], E[steps], diff[steps], record.eta[steps] ** 2
-    floor = (2 * n + 4) * _TINY * (1.0 + eta_sq)
-    r = np.sqrt(S + floor) + np.sqrt(E + floor)
-    bound = r * (2.0 * math.sqrt(n) * np.spacing(X) + (n + 4) * _U * r) + floor
-    ratio = diff / bound
-    worst = float(ratio.max()) if ratio.size else 0.0
-    bad = steps[~(ratio <= 1.0)]
-    return [ConvergenceVerdict(spec.check_id, passed=not bad.size, worst_violation=worst,
-                               first_violation_step=int(bad[0]) if bad.size else None)]
+    x0 = record.config["x0"]
+    n, x_top = len(x0), max(map(abs, x0))
+    S_all, eta, gap = record.step_norm_sq, record.eta, record.gap
+    walked = _RunningSum(lambda lo, hi: np.sqrt(S_all[lo:hi]))
+    worst = first = None
+    for lo, hi in _blocks(S_all.size):
+        S, eta_b = S_all[lo:hi], eta[lo:hi]
+        E = eta_b ** 2 * gap[lo:hi]
+        diff = np.abs(S - E)
+        steps = np.flatnonzero(diff != 0.0)  # NaN included
+        if not steps.size:
+            continue
+        X = x_top + walked.upto(lo, lo + int(steps[-1]) + 1)[steps]
+        S, E, diff, eta_sq = S[steps], E[steps], diff[steps], eta_b[steps] ** 2
+        floor = (2 * n + 4) * _TINY * (1.0 + eta_sq)
+        r = np.sqrt(S + floor) + np.sqrt(E + floor)
+        bound = r * (2.0 * math.sqrt(n) * np.spacing(X) + (n + 4) * _U * r) + floor
+        ratio = diff / bound
+        high = ratio.max()
+        worst = high if worst is None else np.maximum(worst, high)
+        bad = steps[~(ratio <= 1.0)]
+        if first is None and bad.size:
+            first = lo + int(bad[0])
+    return [ConvergenceVerdict(spec.check_id, passed=first is None,
+                               worst_violation=0.0 if worst is None else float(worst),
+                               first_violation_step=first)]
 
 
 def _check_no_divergence(spec, record, game) -> list[ConvergenceVerdict]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gamegrad.games import (
 )
 from gamegrad.metrics import (
     ConvergenceVerdict,
+    _BLOCK,
     _state_distances,
     distance_to_nash,
     fit_rate,
@@ -296,6 +298,11 @@ def descent_reference(record, game):
                                               total - bound)]
 
 
+def quad_3d():
+    return make_game(GameSpec.quadratic([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]],
+                                        [1.0, 0.0, -1.0]))
+
+
 def descent_record(name):
     """A game and a noiseless constant-step record with every state logged."""
     if name == "quad_2d":
@@ -309,8 +316,7 @@ def descent_record(name):
         assert np.any((rec.states != 0.0) & (np.abs(rec.states) < np.finfo(float).tiny))
         return game, rec
     if name == "quad_3d":  # n > 2: np.linalg.norm itself
-        game = make_game(GameSpec.quadratic([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]],
-                                            [1.0, 0.0, -1.0]))
+        game = quad_3d()
     else:
         game = make_named_game(name)
     cfg = DynamicsConfig(ConstantSchedule(0.5 * game.cocoercivity), horizon=3000,
@@ -484,6 +490,153 @@ def test_verdict_to_dict_writes_non_finite_worst_violation_as_null():
     for worst in (math.inf, -math.inf, math.nan):
         doc = ConvergenceVerdict("x", True, worst).to_dict()
         assert doc["worst_violation"] is None and doc["first_violation_step"] is None
+
+
+# ---------------------------------------------------------------------------
+# checks in blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_LENGTHS = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+# Where the NaN and the violations sit, as seen by every check's scan at the
+# longer lengths: "nan_first" puts a NaN in the first block and the one
+# violation in the last, "nan_later" violations in the first and the last
+# block and a NaN after them.
+BLOCK_CASES = ["passing", "nan_first", "nan_later", "inf"]
+
+
+def _gap_step_by_full_scan(record):
+    """gap_step_consistency as one pass over full-length arrays."""
+    n = len(record.config["x0"])
+    S = record.step_norm_sq
+    E = record.eta ** 2 * record.gap[:-1]
+    diff = np.abs(S - E)
+    steps = np.flatnonzero(diff != 0.0)
+    end = steps[-1] + 1 if steps.size else 0
+    X = max(map(abs, record.config["x0"])) + np.add.accumulate(np.sqrt(S[:end]))[steps]
+    S, E, diff, eta_sq = S[steps], E[steps], diff[steps], record.eta[steps] ** 2
+    floor = (2 * n + 4) * 2.0 ** -1074 * (1.0 + eta_sq)
+    r = np.sqrt(S + floor) + np.sqrt(E + floor)
+    bound = r * (2.0 * math.sqrt(n) * np.spacing(X) + (n + 4) * 2.0 ** -53 * r) + floor
+    ratio = diff / bound
+    worst = float(ratio.max()) if ratio.size else 0.0
+    bad = steps[~(ratio <= 1.0)]
+    return [ConvergenceVerdict("gap_step_consistency", passed=not bad.size, worst_violation=worst,
+                               first_violation_step=int(bad[0]) if bad.size else None)]
+
+
+def _blocked_series(length, case, start=4.0):
+    """A decreasing positive series with -0.0, inf and NaN entries as the case asks;
+    a rise or an inf is a violation of every check that reads the series."""
+    values = start * 0.9995 ** np.arange(length)
+    if case == "nan_first":
+        values[3] = math.nan
+        values[-3:] = [-0.0, 0.0, 1.0]  # no rise into the +0.0, then a rise
+    elif case == "nan_later":
+        values[2] = 2.0 * values[1]
+        values[-3:] = [1.0, -0.0, math.nan]
+    elif case == "inf":
+        values[-1] = math.inf
+    return values
+
+
+def _blocked_verdicts(check_id, record, game, reference):
+    with np.errstate(all="ignore"):  # inf - inf and the like, on both sides alike
+        return repr(run_check(parse_check(check_id), record, game)), repr(reference(record))
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+@pytest.mark.parametrize("name", ["quad_2d", "quad_3d"])
+def test_descent_invariants_in_blocks_keep_the_bits_of_one_pass(name, length, case):
+    # quad_3d's distances are np.linalg.norm(..., axis=1) on blocks of 8,192 // 3 rows
+    game = quad_3d() if name == "quad_3d" else make_named_game(name)
+    x0 = np.array([1.5, -2.0, 0.5][:game.n])
+    p0 = project_to_nash(game, x0)
+    states = p0 + (x0 - p0) * 0.9995 ** np.arange(length)[:, None]
+    far = p0 + 2.0 * (x0 - p0)
+    if case == "nan_first":
+        states[3, 0], states[-1] = math.nan, far
+    elif case == "nan_later":
+        states[2], states[-2], states[-1, -1] = far, far, math.nan
+    elif case == "inf":
+        states[-1, 0] = math.inf
+    states[length // 2] = p0
+    states[length // 2, 0] = -0.0
+    rec = fabricate(_blocked_series(length, case), states=states)
+    got, want = _blocked_verdicts("descent_invariants", rec, game,
+                                  lambda r: descent_reference(r, game))
+    assert got == want
+    assert ("passed=True" in got) == (case == "passing")
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+def test_eta_monotone_in_blocks_keeps_the_bits_of_one_pass(length, case):
+    eta = _blocked_series(length, case, start=0.5)
+    if case == "passing":
+        eta[-2:] = -0.0  # the largest rise is the one +0.0, from -0.0 to -0.0
+    rec = fabricate(np.ones(length + 1), eta=eta)
+    got, want = _blocked_verdicts("eta_monotone", rec, make_named_game("quad_1d"),
+                                  lambda r: [_eta_monotone_by_full_scan(r.eta)])
+    assert got == want
+    assert ("passed=True" in got) == (case == "passing")
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("length", BLOCK_LENGTHS)
+def test_gap_step_consistency_in_blocks_keeps_the_bits_of_one_pass(length, case):
+    # steps off by an ulp in every block but the second, steps equal on both
+    # sides (ratio 0) and -0.0 step norms at each block's first step; a NaN
+    # is a violation here
+    gap = 4.0 * 0.9995 ** np.arange(length + 1)
+    eta = np.full(length, 0.25)
+    S = eta ** 2 * gap[:-1]
+    off = (np.arange(length) % 7 == 0) & (np.arange(length) // _BLOCK != 1)
+    S[off] = np.nextafter(S[off], math.inf)
+    S[::_BLOCK], gap[:-1][::_BLOCK] = -0.0, 0.0
+    if length > 2 * _BLOCK:
+        # one large equal-sided step in the second block, which puts X past
+        # 1e4, and a step in the third whose bound needs that X to pass
+        S[_BLOCK + 5], gap[_BLOCK + 5] = 1e8, 1.6e9
+        S[2 * _BLOCK + 5] += 3e-14
+    if case == "nan_first":
+        S[3], S[-1] = math.nan, 2.0 * S[-1]
+    elif case == "nan_later":
+        S[2], S[-2], S[-1] = 2.0 * S[2], 2.0 * S[-2], math.nan
+    elif case == "inf":
+        S[-1] = math.inf
+    rec = fabricate(gap, eta=eta, states=np.array([[1.5, -2.0]]), step_norm_sq=S)
+    got, want = _blocked_verdicts("gap_step_consistency", rec, make_named_game("quad_2d"),
+                                  _gap_step_by_full_scan)
+    assert got == want
+    assert ("passed=True" in got) == (case == "passing")
+
+
+def test_time_average_gap_at_no_steps_or_past_the_end():
+    gap = 0.5 ** np.arange(100)
+    none = time_average_gap(gap, np.array([], dtype=np.int64))
+    assert none.shape == (0,) and none.dtype == np.float64
+    for past in ([100], [0, 100], [10_000]):
+        with pytest.raises(IndexError):
+            time_average_gap(gap, np.array(past))
+    last = time_average_gap(gap, np.array([99]))
+    assert last.tobytes() == time_average_gap(gap)[-1:].tobytes()
+
+
+@pytest.mark.parametrize("check_id, temporaries", [("descent_invariants", 4),
+                                                   ("gap_step_consistency", 8)])
+def test_checks_on_a_50_000_step_record_keep_their_temporaries_to_blocks(check_id, temporaries):
+    # full-length temporaries of this record are 400 KB each: a traced peak
+    # of 1,954 KiB for descent_invariants and 1,172 KiB for
+    # gap_step_consistency when they were one pass over the record
+    game, rec = descent_record("quad_2d")
+    tracemalloc.start()
+    try:
+        run_check(parse_check(check_id), rec, game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= temporaries * 8 * _BLOCK  # bytes: that many temporaries of a block at a time
 
 
 # ---------------------------------------------------------------------------
