@@ -73,7 +73,12 @@ field as it is and a zero one zero. With equal gaps and a zero step norm,
 beta no longer grows and every schedule's eta is nonincreasing
 (eta_monotone checks it). Rounding is monotone (IEEE 754): the increment
 eta * v vanished against the state at step t, so the no larger increment
-of any smaller eta vanishes too.
+of any smaller eta vanishes too. So a settled tail adds nothing a check
+or a time average could see: from settle_step on, every logged state is
+the settled one, every gap the same finite g and every step norm 0.0. A
+difference of two equal gaps is +0.0, and where g is 0.0 a running sum of
+the gaps gains +0.0 a step, which leaves it as it is; gamegrad.metrics
+stops its scans there.
 
 At a zero gap the state may still move, shrinking through the subnormals
 for about as many steps again as it took to reach the zero gap. Then only
@@ -684,7 +689,9 @@ class TrajectoryRecord:
     diverged: bool
     divergence_step: Optional[int]
     # First step filled with an unchanged state once the trial settled (see
-    # the module docstring); None when it never settled. Kept in memory only.
+    # the module docstring); None when it never settled. The checks and time
+    # averages of gamegrad.metrics read the record only as far as this step;
+    # it is written to no report or trajectory file.
     settle_step: Optional[int] = None
 
     @property

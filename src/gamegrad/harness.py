@@ -417,7 +417,7 @@ def _trial_payload(config: ExperimentConfig, game: Game, trial: int, record: Tra
                              for p in pos])
             dist = np.linalg.norm(record.states[pos] - proj, axis=1).tolist()
         dyadic = (record.gap[idx].tolist(),
-                  metrics.time_average_gap(record.gap, idx).tolist(), dist)
+                  metrics.time_average_gap(record, idx).tolist(), dist)
     summary = TrialSummary(trial, _json_float(record.gap[-1]), final_distance,
                            record.diverged, record.divergence_step)
     verdicts = [{"trial": trial, **verdict.to_dict()}

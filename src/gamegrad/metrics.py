@@ -16,9 +16,18 @@ does; the first violation is taken from the first block that has one; a
 prefix sum is carried into each next block as ``block[0] = carry +
 block[0]``, so that np.cumsum adds left to right as over the whole array.
 A record that fits in one block takes one numpy pass. ``record.gap.sum()``
-stays one pairwise reduction, which allocates nothing (blocks would change
-its bits), and time_average_gap stays one np.cumsum over the series: a
-blocked form of it saved page faults but no CPU time that could be shown.
+stays one pairwise reduction over the whole series, which allocates nothing
+(blocks, or a shorter series, would change its bits).
+
+A record that settled (``settle_step``, see gamegrad.dynamics) is read only
+as far as its settle step, from which on its gap, its step norm (0.0) and
+its state are constant. Every later rise of the gradient norm is +0.0; the
+state distances end at the first logged step at or after the settle step;
+gap_step_consistency, where that gap is 0.0, compares 0.0 with eta^2 * 0.0
+at every later step, none of which can count; and time_average_gap's prefix
+sums, at a zero gap, stop there, as each later step adds +0.0. A settle at
+a nonzero gap still has its steps checked to the end. Each result has the
+bits of the scan over the whole record.
 """
 
 from __future__ import annotations
@@ -122,12 +131,23 @@ def time_average_gap(traj, steps: Optional[Array] = None) -> Array:
     """Prefix means of the gap series: entry T holds (1/(T+1)) sum_{t<=T} gap_t.
 
     Given ``steps``, an int array, only the means at those steps, with the
-    same bits: the prefix sums are divided there alone.
+    same bits: the prefix sums are divided there alone. A negative step is a
+    ValueError, and a step past the end an IndexError. On a record that
+    settled at a zero gap, the sums stop at its settle step: each later
+    step adds +0.0, which leaves a sum as it is.
     """
-    sums = np.cumsum(_gap_series(traj))
+    gap = _gap_series(traj)
     if steps is None:
+        sums = np.cumsum(gap)
         return sums / np.arange(1.0, sums.size + 1.0)
-    return sums[steps] / (steps + 1.0)
+    if steps.size and steps.min() < 0:
+        raise ValueError(f"steps must be nonnegative, got {int(steps.min())}")
+    if steps.size and steps.max() >= gap.size:
+        raise IndexError(f"step {int(steps.max())} is past the last step {gap.size - 1}")
+    settle = getattr(traj, "settle_step", None)
+    if settle is not None and gap[settle] == 0.0:
+        return np.cumsum(gap[:settle + 1])[np.minimum(steps, settle)] / (steps + 1.0)
+    return np.cumsum(gap)[steps] / (steps + 1.0)
 
 
 class TailSeries(NamedTuple):
@@ -364,11 +384,16 @@ def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
     """
     verdicts = []
 
-    gap = record.gap
+    gap, settle = record.gap, record.settle_step
     tol_mono = 1e-10 * (1.0 + float(np.sqrt(gap[0])))
-    # rises of blocks of _BLOCK - 1, so that each reads at most _BLOCK norms
-    worst, first = _scan_max(gap.size - 1, lambda lo, hi: np.diff(np.sqrt(gap[lo:hi + 1])),
+    # rises of blocks of _BLOCK - 1, so that each reads at most _BLOCK norms;
+    # from the settle step on, every rise is sqrt(g) - sqrt(g) = +0.0
+    rises = gap.size - 1
+    scanned = rises if settle is None else min(settle, rises)
+    worst, first = _scan_max(scanned, lambda lo, hi: np.diff(np.sqrt(gap[lo:hi + 1])),
                              tol_mono, _BLOCK - 1)
+    if scanned < rises:
+        worst = 0.0 if worst is None else np.maximum(worst, 0.0)
     worst = -math.inf if worst is None else float(worst)
     verdicts.append(ConvergenceVerdict(
         "descent.grad_norm_monotone", passed=worst <= tol_mono, worst_violation=worst,
@@ -378,7 +403,10 @@ def _check_descent_invariants(spec, record, game) -> list[ConvergenceVerdict]:
     x0 = states[0]
     p0 = project_to_nash(game, x0)
     d0 = float(np.linalg.norm(x0 - p0))
-    far, first = _scan_max(len(states), lambda lo, hi: _state_distances(states[lo:hi], p0),
+    rows = len(states)
+    if settle is not None:  # the states logged from the settle step on are equal
+        rows = min(int(np.searchsorted(record.state_steps, settle)) + 1, rows)
+    far, first = _scan_max(rows, lambda lo, hi: _state_distances(states[lo:hi], p0),
                            d0 + 1e-9, max(_BLOCK // states.shape[1], 1))
     far = float(far)
     verdicts.append(ConvergenceVerdict(
@@ -436,10 +464,13 @@ def _check_gap_step_consistency(spec, record, game) -> list[ConvergenceVerdict]:
     """
     x0 = record.config["x0"]
     n, x_top = len(x0), max(map(abs, x0))
-    S_all, eta, gap = record.step_norm_sq, record.eta, record.gap
+    S_all, eta, gap, settle = record.step_norm_sq, record.eta, record.gap, record.settle_step
+    length = S_all.size
+    if settle is not None and gap[settle] == 0.0:  # later steps compare 0.0 with eta^2 * 0.0
+        length = min(settle, length)
     walked = _RunningSum(lambda lo, hi: np.sqrt(S_all[lo:hi]))
     worst = first = None
-    for lo, hi in _blocks(S_all.size):
+    for lo, hi in _blocks(length):
         S, eta_b = S_all[lo:hi], eta[lo:hi]
         E = eta_b ** 2 * gap[lo:hi]
         diff = np.abs(S - E)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from gamegrad.dynamics import (
     DynamicsConfig,
     GradNormSchedule,
     NoNoise,
+    PowerSchedule,
     RelativeNoise,
+    StepNormSchedule,
     TrajectoryRecord,
     VarianceSchedule,
+    dyadic_steps,
     run_trajectory,
 )
 from gamegrad.errors import ConfigError, IndeterminateResult
@@ -27,6 +32,7 @@ from gamegrad.games import (
     verify_gradient,
 )
 from gamegrad.metrics import (
+    CHECKS,
     ConvergenceVerdict,
     _BLOCK,
     _state_distances,
@@ -637,6 +643,184 @@ def test_checks_on_a_50_000_step_record_keep_their_temporaries_to_blocks(check_i
     finally:
         tracemalloc.stop()
     assert peak <= temporaries * 8 * _BLOCK  # bytes: that many temporaries of a block at a time
+
+
+# ---------------------------------------------------------------------------
+# settled records: the scans stop at the settle step
+# ---------------------------------------------------------------------------
+
+# Every per-trial check; each record runs those whose needs its run meets.
+PER_TRIAL_CHECKS = [name + (":1e-3" if name == "distance_below" else "")
+                    for name, needs in CHECKS.items() if needs.run is not None]
+SETTLE_GAMES = {"quad_1d": (-0.8,), "quad_2d": (1.5, -2.0), "piecewise": (-0.8,),
+                "piecewise_on_nash": (2.0,), "rand_2d": (1.5, -2.0)}
+SETTLE_SCHEDULES = {"constant": None,  # eta = lambda / 2
+                    "power": lambda: PowerSchedule(0.5, 0.1),
+                    "step_norm": lambda: StepNormSchedule(1.0),
+                    "grad_norm": lambda: GradNormSchedule(1.0, 2.0)}
+SETTLE_NOISE = {"none": NoNoise(),
+                "relative_sphere": RelativeNoise(VarianceSchedule("constant", 0.25), "sphere")}
+SETTLE_HORIZON = 10_000  # past every settle step of the grid (rand_2d's last, 9,158)
+# Constant steps whose runs settle at 8,191, 8,192 and 8,193: at and next to
+# the edge of a block of rises (8,191), of step norms (8,192) and of states
+# (8,192 rows for n = 1, 4,096 for n = 2).
+EDGE_ETAS = {"quad_1d": (0.08666, 0.08665, 0.08664), "quad_2d": (0.08675, 0.08674, 0.08673)}
+
+SETTLE_GRID = (
+    [pytest.param(g, s, n, None, id=f"{g}-{s}-{n}") for g in SETTLE_GAMES for s in SETTLE_SCHEDULES
+     for n in SETTLE_NOISE if not (s == "grad_norm" and n != "none")]
+    + [pytest.param(g, "constant", "none", eta, id=f"{g}-edge-{8191 + k}")
+       for g, etas in EDGE_ETAS.items() for k, eta in enumerate(etas)])
+
+
+def settled_record(name, schedule, noise, eta, thinning):
+    """A game and a record of one run that settled, with step norms kept."""
+    game = make_named_game(name.removesuffix("_on_nash"))
+    if schedule == "constant":
+        sched = ConstantSchedule(0.5 * game.cocoercivity if eta is None else eta)
+    else:
+        sched = SETTLE_SCHEDULES[schedule]()
+    cfg = DynamicsConfig(sched, horizon=SETTLE_HORIZON, x0=SETTLE_GAMES[name],
+                         noise=SETTLE_NOISE[noise], thinning=thinning)
+    rec = run_trajectory(game, cfg, rng=3, step_norms=True)
+    assert rec.settle_step is not None
+    return game, rec
+
+
+def per_trial_verdicts(rec, game):
+    """Every per-trial check that applies to the record's run, as verdicts."""
+    cfg = DynamicsConfig.from_dict(rec.config)
+    verdicts = []
+    for check_id in PER_TRIAL_CHECKS:
+        spec = parse_check(check_id)
+        try:
+            spec.require(game, cfg)
+        except ConfigError:
+            continue
+        verdicts += run_check(spec, rec, game)
+    return verdicts
+
+
+@pytest.mark.parametrize("thinning", [0, 1, 7])
+@pytest.mark.parametrize("name, schedule, noise, eta", SETTLE_GRID)
+def test_settled_record_gives_what_its_whole_record_gives(name, schedule, noise, eta, thinning):
+    game, rec = settled_record(name, schedule, noise, eta, thinning)
+    whole = dataclasses.replace(rec, settle_step=None)
+    got, want = per_trial_verdicts(rec, game), per_trial_verdicts(whole, game)
+    assert [v.to_dict() for v in got] == [v.to_dict() for v in want]
+    assert repr(got) == repr(want)  # the signs of zeros too
+    dyadic = np.asarray(dyadic_steps(SETTLE_HORIZON), dtype=np.int64)
+    assert time_average_gap(rec, dyadic).tobytes() == time_average_gap(whole, dyadic).tobytes()
+    # the grid's corner cases are what it says they are
+    if eta is not None:
+        assert rec.settle_step == 8191 + EDGE_ETAS[name].index(eta)
+    if name == "piecewise_on_nash":
+        assert rec.settle_step == 1 and rec.gap[0] == 0.0
+    if name == "rand_2d" and schedule in ("constant", "grad_norm") and noise == "none":
+        assert rec.gap[rec.settle_step] > 0.0  # it settles at a nonzero gap
+
+
+@pytest.mark.parametrize("violations", [None, "before_settle", "settled_state"])
+@pytest.mark.parametrize("tail_gap", [0.0, 1e-3])
+def test_a_fabricated_settled_record_gives_what_its_whole_record_gives(tail_gap, violations):
+    # a tail that is constant from the settle step on, after a strictly falling
+    # gap (no zero rise before it), with violations at the step before the
+    # settle step (a rise, a state past the starting distance and an
+    # oversized step) or a settled state past the starting distance
+    game, T, settle = make_named_game("quad_2d"), 300, 200
+    x0 = np.array([1.5, -2.0])
+    p0 = project_to_nash(game, x0)
+    t = np.minimum(np.arange(T + 1), settle)
+    gap = np.where(t < settle, 4.0 * 0.9 ** t, tail_gap)
+    states = p0 + (x0 - p0) * 0.9 ** t[:, None]
+    eta = np.full(T, 0.25)
+    step = np.where(t[:-1] < settle, eta ** 2 * gap[:-1], 0.0)
+    if violations == "before_settle":
+        gap[settle - 1] = 2.0 * gap[settle - 2]
+        states[settle - 1] = p0 + 2.0 * (x0 - p0)
+        step[settle - 1] *= 2.0
+    elif violations == "settled_state":
+        states[settle:] = p0 + 2.0 * (x0 - p0)
+    rec = dataclasses.replace(fabricate(gap, eta=eta, states=states, step_norm_sq=step),
+                              settle_step=settle)
+    whole = dataclasses.replace(rec, settle_step=None)
+    with np.errstate(divide="ignore"):
+        got, want = per_trial_verdicts(rec, game), per_trial_verdicts(whole, game)
+    assert repr(got) == repr(want)
+    firsts = {v.check_id: v.first_violation_step for v in got if not v.passed}
+    if violations == "before_settle":
+        scanned = ("descent.grad_norm_monotone", "descent.iterate_bounded", "gap_step_consistency")
+        assert {c: firsts.get(c) for c in scanned} == dict.fromkeys(scanned, settle - 1)
+    elif violations == "settled_state":
+        assert firsts["descent.iterate_bounded"] == settle
+    for steps in (np.arange(T + 1), np.asarray(dyadic_steps(T), dtype=np.int64)):
+        assert time_average_gap(rec, steps).tobytes() == time_average_gap(whole, steps).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["array", "settled_record"])
+def test_time_average_gap_rejects_negative_steps_and_steps_past_the_end(kind):
+    # step -1 once read the last sum over a zero divisor, and -2 gave a
+    # negative mean; a settled record's sums stop at its settle step, which
+    # must not let a step past the end through
+    if kind == "array":
+        series, end = 0.5 ** np.arange(100), 100
+    else:
+        series = settled_record("piecewise_on_nash", "constant", "none", None, 0)[1]
+        end = SETTLE_HORIZON + 1
+    for steps in ([-1], [-2], [0, 5, -1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="steps must be nonnegative"):
+                time_average_gap(series, np.array(steps))
+    for steps in ([end], [0, end]):
+        with pytest.raises(IndexError):
+            time_average_gap(series, np.array(steps))
+
+
+def _poison_tail(rec, settle_step):
+    """A copy of rec whose states and step norms past its settle step are NaN."""
+    states, step = rec.states.copy(), rec.step_norm_sq.copy()
+    states[rec.state_steps > rec.settle_step] = math.nan
+    step[rec.settle_step + 1:] = math.nan
+    return dataclasses.replace(rec, states=states, step_norm_sq=step, settle_step=settle_step)
+
+
+TAIL_CHECKS = ["descent_invariants", "gap_step_consistency"]
+
+
+def test_checks_do_not_read_a_settled_tail():
+    game, rec = descent_record("quad_2d")  # settles at step 8,542 of 50,000
+    clean = [run_named_check(c, rec, game) for c in TAIL_CHECKS]
+    assert all(v.passed for vs in clean for v in vs)
+    poisoned = _poison_tail(rec, rec.settle_step)
+    assert repr([run_named_check(c, poisoned, game) for c in TAIL_CHECKS]) == repr(clean)
+    gap = rec.gap.copy()
+    gap[rec.settle_step + 1:] = math.nan
+    steps = np.asarray(dyadic_steps(rec.horizon), dtype=np.int64)
+    assert (time_average_gap(dataclasses.replace(rec, gap=gap), steps).tobytes()
+            == time_average_gap(rec, steps).tobytes())
+
+
+def test_an_unsettled_record_reads_the_poisoned_tail():
+    # negative control: the same poisoning, read to the end, fails both checks
+    game, rec = descent_record("quad_2d")
+    with np.errstate(invalid="ignore"):
+        verdicts = [v for c in TAIL_CHECKS
+                    for v in run_named_check(c, _poison_tail(rec, None), game)]
+    # a NaN distance fails the bound but is not above it: no first step is named
+    failed = {v.check_id: v.first_violation_step for v in verdicts if not v.passed}
+    assert failed == {"descent.iterate_bounded": None, "gap_step_consistency": rec.settle_step + 1}
+
+
+def test_a_tail_settled_at_a_nonzero_gap_is_still_checked():
+    game, rec = settled_record("rand_2d", "constant", "none", None, 1)
+    settle = rec.settle_step
+    assert rec.gap[settle] > 0.0 and run_named_check("gap_step_consistency", rec, game)[0].passed
+    step = rec.step_norm_sq.copy()
+    step[settle + 10] = 1e-20  # a step of 1e-10 from a state that stays put
+    [verdict] = run_named_check("gap_step_consistency",
+                                dataclasses.replace(rec, step_norm_sq=step), game)
+    assert not verdict.passed and verdict.first_violation_step == settle + 10
 
 
 # ---------------------------------------------------------------------------
